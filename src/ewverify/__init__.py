@@ -50,8 +50,6 @@ from .matrices import (
     hermitian_form,
     lie_element,
     su2_element,
-    u1_element,
-    u1em_element,
     verify_group,
 )
 from .model import (
@@ -65,7 +63,6 @@ from .model import (
     build_LA,
     build_Lphi,
     build_matter_radial,
-    build_stress_tensors,
     check_su2_invariance,
     check_u1_invariance,
     extract_masses,

@@ -2,15 +2,18 @@
 
 Subcommands run the named check suites and emit reports as JSON (default),
 plain text, or CSV (scaling sweep only).  Exit status: 0 when every check
-passes, 1 when any check fails, 2 on usage or configuration errors.
+passes, 1 when any check fails or the engine faults, 2 on usage or
+configuration errors.
 Identical (config, seed) inputs produce byte-identical JSON output.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
+import traceback
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,6 +35,9 @@ CONFIG_KEYS = ("g", "gp", "R", "jmode", "seed", "samples", "exact")
 
 SWEEP_JS = (1e-1, 10**-1.5, 1e-2, 10**-2.5, 1e-3)
 
+# commands whose checks take no contraction mode, so --j would be ignored
+IGNORES_J = ("verify lagrangian", "verify trace", "eom", "sweep")
+
 
 class ConfigError(ValueError):
     pass
@@ -39,17 +45,18 @@ class ConfigError(ValueError):
 
 def _as_fraction(value, key: str) -> Fraction:
     try:
-        if isinstance(value, str):
-            return Fraction(value)
         return Fraction(value)
-    except (ValueError, TypeError, ZeroDivisionError):
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError):
         raise ConfigError(f"invalid value for {key!r}: {value!r}") from None
 
 
 def load_config(path: str | Path) -> ModelConfig:
     """Read a JSON config; an empty file means all defaults."""
-    text = Path(path).read_text(encoding="utf-8").strip()
-    data = json.loads(text) if text else {}
+    try:
+        text = Path(path).read_text(encoding="utf-8").strip()
+        data = json.loads(text) if text else {}
+    except ValueError as exc:  # undecodable bytes or malformed JSON
+        raise ConfigError(f"malformed config {str(path)!r}: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
     unknown = sorted(set(data) - set(CONFIG_KEYS))
@@ -103,38 +110,31 @@ def _config_from_args(args) -> ModelConfig:
         raise ConfigError(str(exc)) from None
 
 
-def _modes_for(arg: str | None) -> list[JMode]:
-    if arg is None:
-        return [J_ONE, J_NILPOTENT, JMode.numeric(Fraction(1, 1000))]
-    return [JMode.from_text(arg)]
+# Each suite takes the --j mode, or None when the flag was not given.
+
+def _group_suite(cfg: ModelConfig, mode: JMode | None):
+    modes = [J_ONE, J_NILPOTENT, JMode.numeric(Fraction(1, 1000))] if mode is None else [mode]
+    return [verify_group(m, cfg.samples, cfg.seed) for m in modes]
 
 
-def _group_suite(cfg: ModelConfig, jarg: str | None):
-    return [verify_group(mode, cfg.samples, cfg.seed) for mode in _modes_for(jarg)]
-
-
-def _lagrangian_suite(cfg: ModelConfig, jarg: str | None):
+def _lagrangian_suite(cfg: ModelConfig, mode: JMode | None):
     return [verify_grading(cfg), verify_matter_radial(cfg)]
 
 
-def _gauge_suite(cfg: ModelConfig, jarg: str | None):
-    modes = [JMode.from_text(jarg)] if jarg else [J_ONE, J_NILPOTENT]
-    out = [check_u1_invariance(cfg)]
-    out.extend(check_su2_invariance(mode) for mode in modes)
-    return out
+def _gauge_suite(cfg: ModelConfig, mode: JMode | None):
+    modes = [J_ONE, J_NILPOTENT] if mode is None else [mode]
+    return [check_u1_invariance(cfg)] + [check_su2_invariance(m) for m in modes]
 
 
-def _trace_suite(cfg: ModelConfig, jarg: str | None):
+def _trace_suite(cfg: ModelConfig, mode: JMode | None):
     samples = min(cfg.samples, 100)
     return [verify_trace_identity(samples, cfg.seed)]
 
 
-def _all_suite(cfg: ModelConfig, jarg: str | None):
+def _all_suite(cfg: ModelConfig, mode: JMode | None):
     reports = []
-    reports.extend(_group_suite(cfg, jarg))
-    reports.extend(_lagrangian_suite(cfg, jarg))
-    reports.extend(_gauge_suite(cfg, jarg))
-    reports.extend(_trace_suite(cfg, jarg))
+    for suite in (_group_suite, _lagrangian_suite, _gauge_suite, _trace_suite):
+        reports.extend(suite(cfg, mode))
     reports.append(decoupling_check(cfg))
     reports.append(mass_invariance_check(cfg))
     return reports
@@ -156,23 +156,25 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _report_payload(reports) -> str:
-    payload = {
-        "reports": [r.as_dict() for r in reports],
-        "summary": {
-            "total": len(reports),
-            "passed": sum(1 for r in reports if r.passed),
-            "failed": sum(1 for r in reports if not r.passed),
-        },
-    }
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def _reports_text(reports) -> str:
-    lines = [r.line() for r in reports]
+def _emit_reports(reports, args) -> int:
+    """Print a report list in the requested format; exit 1 if any check failed."""
     passed = sum(1 for r in reports if r.passed)
-    lines.append(f"{passed}/{len(reports)} checks passed")
-    return "\n".join(lines) + "\n"
+    if args.format == "text":
+        lines = [r.line() for r in reports]
+        lines.append(f"{passed}/{len(reports)} checks passed")
+        text = "\n".join(lines) + "\n"
+    else:
+        payload = {
+            "reports": [r.as_dict() for r in reports],
+            "summary": {
+                "total": len(reports),
+                "passed": passed,
+                "failed": len(reports) - passed,
+            },
+        }
+        text = json.dumps(payload, indent=2) + "\n"
+    _emit(text, args.out)
+    return 0 if passed == len(reports) else 1
 
 
 def _add_common(sub) -> None:
@@ -215,23 +217,34 @@ def run(argv) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _config_from_args(args)
-        return _dispatch(parser, args, cfg)
-    except (ConfigError, ValueError, OSError) as exc:
+        _check_usage(args, cfg)
+        return _dispatch(args, cfg)
+    except (ConfigError, OSError) as exc:
         print(f"ewverify: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # an engine fault is a failed run, not bad input
+        traceback.print_exc(file=sys.stderr)
+        print(f"ewverify: internal error: {exc}", file=sys.stderr)
+        return 1
 
 
-def _dispatch(parser, args, cfg: ModelConfig) -> int:
+def _check_usage(args, cfg: ModelConfig) -> None:
+    """Reject flags the command cannot honour before any check runs."""
+    command = f"verify {args.suite}" if args.command == "verify" else args.command
     if args.format == "csv" and args.command != "sweep":
         raise ConfigError("csv output is only available for the sweep command")
+    if args.j is not None and command in IGNORES_J:
+        raise ConfigError(f"--j is not used by {command}")
+    if cfg.samples < 1:
+        raise ConfigError("samples must be >= 1")
+    if args.command == "sweep" and args.samples is not None and args.samples < 10:
+        raise ConfigError("sweep needs --samples >= 10")
 
+
+def _dispatch(args, cfg: ModelConfig) -> int:
     if args.command == "verify":
-        reports = SUITES[args.suite](cfg, args.j)
-        if args.format == "text":
-            _emit(_reports_text(reports), args.out)
-        else:
-            _emit(_report_payload(reports), args.out)
-        return 0 if all(r.passed for r in reports) else 1
+        mode = cfg.jmode if args.j is not None else None
+        return _emit_reports(SUITES[args.suite](cfg, mode), args)
 
     if args.command == "masses":
         spectrum = extract_masses(cfg)
@@ -256,30 +269,11 @@ def _dispatch(parser, args, cfg: ModelConfig) -> int:
                 args.out,
             )
         else:
-            payload = {
-                "j_values": list(report.j_values),
-                "ratios_f": list(report.ratios_f),
-                "ratios_h": list(report.ratios_h),
-                "slope_f": report.slope_f,
-                "slope_h": report.slope_h,
-                "fit_r2": report.fit_r2,
-                "samples": report.samples,
-                "degenerate_redraws": report.degenerate_redraws,
-            }
-            _emit(json.dumps(payload, indent=2) + "\n", args.out)
+            _emit(json.dumps(dataclasses.asdict(report), indent=2) + "\n", args.out)
         ok = abs(report.slope_f - 2) <= 0.01 and abs(report.slope_h - 4) <= 0.02
         return 0 if ok else 1
 
-    if args.command == "eom":
-        report = decoupling_check(cfg)
-        if args.format == "text":
-            _emit(_reports_text([report]), args.out)
-        else:
-            _emit(_report_payload([report]), args.out)
-        return 0 if report.passed else 1
-
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    return _emit_reports([decoupling_check(cfg)], args)
 
 
 def main() -> None:

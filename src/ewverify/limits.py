@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import random
 import statistics
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,7 +21,7 @@ from .contraction import J_NILPOTENT, J_ONE
 from .fields import Expression, const, euler_lagrange, j_decompose, reduce_mode, substitute
 from .model import ModelConfig, build_L27, extract_masses, with_mode
 from .numeric import FieldSample, eval_expression
-from .report import VerificationReport
+from .report import VerificationReport, timed, verdict
 
 
 class DegenerateSampleError(RuntimeError):
@@ -110,6 +109,7 @@ def scaling_sweep(
     )
 
 
+@timed
 def decoupling_check(cfg: ModelConfig) -> VerificationReport:
     """Base/fiber decoupling of the field equations at rho = R.
 
@@ -117,7 +117,6 @@ def decoupling_check(cfg: ModelConfig) -> VerificationReport:
     keeps Z/photon factors; at j=1 the Z equation does couple to the W
     pair (the contrast witness).
     """
-    t0 = time.perf_counter()
     frozen = substitute(build_L27(cfg), {"rho": const(cfg.R)})
     parts = j_decompose(frozen)
     base = parts.get(0, Expression.zero())
@@ -140,37 +139,18 @@ def decoupling_check(cfg: ModelConfig) -> VerificationReport:
     if not (eq_z_one.field_symbols() & w_pair):
         failures.append("Z equation at j=1 shows no W coupling (contrast lost)")
 
-    witness = (
-        f"Z eq (j=iota): {eq_z_nil}"
-        if not failures
-        else "; ".join(failures)
-    )
-    return VerificationReport(
-        check_name="base-fiber-decoupling",
-        mode="j=iota vs j=1",
-        status="pass" if not failures else "fail",
-        decision_path="exact-symbolic",
-        max_abs_error=0.0 if not failures else -1.0,
-        witness=witness,
-        duration_ms=int((time.perf_counter() - t0) * 1000),
-    )
+    return verdict("base-fiber-decoupling", "j=iota vs j=1", failures,
+                   witness=f"Z eq (j=iota): {eq_z_nil}")
 
 
+@timed
 def mass_invariance_check(cfg: ModelConfig) -> VerificationReport:
     """The mass spectrum must be identical at j=1 and j=iota, exactly."""
-    t0 = time.perf_counter()
     spec_one = extract_masses(with_mode(cfg, J_ONE))
     spec_nil = extract_masses(with_mode(cfg, J_NILPOTENT))
-    ok = spec_one.same_spectrum(spec_nil)
-    return VerificationReport(
-        check_name="mass-invariance",
-        mode="j=1 vs j=iota",
-        status="pass" if ok else "fail",
-        decision_path="exact-symbolic",
-        max_abs_error=0.0 if ok else -1.0,
-        witness=None if ok else f"{spec_one.as_dict()} != {spec_nil.as_dict()}",
-        duration_ms=int((time.perf_counter() - t0) * 1000),
-    )
+    same = spec_one.same_spectrum(spec_nil)
+    failures = [] if same else [f"{spec_one.as_dict()} != {spec_nil.as_dict()}"]
+    return verdict("mass-invariance", "j=1 vs j=iota", failures)
 
 
 def random_pythagorean_config(rng: random.Random, **overrides) -> ModelConfig:

@@ -9,12 +9,11 @@ also serves field-valued matrices elsewhere in the package.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .contraction import ComplexRational, ContractionScalar, JMode
-from .report import VerificationReport
+from .report import VerificationReport, timed, verdict
 
 CS = ContractionScalar
 
@@ -188,38 +187,6 @@ def lie_element(a1, a2, a3, mode: JMode) -> Mat2:
     return m.reduce(mode)
 
 
-def _phase_pair(beta_over_pi) -> ComplexRational | complex:
-    """e^{i pi t} as an exact (cos, sin) pair for quarter turns, float otherwise."""
-    t = Fraction(beta_over_pi)
-    half_turns = t % 2
-    quarter = half_turns / Fraction(1, 2)
-    if quarter.denominator == 1:
-        c, s = [(1, 0), (0, 1), (-1, 0), (0, -1)][int(quarter) % 4]
-        return ComplexRational(c, s)
-    import cmath
-    import math
-
-    return cmath.exp(1j * math.pi * float(t))
-
-
-def u1_element(beta_over_pi) -> Mat2:
-    """Hypercharge phase diag(e^{i beta/2}, e^{i beta/2}); argument in units of pi."""
-    p = _phase_pair(Fraction(beta_over_pi) / 2)
-    if isinstance(p, ComplexRational):
-        z, e = CS.zero(), CS.term(p)
-        return Mat2(((e, z), (z, e)))
-    return Mat2(((p, 0j), (0j, p)))
-
-
-def u1em_element(gamma_over_pi) -> Mat2:
-    """Electromagnetic phase diag(e^{i gamma}, 1); acts on the base component only."""
-    p = _phase_pair(gamma_over_pi)
-    if isinstance(p, ComplexRational):
-        z = CS.zero()
-        return Mat2(((CS.term(p), z), (z, CS.one())))
-    return Mat2(((p, 0j), (0j, 1 + 0j)))
-
-
 @dataclass(frozen=True)
 class Doublet:
     """Matter doublet (phi1, j phi2); the j weight is applied by the form."""
@@ -318,6 +285,7 @@ def _matrix_error(m: Mat2, target: Mat2, mode: JMode) -> float:
     return 0.0 if diff.reduce(mode).is_zero() else float("inf")
 
 
+@timed
 def verify_group(mode: JMode, samples: int, seed: int) -> VerificationReport:
     """Check determinant, unitarity, closure, form invariance, anti-hermiticity.
 
@@ -327,7 +295,6 @@ def verify_group(mode: JMode, samples: int, seed: int) -> VerificationReport:
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = random.Random(seed)
-    t0 = time.perf_counter()
     max_err = 0.0
     failures: list[str] = []
     tol = 1e-12 if mode.is_numeric else 0.0
@@ -379,23 +346,14 @@ def verify_group(mode: JMode, samples: int, seed: int) -> VerificationReport:
             failures.append(f"sample {k}: Lie element not anti-hermitian ({err})")
         max_err = max(max_err, err)
 
-    elapsed = int((time.perf_counter() - t0) * 1000)
-    status = "pass" if not failures else "fail"
-    if max_err == float("inf"):
-        max_err = -1.0  # exact mismatch marker
-    note = None
-    if failures:
-        note = "; ".join(failures[:3])
-    elif mode.is_nilpotent:
-        # the contracted group's translation-like parameter is unbounded;
-        # sampling covers a rational box only
-        note = "beta drawn from a bounded rational box"
-    return VerificationReport(
-        check_name="group-axioms",
-        mode=mode.label(),
-        status=status,
+    # the contracted group's translation-like parameter is unbounded;
+    # sampling covers a rational box only
+    note = "beta drawn from a bounded rational box" if mode.is_nilpotent else None
+    return verdict(
+        "group-axioms",
+        mode.label(),
+        failures[:3],
         decision_path="numeric-oracle" if mode.is_numeric else "exact-symbolic",
-        max_abs_error=max_err,
+        error=max_err,
         witness=note,
-        duration_ms=elapsed,
     )

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import random
-import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -40,7 +39,7 @@ from .fields import (
 )
 from .matrices import Mat2, lie_element, random_su2_pair, su2_element
 from .numeric import EqualsPolicy, equals
-from .report import VerificationReport
+from .report import VerificationReport, timed, verdict
 
 
 class ParameterError(ValueError):
@@ -136,12 +135,6 @@ def su2_stress_tensors(names=("A1", "A2", "A3"), graded: bool = True) -> dict:
     nl3 = g * _wedge(a1, a2)
     f3 = curl(a3) - (jpow(2) * nl3 if graded else nl3)
     return {a1: f1, a2: f2, a3: f3}
-
-
-def build_stress_tensors() -> dict[str, Expression]:
-    """Graded field strengths {F1, F2, F3, B} with free indices mu, nu."""
-    f = su2_stress_tensors(graded=True)
-    return {"F1": f["A1"], "F2": f["A2"], "F3": f["A3"], "B": curl("B")}
 
 
 def build_LA(names=("A1", "A2", "A3", "B"), graded: bool = True) -> Expression:
@@ -317,42 +310,28 @@ def transformed_lagrangian(cfg: ModelConfig) -> Expression:
     return physical_basis(graded, cfg)
 
 
+@timed
 def verify_grading(cfg: ModelConfig) -> VerificationReport:
     """Check that the substituted-and-transformed Lagrangian equals the
     assembled graded form, and that only grades {0, 2, 4} occur."""
-    t0 = time.perf_counter()
     lhs = transformed_lagrangian(cfg)
     rhs = build_L27(cfg)
     grades_ok = set(lhs.j_degrees()) <= {0, 2, 4} and set(rhs.j_degrees()) <= {0, 2, 4}
     res = equals(lhs, rhs, cfg.policy())
-    status = "pass" if (res.equal and grades_ok) else "fail"
-    witness = None if status == "pass" else (res.witness or "grades outside {0,2,4}")
-    return VerificationReport(
-        check_name="grading-identity",
-        mode=_param_label(cfg),
-        status=status,
-        decision_path=res.decision_path,
-        max_abs_error=res.max_rel_error,
-        witness=witness,
-        duration_ms=int((time.perf_counter() - t0) * 1000),
-    )
+    failures = [] if res.equal and grades_ok else [res.witness or "grades outside {0,2,4}"]
+    return verdict("grading-identity", _param_label(cfg), failures,
+                   decision_path=res.decision_path, error=res.max_rel_error)
 
 
+@timed
 def verify_matter_radial(cfg: ModelConfig) -> VerificationReport:
     """Check the radial matter Lagrangian against its closed physical form."""
-    t0 = time.perf_counter()
     lhs = physical_basis(build_matter_radial(graded=True), cfg)
     rhs = matter_radial_display(cfg)
     res = equals(lhs, rhs, cfg.policy())
-    return VerificationReport(
-        check_name="matter-radial-identity",
-        mode=_param_label(cfg),
-        status="pass" if res.equal else "fail",
-        decision_path=res.decision_path,
-        max_abs_error=res.max_rel_error,
-        witness=res.witness,
-        duration_ms=int((time.perf_counter() - t0) * 1000),
-    )
+    failures = [] if res.equal else [res.witness]
+    return verdict("matter-radial-identity", _param_label(cfg), failures,
+                   decision_path=res.decision_path, error=res.max_rel_error)
 
 
 # --- radial decomposition ---------------------------------------------------
@@ -520,21 +499,13 @@ def u1_variation_rules(cfg: ModelConfig) -> dict[str, Expression]:
     }
 
 
+@timed
 def check_u1_invariance(cfg: ModelConfig | None = None) -> VerificationReport:
     """delta L = 0 for the infinitesimal U(1) laws on the physical Lagrangian."""
     cfg = cfg or DEFAULT_CONFIG
-    t0 = time.perf_counter()
     delta = first_order_variation(build_L27(cfg), u1_variation_rules(cfg))
-    ok = delta.is_zero()
-    return VerificationReport(
-        check_name="u1-invariance",
-        mode=_param_label(cfg),
-        status="pass" if ok else "fail",
-        decision_path="exact-symbolic",
-        max_abs_error=0.0 if ok else -1.0,
-        witness=None if ok else str(delta)[:200],
-        duration_ms=int((time.perf_counter() - t0) * 1000),
-    )
+    failures = [] if delta.is_zero() else [str(delta)[:200]]
+    return verdict("u1-invariance", _param_label(cfg), failures)
 
 
 def su2_variation_rules() -> dict[str, Expression]:
@@ -559,22 +530,14 @@ def su2_variation_rules() -> dict[str, Expression]:
     }
 
 
+@timed
 def check_su2_invariance(mode: JMode) -> VerificationReport:
     """delta(L_gauge + L_matter) = 0 in the given mode, fully symbolically."""
-    t0 = time.perf_counter()
     lagrangian = build_LA() + build_Lphi()
     delta = first_order_variation(lagrangian, su2_variation_rules())
     reduced = reduce_mode(delta, mode)
-    ok = reduced.is_zero()
-    return VerificationReport(
-        check_name="su2-invariance",
-        mode=mode.label(),
-        status="pass" if ok else "fail",
-        decision_path="exact-symbolic",
-        max_abs_error=0.0 if ok else -1.0,
-        witness=None if ok else str(reduced)[:200],
-        duration_ms=int((time.perf_counter() - t0) * 1000),
-    )
+    failures = [] if reduced.is_zero() else [str(reduced)[:200]]
+    return verdict("su2-invariance", mode.label(), failures)
 
 
 # --- trace identity -----------------------------------------------------------
@@ -588,13 +551,13 @@ def _random_antisymmetric_components(rng: random.Random):
     }
 
 
+@timed
 def verify_trace_identity(samples: int, seed: int) -> VerificationReport:
     """tr(F^2) is unchanged by conjugation with a group element, checked on
     random (h, F) draws in all three modes: exactly in the rational modes,
     within 1e-10 in the float mode."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    t0 = time.perf_counter()
     worst = 0.0
     failures = []
     for mode in (J_ONE, J_NILPOTENT, JMode.numeric(Fraction(1, 1000))):
@@ -620,16 +583,8 @@ def verify_trace_identity(samples: int, seed: int) -> VerificationReport:
             else:
                 if t_direct.reduce(mode) != t_conj.reduce(mode):
                     failures.append(f"{mode.label()} sample {k}: exact mismatch")
-    status = "pass" if not failures else "fail"
-    return VerificationReport(
-        check_name="trace-identity",
-        mode="all",
-        status=status,
-        decision_path="numeric-oracle",
-        max_abs_error=worst,
-        witness="; ".join(failures[:3]) if failures else None,
-        duration_ms=int((time.perf_counter() - t0) * 1000),
-    )
+    return verdict("trace-identity", "all", failures[:3],
+                   decision_path="numeric-oracle", error=worst)
 
 
 def float_config(g: float, gp: float, R: float = 2.0, seed: int = 42) -> ModelConfig:

@@ -1,8 +1,12 @@
-"""Verification report records and their JSON-friendly serialization."""
+"""Verification report records, the one constructor checks build them with,
+and the timing wrapper that stamps their duration."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+import math
+import time
+from dataclasses import dataclass, replace
 
 
 @dataclass(frozen=True)
@@ -26,10 +30,10 @@ class VerificationReport:
     def passed(self) -> bool:
         return self.status == "pass"
 
-    def as_dict(self, include_timing: bool = False) -> dict:
-        # Timing is excluded by default so identical (config, seed) runs
-        # serialize byte-identically.
-        out = {
+    def as_dict(self) -> dict:
+        # Timing is left out so identical (config, seed) runs serialize
+        # byte-identically.
+        return {
             "check_name": self.check_name,
             "mode": self.mode,
             "status": self.status,
@@ -37,12 +41,51 @@ class VerificationReport:
             "max_abs_error": self.max_abs_error,
             "witness": self.witness,
         }
-        if include_timing:
-            out["duration_ms"] = self.duration_ms
-        return out
 
     def line(self) -> str:
         mark = "PASS" if self.passed else "FAIL"
         err = f" max_err={self.max_abs_error:.3g}" if self.max_abs_error > 0 else ""
         wit = f" [{self.witness}]" if (self.witness and not self.passed) else ""
-        return f"[{mark}] {self.check_name} ({self.mode}) via {self.decision_path}{err}{wit}"
+        return (
+            f"[{mark}] {self.check_name} ({self.mode}) via {self.decision_path}"
+            f"{err} in {self.duration_ms} ms{wit}"
+        )
+
+
+def verdict(
+    check_name: str,
+    mode: str,
+    failures,
+    decision_path: str = "exact-symbolic",
+    error: float | None = None,
+    witness: str | None = None,
+) -> VerificationReport:
+    """Build a check's report: it passes exactly when ``failures`` is empty.
+
+    ``error`` defaults to 0.0 on a pass and to an exact mismatch on a fail;
+    an ``inf`` error is an exact mismatch and is written as -1.0.  A failing
+    report's witness joins the failures; a passing one keeps ``witness``.
+    """
+    passed = not failures
+    if error is None:
+        error = 0.0 if passed else math.inf
+    return VerificationReport(
+        check_name=check_name,
+        mode=mode,
+        status="pass" if passed else "fail",
+        decision_path=decision_path,
+        max_abs_error=-1.0 if error == math.inf else error,
+        witness=witness if passed else "; ".join(failures),
+    )
+
+
+def timed(check):
+    """Stamp the wall time of ``check`` on the report it returns."""
+
+    @functools.wraps(check)
+    def run(*args, **kwargs):
+        t0 = time.perf_counter()
+        report = check(*args, **kwargs)
+        return replace(report, duration_ms=int((time.perf_counter() - t0) * 1000))
+
+    return run

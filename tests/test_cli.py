@@ -1,6 +1,7 @@
 """CLI surface: exit codes, report formats, config handling, determinism."""
 
 import json
+import re
 
 import pytest
 
@@ -187,3 +188,58 @@ def test_config_file_plus_flag_override(tmp_path, capsys):
         capsys, "masses", "--config", str(path), "--g", "3", "--gp", "4"
     )
     assert json.loads(out)["m_Z"] == 5.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "group", "--samples", "0"),
+        ("masses", "--samples", "-3"),
+        ("sweep", "--samples", "5"),
+    ],
+)
+def test_too_few_samples_is_a_usage_error(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "samples" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "lagrangian"),
+        ("verify", "trace"),
+        ("eom",),
+        ("sweep",),
+    ],
+)
+def test_unused_j_flag_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--j", "iota")
+    assert code == 2
+    assert out == ""
+    assert "--j" in err
+
+
+def test_engine_fault_exits_1(monkeypatch, capsys):
+    from ewverify import model
+
+    def faulty(*args):
+        raise ValueError("complex mass coefficient for ZZ: 1+i")
+
+    monkeypatch.setattr(model, "_pair_coefficient", faulty)
+    code, out, err = run_cli(capsys, "masses")
+    assert code == 1
+    assert out == ""
+    assert "ewverify: internal error: complex mass coefficient" in err
+
+
+def test_text_output_shows_each_check_duration(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "group", "--samples", "2", "--format", "text"
+    )
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert len(lines) == 4
+    for line in lines[:3]:
+        assert line.startswith("[PASS] group-axioms")
+        assert re.search(r" \d+ ms", line)

@@ -19,8 +19,6 @@ from ewverify import (
     hermitian_form,
     lie_element,
     su2_element,
-    u1_element,
-    u1em_element,
     verify_group,
 )
 from ewverify.matrices import apply_group_element, max_abs_entry, random_su2_pair
@@ -142,21 +140,6 @@ def test_nilpotent_closure_formula(rng):
         # inverse = conjugate transpose stays in the set
         omega = su2_element(a1, b1, J_NILPOTENT)
         assert (omega @ omega.dagger() - Mat2.identity()).reduce(J_NILPOTENT).is_zero()
-
-
-def test_u1_elements():
-    assert u1_element(0) == Mat2.identity()
-    assert u1em_element(0) == Mat2.identity()
-    half_turn = u1em_element(1)  # e^{i pi} = -1 on the base component
-    assert half_turn[0, 0] == cs(-1)
-    assert half_turn[1, 1] == CS.one()
-    # the electromagnetic phase leaves the fiber component alone
-    phi = Doublet.of(cs(2, 1), cs(Fraction(1, 3)))
-    rotated_phi2 = half_turn[1, 1] * phi.phi2
-    assert rotated_phi2 == phi.phi2
-    # floats outside quarter turns
-    third = u1em_element(Fraction(2, 3))
-    assert abs(third[0, 0] - complex(-0.5, 3**0.5 / 2)) < 1e-12
 
 
 def test_hermitian_form_examples():

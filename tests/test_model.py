@@ -22,7 +22,6 @@ from ewverify import (
     build_LA,
     build_Lphi,
     build_matter_radial,
-    build_stress_tensors,
     check_su2_invariance,
     check_u1_invariance,
     const,
@@ -47,6 +46,7 @@ from ewverify.model import (
     contraction_rules_phi,
     contraction_rules_w,
     covariant_phi_derivatives,
+    curl,
     exact_sqrt,
     float_config,
     inverse_physical_rules,
@@ -66,13 +66,13 @@ def triple_config(t, R=Fraction(2)):
 
 
 def test_stress_tensor_linear_parts():
-    f = build_stress_tensors()
-    assert j_decompose(f["F3"])[0] == parse("d[mu]A3[nu] - d[nu]A3[mu]")
-    assert f["B"] == parse("d[mu]B[nu] - d[nu]B[mu]")
+    f = su2_stress_tensors()
+    assert j_decompose(f["A3"])[0] == parse("d[mu]A3[nu] - d[nu]A3[mu]")
+    assert curl("B") == parse("d[mu]B[nu] - d[nu]B[mu]")
 
 
 def test_b_tensor_antisymmetry():
-    b = build_stress_tensors()["B"]
+    b = curl("B")
     swapped = parse("d[nu]B[mu] - d[mu]B[nu]")
     assert swapped == -b
 
@@ -82,22 +82,22 @@ def test_stress_tensor_nonlinear_parts():
     # algebra (note: opposite to a transcription with transposed wedge
     # products, which would break gauge invariance; see the Maxwell-form
     # invariance tests below).
-    f = build_stress_tensors()
-    nl1 = f["F1"] - parse("d[mu]A1[nu] - d[nu]A1[mu]")
+    f = su2_stress_tensors()
+    nl1 = f["A1"] - parse("d[mu]A1[nu] - d[nu]A1[mu]")
     assert nl1 == parse("g A3[mu] A2[nu] - g A2[mu] A3[nu]")
-    nl3 = j_decompose(f["F3"]).get(2, Expression.zero())
+    nl3 = j_decompose(f["A3"]).get(2, Expression.zero())
     assert nl3 == parse("g A2[mu] A1[nu] - g A1[mu] A2[nu]")
 
 
 def test_stress_tensor_grading():
-    f = build_stress_tensors()
-    assert f["F3"].j_degrees() == (0, 2)
-    assert f["F1"].j_degrees() == (0,)
+    f = su2_stress_tensors()
+    assert f["A3"].j_degrees() == (0, 2)
+    assert f["A1"].j_degrees() == (0,)
 
 
 def test_f3_square_matches_hand_expansion():
     """(F3)^2 against a by-hand expansion of (curl - j^2 g wedge)^2."""
-    f3 = build_stress_tensors()["F3"]
+    f3 = su2_stress_tensors()["A3"]
     square = f3 * f3
     curl_sq = parse(
         "2 d[mu]A3[nu] d[mu]A3[nu] - 2 d[mu]A3[nu] d[nu]A3[mu]"
