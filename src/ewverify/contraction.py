@@ -1,7 +1,12 @@
 """Exact arithmetic for the contraction parameter j.
 
+A :class:`ComplexRational` is a Gaussian rational stored as a reduced
+integer triple ``(a, b, d)`` meaning ``(a + b*i) / d``, with ``d > 0`` and
+``gcd(a, b, d) == 1``.  Every operation is integer arithmetic followed by
+one three-way gcd, and equal values have equal triples.
+
 A :class:`ContractionScalar` is a polynomial ``a0 + a1*j + a2*j^2 + ...``
-with exact complex-rational coefficients.  The parameter j can later be
+with :class:`ComplexRational` coefficients.  The parameter j can later be
 interpreted three ways (:class:`JMode`): as 1, as the nilpotent unit
 ``iota`` with ``iota^2 = 0``, or as a small real number.  Multiplication
 never truncates; truncation happens only in :meth:`ContractionScalar.reduce`,
@@ -15,9 +20,12 @@ number divided by the nilpotent unit is undefined).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Union
 
 RationalLike = Union[int, Fraction]
+
+_new = object.__new__
 
 
 class DivisionUndefinedError(ZeroDivisionError):
@@ -25,13 +33,23 @@ class DivisionUndefinedError(ZeroDivisionError):
 
 
 class ComplexRational:
-    """Complex number with exact rational real and imaginary parts."""
+    """Complex number with exact rational real and imaginary parts.
 
-    __slots__ = ("re", "im")
+    Immutable; stored as the reduced triple ``(a, b, d)`` described in the
+    module docstring.  ``re`` and ``im`` are read back as Fractions.
+    """
+
+    __slots__ = ("_abd",)
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        if not isinstance(re, (int, Fraction)):
+            re = Fraction(re)
+        if not isinstance(im, (int, Fraction)):
+            im = Fraction(im)
+        # over the lcm of two reduced denominators the triple is already reduced
+        d = lcm(re.denominator, im.denominator)
+        _set_abd(self, (re.numerator * (d // re.denominator),
+                        im.numerator * (d // im.denominator), d))
 
     def __setattr__(self, name, value):
         raise AttributeError("ComplexRational is immutable")
@@ -40,80 +58,121 @@ class ComplexRational:
     def of(cls, value) -> "ComplexRational":
         if isinstance(value, ComplexRational):
             return value
-        if isinstance(value, (int, Fraction)):
+        if isinstance(value, (int, Fraction, float)):
             return cls(value)
-        if isinstance(value, float):
-            return cls(Fraction(value))
         raise TypeError(f"cannot interpret {value!r} as a complex rational")
 
+    @property
+    def re(self) -> Fraction:
+        a, _, d = self._abd
+        return Fraction(a, d)
+
+    @property
+    def im(self) -> Fraction:
+        _, b, d = self._abd
+        return Fraction(b, d)
+
     def __add__(self, other) -> "ComplexRational":
-        o = ComplexRational.of(other)
-        return ComplexRational(self.re + o.re, self.im + o.im)
+        a, b, d = self._abd
+        oa, ob, od = _triple(other)
+        if d == od:
+            return _make(a + oa, b + ob, d)
+        return _make(a * od + oa * d, b * od + ob * d, d * od)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "ComplexRational":
-        o = ComplexRational.of(other)
-        return ComplexRational(self.re - o.re, self.im - o.im)
+        a, b, d = self._abd
+        oa, ob, od = _triple(other)
+        if d == od:
+            return _make(a - oa, b - ob, d)
+        return _make(a * od - oa * d, b * od - ob * d, d * od)
 
     def __rsub__(self, other) -> "ComplexRational":
         return ComplexRational.of(other) - self
 
     def __mul__(self, other) -> "ComplexRational":
-        o = ComplexRational.of(other)
-        return ComplexRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        a, b, d = self._abd
+        oa, ob, od = _triple(other)
+        return _make(a * oa - b * ob, a * ob + b * oa, d * od)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "ComplexRational":
-        o = ComplexRational.of(other)
-        d = o.re * o.re + o.im * o.im
-        if d == 0:
+        a, b, d = self._abd
+        oa, ob, od = _triple(other)
+        n = oa * oa + ob * ob
+        if n == 0:
             raise ZeroDivisionError("division by zero complex rational")
-        return ComplexRational(
-            (self.re * o.re + self.im * o.im) / d,
-            (self.im * o.re - self.re * o.im) / d,
-        )
+        # (a + b i)(oa - ob i) od / (d |oa + ob i|^2)
+        return _make((a * oa + b * ob) * od, (b * oa - a * ob) * od, d * n)
 
     def __neg__(self) -> "ComplexRational":
-        return ComplexRational(-self.re, -self.im)
+        a, b, d = self._abd
+        return _make(-a, -b, d)
 
     def conjugate(self) -> "ComplexRational":
-        return ComplexRational(self.re, -self.im)
+        a, b, d = self._abd
+        return _make(a, -b, d)
 
     def abs2(self) -> Fraction:
         """Exact squared modulus."""
-        return self.re * self.re + self.im * self.im
+        a, b, d = self._abd
+        return Fraction(a * a + b * b, d * d)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return self._abd == _ZERO_ABD
 
     def __bool__(self) -> bool:
         return not self.is_zero()
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, ComplexRational):
+            return self._abd == other._abd
         if isinstance(other, (int, Fraction)):
-            other = ComplexRational(other)
-        if not isinstance(other, ComplexRational):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+            a, b, d = self._abd
+            return b == 0 and a * other.denominator == other.numerator * d
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash(self._abd)
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        # int / int is correctly rounded, as float(Fraction) is
+        a, b, d = self._abd
+        return complex(a / d, b / d)
 
     def __repr__(self) -> str:
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        return f"({self.re}{sign}{abs(self.im)}i)"
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            return f"{im}i"
+        sign = "+" if im > 0 else "-"
+        return f"({re}{sign}{abs(im)}i)"
+
+
+_set_abd = ComplexRational._abd.__set__
+_ZERO_ABD = (0, 0, 1)  # the one triple of zero
+
+
+def _triple(value) -> tuple[int, int, int]:
+    """The triple of a ComplexRational operand, or of a plain number."""
+    if type(value) is ComplexRational:
+        return value._abd
+    return ComplexRational.of(value)._abd
+
+
+def _make(a: int, b: int, d: int) -> ComplexRational:
+    """``(a + b i) / d`` for ``d > 0``, reduced by one three-way gcd."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    z = _new(ComplexRational)
+    _set_abd(z, (a, b, d))
+    return z
 
 
 CR_ZERO = ComplexRational(0)
@@ -204,24 +263,16 @@ class ContractionScalar:
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs=()):
-        cleaned = {}
-        for degree, value in dict(coeffs).items():
-            value = ComplexRational.of(value)
-            if degree < 0:
-                raise ValueError("j-degree must be non-negative")
-            if not value.is_zero():
-                cleaned[int(degree)] = value
-        object.__setattr__(self, "_coeffs", tuple(sorted(cleaned.items())))
+    def __new__(cls, coeffs=()):
+        return _scalar({_degree(degree): ComplexRational.of(value)
+                        for degree, value in dict(coeffs).items()})
 
     def __setattr__(self, name, value):
         raise AttributeError("ContractionScalar is immutable")
 
     @classmethod
     def term(cls, value, degree: int = 0) -> "ContractionScalar":
-        if degree < 0:
-            raise ValueError("j-degree must be non-negative")
-        return cls({degree: ComplexRational.of(value)})
+        return _scalar({_degree(degree): ComplexRational.of(value)})
 
     @classmethod
     def zero(cls) -> "ContractionScalar":
@@ -258,40 +309,43 @@ class ContractionScalar:
     def _coerce(value) -> "ContractionScalar":
         if isinstance(value, ContractionScalar):
             return value
-        return ContractionScalar.term(ComplexRational.of(value))
+        return _scalar({0: ComplexRational.of(value)})
 
     def __add__(self, other) -> "ContractionScalar":
-        o = self._coerce(other)
         out = dict(self._coeffs)
-        for d, v in o._coeffs:
-            out[d] = out.get(d, CR_ZERO) + v
-        return ContractionScalar(out)
+        for d, v in self._coerce(other)._coeffs:
+            out[d] = out[d] + v if d in out else v
+        return _scalar(out)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "ContractionScalar":
-        return self + (-self._coerce(other))
+        out = dict(self._coeffs)
+        for d, v in self._coerce(other)._coeffs:
+            out[d] = out[d] - v if d in out else -v
+        return _scalar(out)
 
     def __rsub__(self, other) -> "ContractionScalar":
         return self._coerce(other) - self
 
     def __neg__(self) -> "ContractionScalar":
-        return ContractionScalar({d: -v for d, v in self._coeffs})
+        return _scalar({d: -v for d, v in self._coeffs})
 
     def __mul__(self, other) -> "ContractionScalar":
-        o = self._coerce(other)
+        right = self._coerce(other)._coeffs
         out: dict[int, ComplexRational] = {}
         for d1, v1 in self._coeffs:
-            for d2, v2 in o._coeffs:
+            for d2, v2 in right:
                 d = d1 + d2
-                out[d] = out.get(d, CR_ZERO) + v1 * v2
-        return ContractionScalar(out)
+                p = v1 * v2
+                out[d] = out[d] + p if d in out else p
+        return _scalar(out)
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "ContractionScalar":
         """Complex-conjugate the coefficients; j itself is real."""
-        return ContractionScalar({d: v.conjugate() for d, v in self._coeffs})
+        return _scalar({d: v.conjugate() for d, v in self._coeffs})
 
     def divide_by_j(self) -> "ContractionScalar":
         """Cancel one power of j.  Defined only when the degree-0 part is zero."""
@@ -299,7 +353,7 @@ class ContractionScalar:
             raise DivisionUndefinedError(
                 "cannot divide by j: scalar has a nonzero degree-0 part"
             )
-        return ContractionScalar({d - 1: v for d, v in self._coeffs})
+        return _scalar({d - 1: v for d, v in self._coeffs})
 
     def reduce(self, mode: JMode):
         """Interpret j according to ``mode``.
@@ -308,12 +362,9 @@ class ContractionScalar:
         evaluates the polynomial and returns a complex float.
         """
         if mode.is_one:
-            total = CR_ZERO
-            for _, v in self._coeffs:
-                total = total + v
-            return ContractionScalar.term(total)
+            return _scalar({0: sum((v for _, v in self._coeffs), CR_ZERO)})
         if mode.is_nilpotent:
-            return ContractionScalar({d: v for d, v in self._coeffs if d < 2})
+            return _scalar({d: v for d, v in self._coeffs if d < 2})
         return complex(self.evaluate_exact(mode.value))
 
     def evaluate_exact(self, jvalue) -> ComplexRational:
@@ -345,3 +396,25 @@ class ContractionScalar:
                 jpart = "j" if d == 1 else f"j^{d}"
                 parts.append(jpart if v == CR_ONE else f"{v!r}*{jpart}")
         return " + ".join(parts)
+
+
+_set_coeffs = ContractionScalar._coeffs.__set__
+
+
+def _degree(degree) -> int:
+    """Validate a j-degree given to a public constructor."""
+    d = int(degree)
+    if d != degree:
+        raise ValueError(f"j-degree must be an integer, not {degree!r}")
+    if d < 0:
+        raise ValueError("j-degree must be non-negative")
+    return d
+
+
+def _scalar(coeffs: dict[int, ComplexRational]) -> ContractionScalar:
+    """Build a result from valid ``{degree: coefficient}``: drop zeros, sort."""
+    kept = [(d, v) for d, v in coeffs.items() if v._abd != _ZERO_ABD]
+    kept.sort()
+    s = _new(ContractionScalar)
+    _set_coeffs(s, tuple(kept))
+    return s

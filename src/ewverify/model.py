@@ -559,6 +559,7 @@ def verify_trace_identity(samples: int, seed: int) -> VerificationReport:
     if samples < 1:
         raise ValueError("samples must be >= 1")
     worst = 0.0
+    exact_mismatch = False
     failures = []
     for mode in (J_ONE, J_NILPOTENT, JMode.numeric(Fraction(1, 1000))):
         rng = random.Random(f"{seed}:{mode.kind}")
@@ -582,9 +583,12 @@ def verify_trace_identity(samples: int, seed: int) -> VerificationReport:
                     failures.append(f"{mode.label()} sample {k}: err={err}")
             else:
                 if t_direct.reduce(mode) != t_conj.reduce(mode):
+                    exact_mismatch = True
                     failures.append(f"{mode.label()} sample {k}: exact mismatch")
+    # an exact mismatch outranks any float error: report the -1.0 marker
     return verdict("trace-identity", "all", failures[:3],
-                   decision_path="numeric-oracle", error=worst)
+                   decision_path="numeric-oracle",
+                   error=math.inf if exact_mismatch else worst)
 
 
 def float_config(g: float, gp: float, R: float = 2.0, seed: int = 42) -> ModelConfig:

@@ -1,5 +1,6 @@
 """CLI surface: exit codes, report formats, config handling, determinism."""
 
+import hashlib
 import json
 import re
 
@@ -99,6 +100,25 @@ def test_verify_all_is_deterministic(tmp_path, capsys):
         outs.append(out.read_bytes())
     capsys.readouterr()
     assert outs[0] == outs[1]
+
+
+# SHA-256 of the JSON these commands printed before the exact-arithmetic
+# core was rewritten; a faster core must reproduce it byte for byte.
+PINNED_JSON = [
+    (("verify", "all", "--samples", "20", "--seed", "42"),
+     "fabaf8f5715a0ee449a5ad4a96ba263c9cf65f04199c18a3c1bc6b7e12ce0fce"),
+    (("verify", "group", "--j", "iota", "--samples", "25", "--seed", "7"),
+     "478b56e66e8a619b22dc3820474fa2fda26019fb95a3e8fafd7a34062f6e57d5"),
+    (("verify", "lagrangian", "--no-exact", "--g", "1.3", "--gp", "0.7"),
+     "7f0fce0134491b2e6f781ef23f669279afd79f074ddcc275d7eef97cb6090d9b"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_JSON)
+def test_json_bytes_are_pinned(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_gauge_suite_numeric_mode(capsys):

@@ -139,3 +139,113 @@ def test_complex_rational_field_ops():
     assert a * a.conjugate() == ComplexRational(a.abs2())
     with pytest.raises(ZeroDivisionError):
         a / ComplexRational(0)
+
+
+def test_non_integral_degree_is_rejected():
+    for bad in (1.5, Fraction(1, 2), "1"):
+        with pytest.raises(ValueError, match="integer"):
+            CS({bad: 1})
+        with pytest.raises(ValueError, match="integer"):
+            CS.term(1, bad)
+    # 1 and 1.5 used to land on the same degree and overwrite each other
+    with pytest.raises(ValueError):
+        CS({1: 2, 1.5: 3})
+    assert CS({2.0: 1}) == CS.j(2)
+    assert CS.term(1, Fraction(4, 2)) == CS.j(2)
+
+
+# --- ComplexRational against a plain (Fraction, Fraction) reference model ---
+
+wide_rationals = st.one_of(
+    st.integers(-10**6, 10**6).map(Fraction),
+    st.fractions(min_value=Fraction(-500), max_value=Fraction(500),
+                 max_denominator=360),
+)
+pairs = st.tuples(wide_rationals, wide_rationals)
+
+
+def reference_repr(re: Fraction, im: Fraction) -> str:
+    if im == 0:
+        return str(re)
+    if re == 0:
+        return f"{im}i"
+    sign = "+" if im > 0 else "-"
+    return f"({re}{sign}{abs(im)}i)"
+
+
+def assert_matches(z, re, im):
+    assert type(z) is ComplexRational
+    assert type(z.re) is Fraction and type(z.im) is Fraction
+    assert (z.re, z.im) == (re, im)
+    assert repr(z) == reference_repr(re, im)
+    assert complex(z) == complex(float(re), float(im))
+    assert z == ComplexRational(re, im)
+    assert hash(z) == hash(ComplexRational(re, im))
+    assert z.is_zero() == (re == 0 and im == 0)
+
+
+@settings(max_examples=500, deadline=None)
+@given(pairs, pairs)
+def test_complex_rational_matches_fraction_pair_model(x, y):
+    (a, b), (c, d) = x, y
+    zx, zy = ComplexRational(a, b), ComplexRational(c, d)
+    assert_matches(zx, a, b)
+    assert_matches(zx + zy, a + c, b + d)
+    assert_matches(zx - zy, a - c, b - d)
+    assert_matches(zx * zy, a * c - b * d, a * d + b * c)
+    assert_matches(-zx, -a, -b)
+    assert_matches(zx.conjugate(), a, -b)
+    assert zx.abs2() == a * a + b * b
+    n = c * c + d * d
+    if n:
+        assert_matches(zx / zy, (a * c + b * d) / n, (b * c - a * d) / n)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            zx / zy
+    # plain rational operands on either side
+    assert_matches(zx + c, a + c, b)
+    assert_matches(c - zx, c - a, -b)
+    assert_matches(zx * c, a * c, b * c)
+    assert (zx == c) == (b == 0 and a == c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False, width=32),
+       st.floats(allow_nan=False, allow_infinity=False, width=32))
+def test_complex_rational_from_floats_is_exact(x, y):
+    assert_matches(ComplexRational(x, y), Fraction(x), Fraction(y))
+    assert_matches(ComplexRational.of(x), Fraction(x), Fraction(0))
+
+
+def test_equal_values_built_by_different_routes_hash_alike():
+    a = ComplexRational(Fraction(2, 4), Fraction(3, 6))
+    b = ComplexRational(1, 1) / 2
+    assert a == b and hash(a) == hash(b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs, st.integers(1, 60))
+def test_normal_form_is_route_independent(x, k):
+    a, b = x
+    direct = ComplexRational(a, b)
+    routes = (
+        ComplexRational(a * k, b * k) / k,
+        ComplexRational(a * k, b * k) * ComplexRational(Fraction(1, k)),
+        ComplexRational(a) + ComplexRational(0, b),
+        (direct + ComplexRational(k, -k)) - ComplexRational(k, -k),
+        direct.conjugate().conjugate(),
+    )
+    for z in routes:
+        assert z == direct
+        assert hash(z) == hash(direct)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scalars)
+def test_scalar_difference_with_itself_is_the_stored_zero(x):
+    diff = x - x
+    assert diff == CS.zero()
+    assert hash(diff) == hash(CS.zero())
+    assert diff.coeffs == ()
+    for result in (x + x, x * x, -x, x.conjugate(), x.reduce(J_NILPOTENT)):
+        assert all(not v.is_zero() for _, v in result.coeffs)
