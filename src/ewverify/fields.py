@@ -36,9 +36,7 @@ __all__ = [
     "derive",
     "euler_lagrange",
     "field",
-    "field_symbols",
     "first_order_variation",
-    "free_indices",
     "imag",
     "instantiate_params",
     "inv_sqrt2",
@@ -231,7 +229,11 @@ class Expression:
 
     @classmethod
     def build(cls, raw_terms) -> "Expression":
-        """Normalize a raw term list: canonicalize, merge, prune, sort."""
+        """Normalize a raw term list: canonicalize, merge, prune, sort.
+
+        This is the one place where sums are merged: every operation
+        collects the raw terms of its result and builds once.
+        """
         merged: dict = {}
         for t in raw_terms:
             if t.coeff.is_zero():
@@ -337,14 +339,6 @@ class Expression:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "Expression":
-        if n < 0:
-            raise ValueError("negative powers are not defined for expressions")
-        out = const(1)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Expression):
             return NotImplemented
@@ -398,14 +392,6 @@ def jpow(power: int = 1) -> Expression:
 def inv_sqrt2() -> Expression:
     # 1/sqrt(2) = sqrt(2)/2, kept exact via the r2 exponent
     return Expression((Term(ComplexRational(Fraction(1, 2)), r2=1),))
-
-
-def free_indices(e: Expression) -> frozenset[str]:
-    return e.free_indices()
-
-
-def field_symbols(e: Expression) -> frozenset[str]:
-    return e.field_symbols()
 
 
 # --- structural operations --------------------------------------------------
@@ -482,7 +468,7 @@ def substitute(e: Expression, rules: dict[str, Expression]) -> Expression:
     for name in rules:
         if name not in FIELDS:
             raise UnknownFieldError(name)
-    total = Expression.zero()
+    raw = []
     for t in e.terms:
         piece = Expression((Term(t.coeff, t.jdeg, t.params, t.r2),))
         for f in t.factors:
@@ -490,8 +476,8 @@ def substitute(e: Expression, rules: dict[str, Expression]) -> Expression:
                 piece = piece * _prepare_replacement(rules[f.field], f)
             else:
                 piece = piece * Expression((Term(CR_ONE, factors=(f,)),))
-        total = total + piece
-    return total
+        raw.extend(piece.terms)
+    return Expression.build(raw)
 
 
 def first_order_variation(e: Expression, rules: dict[str, Expression]) -> Expression:
@@ -503,7 +489,7 @@ def first_order_variation(e: Expression, rules: dict[str, Expression]) -> Expres
     for name in rules:
         if name not in FIELDS:
             raise UnknownFieldError(name)
-    total = Expression.zero()
+    raw = []
     for t in e.terms:
         for p, f in enumerate(t.factors):
             rule = rules.get(f.field)
@@ -513,8 +499,8 @@ def first_order_variation(e: Expression, rules: dict[str, Expression]) -> Expres
                 t.coeff, t.jdeg, t.params, t.r2,
                 t.factors[:p] + t.factors[p + 1:],
             ),))
-            total = total + rest * _prepare_replacement(rule, f)
-    return total
+            raw.extend((rest * _prepare_replacement(rule, f)).terms)
+    return Expression.build(raw)
 
 
 def j_decompose(e: Expression) -> dict[int, Expression]:
@@ -580,7 +566,7 @@ def euler_lagrange(lagrangian: Expression, fld: str, idx: str | None = None) -> 
         raise IndexConflictError("Euler-Lagrange input must be a scalar expression")
     if fdef.arity == 1 and idx is None:
         raise ArityError(f"{fld} is a vector field; an equation index is required")
-    total = Expression.zero()
+    raw = []
     for t in lagrangian.terms:
         names = set(t.index_counts())
         if idx is not None and idx in names:
@@ -594,30 +580,27 @@ def euler_lagrange(lagrangian: Expression, fld: str, idx: str | None = None) -> 
             rest = t.factors[:p] + t.factors[p + 1:]
             if len(f.derivs) == 0:
                 mapping = {f.indices[0]: idx} if fdef.arity else {}
-                total = total + Expression.build([Term(
+                raw.append(Term(
                     t.coeff, t.jdeg, t.params, t.r2,
                     tuple(r.rename(mapping) for r in rest),
-                )])
+                ))
             elif len(f.derivs) == 1:
                 b = f.derivs[0]
                 if fdef.arity and f.indices[0] == b:
                     # divergence factor d[a]X[a]: contributes -d[idx](rest)
-                    rest_expr = Expression.build(
-                        [Term(t.coeff, t.jdeg, t.params, t.r2, rest)]
-                    )
-                    total = total - derive(rest_expr, idx)
+                    by = idx
                 else:
-                    w = _fresh(names | ({idx} if idx else set()))
-                    mapping = {b: w}
+                    by = _fresh(names | ({idx} if idx else set()))
+                    mapping = {b: by}
                     if fdef.arity:
                         mapping[f.indices[0]] = idx
-                    rest_expr = Expression.build([Term(
-                        t.coeff, t.jdeg, t.params, t.r2,
-                        tuple(r.rename(mapping) for r in rest),
-                    )])
-                    total = total - derive(rest_expr, w)
+                    rest = tuple(r.rename(mapping) for r in rest)
+                # Derive the rest unbuilt: canonical dummy names could
+                # collide with the derivative index.
+                rest_expr = Expression((Term(-t.coeff, t.jdeg, t.params, t.r2, rest),))
+                raw.extend(derive(rest_expr, by).terms)
             else:
                 raise ValueError(
                     "second derivatives of the varied field are not supported"
                 )
-    return total
+    return Expression.build(raw)

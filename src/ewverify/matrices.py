@@ -99,14 +99,11 @@ class Mat2:
     def trace(self):
         return self.rows[0][0] + self.rows[1][1]
 
-    def map(self, fn) -> "Mat2":
-        return Mat2(tuple(tuple(fn(x) for x in r) for r in self.rows))
-
     def reduce(self, mode: JMode) -> "Mat2":
         # entries already reduced to plain complex pass through unchanged
-        return self.map(
-            lambda e: e.reduce(mode) if isinstance(e, ContractionScalar) else e
-        )
+        a, b, c, d = (e.reduce(mode) if isinstance(e, ContractionScalar) else e
+                      for r in self.rows for e in r)
+        return Mat2(((a, b), (c, d)))
 
     def is_zero(self) -> bool:
         return all(_is_zero(x) for r in self.rows for x in r)

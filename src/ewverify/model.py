@@ -96,8 +96,8 @@ class ModelConfig:
     def e_charge(self) -> Fraction:
         return self.g * self.gp / self.s_value()
 
-    def policy(self, trials: int = 20, rel_tol: float = 1e-9) -> EqualsPolicy:
-        return EqualsPolicy(trials=trials, rel_tol=rel_tol, seed=self.seed)
+    def policy(self) -> EqualsPolicy:
+        return EqualsPolicy(seed=self.seed)
 
 
 DEFAULT_CONFIG = ModelConfig()
@@ -113,13 +113,13 @@ def _param_label(cfg: ModelConfig) -> str:
 
 # --- Lagrangian builders ----------------------------------------------------
 
-def curl(name: str, mu: str = "mu", nu: str = "nu") -> Expression:
+def curl(name: str) -> Expression:
     """Antisymmetrized derivative d[mu]X[nu] - d[nu]X[mu]."""
-    return field(name, nu, derivs=(mu,)) - field(name, mu, derivs=(nu,))
+    return field(name, "nu", derivs=("mu",)) - field(name, "mu", derivs=("nu",))
 
 
-def _wedge(n1: str, n2: str, mu: str = "mu", nu: str = "nu") -> Expression:
-    return field(n1, mu) * field(n2, nu) - field(n1, nu) * field(n2, mu)
+def _wedge(n1: str, n2: str) -> Expression:
+    return field(n1, "mu") * field(n2, "nu") - field(n1, "nu") * field(n2, "mu")
 
 
 def su2_stress_tensors(names=("A1", "A2", "A3"), graded: bool = True) -> dict:

@@ -104,14 +104,14 @@ def eval_expression(
     e: Expression,
     assignment,
     params: dict | None = None,
-    jvalue: float = 1.0,
     free_values: dict | None = None,
 ) -> complex:
-    """Evaluate the polynomial on concrete field values.
+    """Evaluate the polynomial on concrete field values at j = 1.
 
     ``assignment`` is a :class:`FieldSample` or an explicit dict-backed
     assignment; ``free_values`` fixes any free indices to concrete values
-    in ``range(4)``.
+    in ``range(4)``.  Callers that need one j-grade evaluate the parts of
+    :func:`~ewverify.fields.j_decompose`.
     """
     if isinstance(assignment, dict):
         assignment = _DictAssignment(assignment)
@@ -119,7 +119,7 @@ def eval_expression(
     free_values = free_values or {}
     total = 0j
     for t in e.terms:
-        base = complex(t.coeff) * (SQRT2**t.r2) * (jvalue**t.jdeg)
+        base = complex(t.coeff) * (SQRT2**t.r2)
         for name, exp in t.params:
             if name not in params:
                 raise MissingAssignmentError(f"no value for parameter {name}")
@@ -150,7 +150,6 @@ class EqualsPolicy:
     trials: int = 20
     rel_tol: float = 1e-9
     seed: int = 20210
-    param_values: dict | None = None
 
 
 @dataclass(frozen=True)
@@ -190,14 +189,14 @@ def equals(a: Expression, b: Expression, policy: EqualsPolicy | None = None) -> 
     for trial in range(policy.trials):
         rng = random.Random(f"{policy.seed}:{trial}")
         sample = FieldSample(rng.randrange(2**32))
-        params = dict(policy.param_values or _trial_params(rng, sorted(param_names)))
+        params = _trial_params(rng, sorted(param_names))
         free_values = {n: rng.randrange(DIMENSION) for n in sorted(frees)}
         for grade, part in parts_diff.items():
             va = eval_expression(parts_a.get(grade, Expression.zero()),
-                                 sample, params, 1.0, free_values)
+                                 sample, params, free_values)
             vb = eval_expression(parts_b.get(grade, Expression.zero()),
-                                 sample, params, 1.0, free_values)
-            vd = eval_expression(part, sample, params, 1.0, free_values)
+                                 sample, params, free_values)
+            vd = eval_expression(part, sample, params, free_values)
             scale = max(abs(va), abs(vb), 1e-30)
             rel = abs(vd) / scale
             if rel > worst:

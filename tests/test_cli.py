@@ -103,7 +103,8 @@ def test_verify_all_is_deterministic(tmp_path, capsys):
 
 
 # SHA-256 of the JSON these commands printed before the exact-arithmetic
-# core was rewritten; a faster core must reproduce it byte for byte.
+# core and the symbolic accumulation were rewritten; a faster engine must
+# reproduce it byte for byte.
 PINNED_JSON = [
     (("verify", "all", "--samples", "20", "--seed", "42"),
      "fabaf8f5715a0ee449a5ad4a96ba263c9cf65f04199c18a3c1bc6b7e12ce0fce"),
@@ -111,6 +112,12 @@ PINNED_JSON = [
      "478b56e66e8a619b22dc3820474fa2fda26019fb95a3e8fafd7a34062f6e57d5"),
     (("verify", "lagrangian", "--no-exact", "--g", "1.3", "--gp", "0.7"),
      "7f0fce0134491b2e6f781ef23f669279afd79f074ddcc275d7eef97cb6090d9b"),
+    (("masses", "--g", "5", "--gp", "12", "--R", "3"),
+     "2239af46cdc131469d76c9b7e7a68521ae08124f5ed925482d70c461ede993f8"),
+    (("eom", "--no-exact", "--g", "1.3", "--gp", "0.7"),
+     "28dad148b323f6b1ebff7ee163bd34c12eb0283e92aa16ebfc7a4e1ff331e8db"),
+    (("sweep", "--samples", "50", "--seed", "3"),
+     "24f3af637638fba1b1dfd01eb2531812445084f3c531137908f162bb68cdbcd6"),
 ]
 
 

@@ -64,3 +64,11 @@ def test_equation_index_collision_is_renamed():
     eq = euler_lagrange(lagrangian, "Z", "nu")
     assert eq.free_indices() == {"nu"}
     assert eq == parse("-2 d[mu]d[mu]Z[nu]")
+
+
+def test_divergence_factor_with_summed_rest():
+    # the rest keeps a summed pair, and the equation index is a canonical
+    # dummy name that the derivative must not collide with
+    lagrangian = parse("d[al]B[al] A3[be] W1[be]")
+    expected = parse("-d[mu]A3[nu] W1[nu] - A3[nu] d[mu]W1[nu]")
+    assert euler_lagrange(lagrangian, "B", "mu") == expected

@@ -25,7 +25,14 @@ from ewverify import (
     reduce_mode,
     substitute,
 )
-from ewverify.fields import FieldFactor, UnknownFieldError, first_order_variation
+from ewverify.fields import (
+    FieldFactor,
+    UnknownFieldError,
+    euler_lagrange,
+    first_order_variation,
+    imag,
+    inv_sqrt2,
+)
 
 from helpers import random_expression
 
@@ -224,3 +231,45 @@ def test_first_order_variation_is_linear():
 def test_mixed_free_indices_rejected():
     with pytest.raises(IndexConflictError):
         field("B", "mu") + field("B", "nu")
+
+
+# Rule sets for the additivity test: linear mixes, j and parameter weights,
+# sqrt(2), a complex field (conjugated occurrences get the conjugated body)
+# and derivative-valued bodies.
+ADDITIVITY_SUBSTITUTION = {
+    "W3": (const(Fraction(3, 5)) * field("Z", "_")
+           + const(Fraction(4, 5)) * field("Aem", "_")),
+    "B": jpow() * field("B", "_") - param("g") * field("W1", "_"),
+    "A2": field("A2", "_") * field("eps2") + derive(field("rho"), "_"),
+    "phi1": field("rho") + imag() * jpow(2) * field("omega"),
+    "rho": inv_sqrt2() * (field("rho") + field("eps1")),
+}
+ADDITIVITY_VARIATION = {
+    "Z": field("omega") * field("Z", "_"),
+    "Aem": derive(field("omega"), "_"),
+    "Wp": imag() * jpow(2) * field("eps3") * field("Wp", "_"),
+    "phi1": param("gp") * imag() * field("eps2") * field("phi1"),
+}
+
+
+def _termwise_sum(op, e):
+    total = Expression.zero()
+    for t in e.terms:
+        total = total + op(Expression((t,)))
+    return total
+
+
+def test_symbolic_operations_are_additive_over_terms(rng):
+    for _ in range(150):
+        e = random_expression(rng)
+        for op in (lambda x: substitute(x, ADDITIVITY_SUBSTITUTION),
+                   lambda x: first_order_variation(x, ADDITIVITY_VARIATION)):
+            assert op(e) == _termwise_sum(op, e)
+        if e.free_indices():
+            continue
+        for fld, idx in (("B", "a"), ("Wp", "b"), ("Aem", "c"), ("phi1", None)):
+            if any(f.field == fld and len(f.derivs) > 1
+                   for t in e.terms for f in t.factors):
+                continue  # second derivatives of the varied field are rejected
+            op = lambda x: euler_lagrange(x, fld, idx)
+            assert op(e) == _termwise_sum(op, e)
