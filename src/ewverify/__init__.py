@@ -1,7 +1,7 @@
 """Verification engine for the contracted-gauge-group electroweak model.
 
 Exact contraction-parameter arithmetic, SU(2;j) matrix checks, a small
-symbolic field algebra with a text grammar, the graded bosonic Lagrangian,
+symbolic field algebra with a text grammar, the j-weighted bosonic Lagrangian,
 and the contraction-limit analyses, wired to a CLI harness.
 """
 
@@ -55,7 +55,6 @@ from .matrices import (
 from .model import (
     DEFAULT_CONFIG,
     PYTHAGOREAN_TRIPLES,
-    DegenerateStateError,
     MassSpectrum,
     ModelConfig,
     ParameterError,
@@ -67,14 +66,12 @@ from .model import (
     check_u1_invariance,
     extract_masses,
     physical_basis,
-    radial_split,
     transformed_lagrangian,
     verify_grading,
     verify_matter_radial,
     verify_trace_identity,
 )
 from .numeric import (
-    EqualsPolicy,
     EqualsResult,
     FieldSample,
     MissingAssignmentError,

@@ -296,9 +296,6 @@ class ContractionScalar:
                 return v
         return CR_ZERO
 
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(d for d, _ in self._coeffs)
-
     def is_zero(self) -> bool:
         return not self._coeffs
 

@@ -434,7 +434,8 @@ def derive(e: Expression, idx: str) -> Expression:
 
 
 def _prepare_replacement(rep: Expression, f: FieldFactor) -> Expression:
-    """Specialize a rule body to one factor: bind the hole, conjugate, derive."""
+    """Specialize a rule body to one factor: rename its summed indices apart
+    from the factor's index, bind the hole, conjugate, derive."""
     arity = FIELDS[f.field].arity
     for t in rep.terms:
         hole_count = t.index_counts()[HOLE]
@@ -445,11 +446,11 @@ def _prepare_replacement(rep: Expression, f: FieldFactor) -> Expression:
             )
     out = rep
     if arity:
-        raw = [
-            Term(t.coeff, t.jdeg, t.params, t.r2,
-                 tuple(fc.rename({HOLE: f.indices[0]}) for fc in t.factors))
-            for t in out.terms
-        ]
+        raw = []
+        for t in out.terms:
+            t = Expression._refresh_dummies(t, "S")
+            raw.append(Term(t.coeff, t.jdeg, t.params, t.r2,
+                            tuple(fc.rename({HOLE: f.indices[0]}) for fc in t.factors)))
         out = Expression.build(raw)
     if f.conj:
         out = conjugate(out)

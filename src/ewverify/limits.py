@@ -1,4 +1,4 @@
-"""Contraction-limit analysis: graded-part scaling and base/fiber decoupling.
+"""Contraction-limit analysis: j-grade scaling and base/fiber decoupling.
 
 As j shrinks, the j^2-weighted (charged W) part of the Lagrangian is
 suppressed quadratically and the j^4 remainder quartically; the sweep
@@ -30,7 +30,7 @@ class DegenerateSampleError(RuntimeError):
 
 @dataclass(frozen=True)
 class ScalingReport:
-    """Log-log scaling of the graded Lagrangian parts against j."""
+    """Log-log scaling of the Lagrangian's j-grade parts against j."""
 
     j_values: tuple[float, ...]  # strictly decreasing
     ratios_f: tuple[float, ...]  # mean |j^2 L_fiber| / |L_base|
@@ -54,7 +54,7 @@ def _fit(xs, ys):
 def scaling_sweep(
     j_values, samples: int, cfg: ModelConfig, seed: int
 ) -> ScalingReport:
-    """Evaluate the graded parts on random field draws and fit the exponents.
+    """Evaluate the j-grade parts on random field draws and fit the exponents.
 
     The parts themselves are j-independent, so each draw is evaluated once
     and scaled by the appropriate power of every j in the sweep; draws with

@@ -1,17 +1,17 @@
 """Bosonic Lagrangian of the contracted-gauge-group electroweak model.
 
 Constructs the gauge-field and matter Lagrangians over the SU(2;j) x U(1)
-field content, the radial (sphere-coordinate) form of the matter sector,
-the change to the physical field basis (Z, photon, W+/W-), and the fully
-graded Lagrangian L = L_base + j^2 L_fiber + j^4 L_quartic.  Verification
+field content, always weighted by powers of j (the model without j is their
+j = 1 reduction), the radial (sphere-coordinate) form of the matter sector,
+the change to the physical field basis (Z, photon, W+/W-), and the
+Lagrangian L = L_base + j^2 L_fiber + j^4 L_quartic.  Verification
 operations check the grading identity, gauge invariance at first order,
 the conjugation-invariance of the gauge kinetic trace, and extract the
 vector boson mass spectrum.
 
 Exact parameter points use Pythagorean couplings (g, gp, sqrt(g^2+gp^2)
-all rational) so that every identity is decided by the canonical form with
-zero tolerance; float parameter points fall back to the randomized numeric
-oracle.
+all rational) and decide every identity by the canonical form with zero
+tolerance; float parameter points use the randomized numeric oracle.
 """
 
 from __future__ import annotations
@@ -37,17 +37,13 @@ from .fields import (
     reduce_mode,
     substitute,
 )
-from .matrices import Mat2, lie_element, random_su2_pair, su2_element
-from .numeric import EqualsPolicy, equals
+from .matrices import lie_element, random_su2_pair, su2_element
+from .numeric import equals
 from .report import VerificationReport, timed, verdict
 
 
 class ParameterError(ValueError):
     """Exact mode requires sqrt(g^2 + gp^2) to be rational."""
-
-
-class DegenerateStateError(ValueError):
-    """The hermitian form of the doublet vanishes in the requested mode."""
 
 
 def exact_sqrt(value: Fraction) -> Fraction | None:
@@ -85,19 +81,14 @@ class ModelConfig:
             )
 
     def s_value(self) -> Fraction:
-        """sqrt(g^2 + gp^2): exact in exact mode, float-rounded otherwise."""
+        """sqrt(g^2 + gp^2), float-rounded if irrational (never in exact mode)."""
         s = exact_sqrt(self.g**2 + self.gp**2)
         if s is not None:
             return s
-        if self.exact:
-            raise ParameterError("sqrt(g^2+gp^2) is irrational in exact mode")
         return Fraction(math.sqrt(float(self.g**2 + self.gp**2)))
 
     def e_charge(self) -> Fraction:
         return self.g * self.gp / self.s_value()
-
-    def policy(self) -> EqualsPolicy:
-        return EqualsPolicy(seed=self.seed)
 
 
 DEFAULT_CONFIG = ModelConfig()
@@ -122,27 +113,26 @@ def _wedge(n1: str, n2: str) -> Expression:
     return field(n1, "mu") * field(n2, "nu") - field(n1, "nu") * field(n2, "mu")
 
 
-def su2_stress_tensors(names=("A1", "A2", "A3"), graded: bool = True) -> dict:
+def su2_stress_tensors(names=("A1", "A2", "A3")) -> dict:
     """Nonabelian field strengths for the gauge triplet.
 
     The quadratic parts follow from the commutator table of the contracted
-    algebra; the third component's nonlinear part carries j^2 when graded.
+    algebra; the third component's nonlinear part carries j^2.
     """
     a1, a2, a3 = names
     g = param("g")
     f1 = curl(a1) - g * _wedge(a2, a3)
     f2 = curl(a2) - g * _wedge(a3, a1)
-    nl3 = g * _wedge(a1, a2)
-    f3 = curl(a3) - (jpow(2) * nl3 if graded else nl3)
+    f3 = curl(a3) - jpow(2) * g * _wedge(a1, a2)
     return {a1: f1, a2: f2, a3: f3}
 
 
-def build_LA(names=("A1", "A2", "A3", "B"), graded: bool = True) -> Expression:
+def build_LA(names=("A1", "A2", "A3", "B")) -> Expression:
     """Gauge kinetic Lagrangian -1/4 [j^2 F1^2 + j^2 F2^2 + F3^2] - 1/4 B^2."""
     a1, a2, a3, b = names
-    f = su2_stress_tensors((a1, a2, a3), graded)
+    f = su2_stress_tensors((a1, a2, a3))
     quarter = Fraction(-1, 4)
-    w = jpow(2) if graded else const(1)
+    w = jpow(2)
     bt = curl(b)
     return (
         quarter * (w * f[a1] * f[a1] + w * f[a2] * f[a2] + f[a3] * f[a3])
@@ -150,33 +140,32 @@ def build_LA(names=("A1", "A2", "A3", "B"), graded: bool = True) -> Expression:
     )
 
 
-def covariant_phi_derivatives(mu: str = "mu", graded: bool = True):
+def covariant_phi_derivatives():
     """Component covariant derivatives (D phi1, D phi2) of the doublet."""
     ih = const(ComplexRational(0, Fraction(1, 2)))  # i/2
     g, gp = param("g"), param("gp")
-    w2 = jpow(2) if graded else const(1)
     d1 = (
-        field("phi1", derivs=(mu,))
-        + ih * (g * field("A3", mu) + gp * field("B", mu)) * field("phi1")
-        + w2 * ih * g * (field("A1", mu) - imag() * field("A2", mu)) * field("phi2")
+        field("phi1", derivs=("mu",))
+        + ih * (g * field("A3", "mu") + gp * field("B", "mu")) * field("phi1")
+        + jpow(2) * ih * g * (field("A1", "mu") - imag() * field("A2", "mu"))
+        * field("phi2")
     )
     d2 = (
-        field("phi2", derivs=(mu,))
-        - ih * (g * field("A3", mu) - gp * field("B", mu)) * field("phi2")
-        + ih * g * (field("A1", mu) + imag() * field("A2", mu)) * field("phi1")
+        field("phi2", derivs=("mu",))
+        - ih * (g * field("A3", "mu") - gp * field("B", "mu")) * field("phi2")
+        + ih * g * (field("A1", "mu") + imag() * field("A2", "mu")) * field("phi1")
     )
     return d1, d2
 
 
-def build_Lphi(graded: bool = True) -> Expression:
+def build_Lphi() -> Expression:
     """Free matter Lagrangian 1/2 |D phi1|^2 + j^2/2 |D phi2|^2 (no potential)."""
-    d1, d2 = covariant_phi_derivatives("mu", graded)
+    d1, d2 = covariant_phi_derivatives()
     half = Fraction(1, 2)
-    w2 = jpow(2) if graded else const(1)
-    return half * conjugate(d1) * d1 + half * w2 * conjugate(d2) * d2
+    return half * conjugate(d1) * d1 + half * jpow(2) * conjugate(d2) * d2
 
 
-def build_matter_radial(graded: bool = True) -> Expression:
+def build_matter_radial() -> Expression:
     """Matter Lagrangian in sphere coordinates (rho, W1, W2, W3, B).
 
     The doublet is rho times a group column; unitarity removes the group
@@ -191,8 +180,7 @@ def build_matter_radial(graded: bool = True) -> Expression:
     )
     down = ih * g * rho * (field("W1", "mu") + imag() * field("W2", "mu"))
     half = Fraction(1, 2)
-    w2 = jpow(2) if graded else const(1)
-    return half * conjugate(up) * up + half * w2 * conjugate(down) * down
+    return half * conjugate(up) * up + half * jpow(2) * conjugate(down) * down
 
 
 def matter_radial_display(cfg: ModelConfig) -> Expression:
@@ -239,23 +227,13 @@ def physical_basis_rules(cfg: ModelConfig) -> dict[str, Expression]:
     }
 
 
-def inverse_physical_rules(cfg: ModelConfig) -> dict[str, Expression]:
-    g, gp, s = cfg.g, cfg.gp, cfg.s_value()
-    return {
-        "Z": const(g / s) * field("W3", "_") + const(gp / s) * field("B", "_"),
-        "Aem": const(gp / s) * field("W3", "_") - const(g / s) * field("B", "_"),
-        "Wp": inv_sqrt2() * (field("W1", "_") - imag() * field("W2", "_")),
-        "Wm": inv_sqrt2() * (field("W1", "_") + imag() * field("W2", "_")),
-    }
-
-
 def physical_basis(e: Expression, cfg: ModelConfig) -> Expression:
     """Instantiate the couplings and rotate (W3, B) -> (Z, Aem), W1/W2 -> W+-."""
     e = instantiate_params(e, {"g": cfg.g, "gp": cfg.gp, "R": cfg.R})
     return substitute(e, physical_basis_rules(cfg))
 
 
-# --- the graded physical Lagrangian ----------------------------------------
+# --- the physical Lagrangian L_base + j^2 L_fiber + j^4 L_quartic ----------
 
 def build_L27(cfg: ModelConfig) -> Expression:
     """Graded Lagrangian L_base + j^2 L_fiber + j^4 L_quartic, assembled from
@@ -302,71 +280,45 @@ def build_L27(cfg: ModelConfig) -> Expression:
 
 
 def transformed_lagrangian(cfg: ModelConfig) -> Expression:
-    """Route via substitution: ungraded L in radial variables, grading
+    """Route via substitution: L in radial variables at j = 1, then j
     injected by W1/W2 -> j W1/W2, then the physical basis change."""
-    l_gauge = build_LA(("W1", "W2", "W3", "B"), graded=False)
-    l_matter = build_matter_radial(graded=False)
-    graded = substitute(l_gauge + l_matter, contraction_rules_w())
-    return physical_basis(graded, cfg)
+    at_one = reduce_mode(build_LA(("W1", "W2", "W3", "B")) + build_matter_radial(),
+                         J_ONE)
+    return physical_basis(substitute(at_one, contraction_rules_w()), cfg)
+
+
+def _identity_verdict(check_name: str, cfg: ModelConfig, lhs: Expression,
+                      rhs: Expression, failures=()) -> VerificationReport:
+    """Verdict on lhs == rhs and on ``failures`` found before: an exact
+    config is decided by the canonical difference (the witness of a
+    mismatch), a float config by the numeric oracle."""
+    if cfg.exact:
+        diff = lhs - rhs
+        found = [] if diff.is_zero() else [str(diff)[:200]]
+        return verdict(check_name, _param_label(cfg), found or list(failures))
+    res = equals(lhs, rhs, cfg.seed)
+    found = [] if res.equal else [res.witness]
+    return verdict(check_name, _param_label(cfg), found or list(failures),
+                   decision_path=res.decision_path, error=res.max_rel_error)
 
 
 @timed
 def verify_grading(cfg: ModelConfig) -> VerificationReport:
     """Check that the substituted-and-transformed Lagrangian equals the
-    assembled graded form, and that only grades {0, 2, 4} occur."""
+    assembled form of build_L27, and that only grades {0, 2, 4} occur."""
     lhs = transformed_lagrangian(cfg)
     rhs = build_L27(cfg)
     grades_ok = set(lhs.j_degrees()) <= {0, 2, 4} and set(rhs.j_degrees()) <= {0, 2, 4}
-    res = equals(lhs, rhs, cfg.policy())
-    failures = [] if res.equal and grades_ok else [res.witness or "grades outside {0,2,4}"]
-    return verdict("grading-identity", _param_label(cfg), failures,
-                   decision_path=res.decision_path, error=res.max_rel_error)
+    return _identity_verdict("grading-identity", cfg, lhs, rhs,
+                             [] if grades_ok else ["grades outside {0,2,4}"])
 
 
 @timed
 def verify_matter_radial(cfg: ModelConfig) -> VerificationReport:
     """Check the radial matter Lagrangian against its closed physical form."""
-    lhs = physical_basis(build_matter_radial(graded=True), cfg)
-    rhs = matter_radial_display(cfg)
-    res = equals(lhs, rhs, cfg.policy())
-    failures = [] if res.equal else [res.witness]
-    return verdict("matter-radial-identity", _param_label(cfg), failures,
-                   decision_path=res.decision_path, error=res.max_rel_error)
-
-
-# --- radial decomposition ---------------------------------------------------
-
-def radial_split(phi1, phi2, mode: JMode):
-    """Split the doublet into a radius and a group element: phi = rho h phi0.
-
-    Returns (rho, h) with h unimodular and unitary and first column
-    phi/rho.  Exact when the reduced form is a perfect rational square.
-    Raises :class:`DegenerateStateError` when the form vanishes (e.g. a
-    pure fiber state at the contracted value of j).
-    """
-    from .contraction import ContractionScalar as CS
-
-    phi1 = ComplexRational.of(phi1)
-    phi2 = ComplexRational.of(phi2)
-    form = CS.term(phi1.abs2()) + CS.term(phi2.abs2(), 2)
-    reduced = form.reduce(mode)
-    if mode.is_numeric:
-        rho2 = Fraction(reduced.real)
-    else:
-        rho2 = reduced.coeff(0).re
-    if rho2 == 0:
-        raise DegenerateStateError("doublet has zero norm in this mode")
-    root = exact_sqrt(rho2)
-    rho = root if root is not None else math.sqrt(float(rho2))
-    chi1 = phi1 / ComplexRational(Fraction(rho) if root is not None else Fraction(float(rho)))
-    chi2 = phi2 / ComplexRational(Fraction(rho) if root is not None else Fraction(float(rho)))
-    h = Mat2(
-        (
-            (CS.term(chi1), CS.term(-chi2.conjugate(), 1)),
-            (CS.term(chi2, 1), CS.term(chi1.conjugate())),
-        )
-    )
-    return rho, h.reduce(mode)
+    lhs = physical_basis(build_matter_radial(), cfg)
+    return _identity_verdict("matter-radial-identity", cfg, lhs,
+                             matter_radial_display(cfg))
 
 
 # --- mass spectrum -----------------------------------------------------------

@@ -4,6 +4,8 @@ Two normalized expressions that differ must disagree on random field values
 (the polynomial identity-testing argument), so evaluating both sides on a
 handful of random assignments is a sound oracle for identities the
 canonical form cannot settle, e.g. after float parameter instantiation.
+The oracle is fixed at ``TRIALS`` = 20 seeded trials and a relative
+tolerance of ``REL_TOL`` = 1e-9 per j-grade.
 
 Summed index pairs expand over a 4-dimensional index range; contraction is
 plain pairing with no metric signs.  Conjugate field instances always
@@ -21,7 +23,6 @@ from .fields import FIELDS, Expression, j_decompose
 
 __all__ = [
     "DIMENSION",
-    "EqualsPolicy",
     "EqualsResult",
     "FieldSample",
     "MissingAssignmentError",
@@ -31,6 +32,8 @@ __all__ = [
 ]
 
 DIMENSION = 4
+TRIALS = 20
+REL_TOL = 1e-9
 
 SQRT2 = math.sqrt(2.0)
 
@@ -146,13 +149,6 @@ def eval_expression(
 
 
 @dataclass(frozen=True)
-class EqualsPolicy:
-    trials: int = 20
-    rel_tol: float = 1e-9
-    seed: int = 20210
-
-
-@dataclass(frozen=True)
 class EqualsResult:
     equal: bool
     decision_path: str  # "exact-symbolic" | "numeric-oracle"
@@ -167,13 +163,12 @@ def _trial_params(rng: random.Random, names) -> dict:
     return {n: rng.uniform(0.5, 2.0) for n in names}
 
 
-def equals(a: Expression, b: Expression, policy: EqualsPolicy | None = None) -> EqualsResult:
+def equals(a: Expression, b: Expression, seed: int) -> EqualsResult:
     """Decide a == b: canonical difference first, numeric oracle as fallback.
 
-    The numeric path compares each j-grade separately, so agreement is
-    grading-aware rather than incidental at one j value.
+    The numeric path compares each j-grade separately over ``TRIALS`` seeded
+    draws, so agreement is grading-aware rather than incidental at one j value.
     """
-    policy = policy or EqualsPolicy()
     diff = a - b
     if diff.is_zero():
         return EqualsResult(True, "exact-symbolic", 0.0)
@@ -186,8 +181,8 @@ def equals(a: Expression, b: Expression, policy: EqualsPolicy | None = None) -> 
     frees = diff.free_indices()
     worst = 0.0
     witness = None
-    for trial in range(policy.trials):
-        rng = random.Random(f"{policy.seed}:{trial}")
+    for trial in range(TRIALS):
+        rng = random.Random(f"{seed}:{trial}")
         sample = FieldSample(rng.randrange(2**32))
         params = _trial_params(rng, sorted(param_names))
         free_values = {n: rng.randrange(DIMENSION) for n in sorted(frees)}
@@ -205,5 +200,5 @@ def equals(a: Expression, b: Expression, policy: EqualsPolicy | None = None) -> 
                     f"grade {grade}, trial {trial}: |diff|={abs(vd):.3e}, "
                     f"scale={scale:.3e}"
                 )
-    equal = worst <= policy.rel_tol
+    equal = worst <= REL_TOL
     return EqualsResult(equal, "numeric-oracle", worst, None if equal else witness)

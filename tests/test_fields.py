@@ -154,6 +154,11 @@ def test_substitute_linear_combination_roundtrip():
     assert substitute(mixed, back) == w3_tensor
 
 
+def test_substitute_renames_summed_indices_of_the_rule_body():
+    body = field("A3", "_") * field("B", "nu") * field("W2", "nu")
+    assert substitute(field("A2", "mu"), {"A2": body}) == parse("A3[mu] B[nu] W2[nu]")
+
+
 def test_substitute_arity_check():
     with pytest.raises(ArityError):
         substitute(field("W3", "mu"), {"W3": field("rho")})

@@ -9,8 +9,6 @@ error of the numeric path, the witness text, and exit code 1.
 import dataclasses
 from fractions import Fraction
 
-import pytest
-
 from ewverify import (
     J_ONE,
     Expression,
@@ -108,9 +106,12 @@ def test_grading_fails_without_the_quartic_weight(monkeypatch, capsys):
     report = verify_grading(CFG)
     assert report.status == "fail"
     assert report.check_name == "grading-identity"
-    assert report.decision_path == "numeric-oracle"
-    assert report.max_abs_error == pytest.approx(1.9220629822892545, rel=1e-9)
-    assert report.witness == "grade 0, trial 10: |diff|=2.668e+00, scale=1.388e+00"
+    assert report.decision_path == "exact-symbolic"
+    assert report.max_abs_error == -1.0
+    assert report.witness == (
+        "-9/2 W-[mu]^2 W+[nu]^2 + 9/2 W-[mu] W-[nu] W+[mu] W+[nu]"
+        " + 9/2 j^4 W-[mu]^2 W+[nu]^2 - 9/2 j^4 W-[mu] W-[nu] W+[mu] W+[nu]"
+    )
     assert_exit_1(capsys, "verify", "lagrangian")
 
 
@@ -125,9 +126,11 @@ def test_matter_radial_fails_with_a_wrong_charged_weight(monkeypatch, capsys):
     report = verify_matter_radial(CFG)
     assert report.status == "fail"
     assert report.check_name == "matter-radial-identity"
-    assert report.decision_path == "numeric-oracle"
-    assert report.max_abs_error == pytest.approx(1.0, rel=1e-9)
-    assert report.witness == "grade 2, trial 0: |diff|=4.989e-02, scale=4.989e-02"
+    assert report.decision_path == "exact-symbolic"
+    assert report.max_abs_error == -1.0
+    assert report.witness == (
+        "9/4 j^2 W-[mu] W+[mu] rho^2 - 9/4 j^4 W-[mu] W+[mu] rho^2"
+    )
     assert_exit_1(capsys, "verify", "lagrangian")
 
 
