@@ -42,12 +42,10 @@ from .limits import (
     scaling_sweep,
 )
 from .matrices import (
-    Doublet,
     Mat2,
     NotUnimodularError,
     commutator,
     generator,
-    hermitian_form,
     lie_element,
     su2_element,
     verify_group,

@@ -52,6 +52,11 @@ def _as_fraction(value, key: str) -> Fraction:
 
 def load_config(path: str | Path) -> ModelConfig:
     """Read a JSON config; an empty file means all defaults."""
+    return _model_config(_config_values(path))
+
+
+def _config_values(path: str | Path) -> dict:
+    """The validated values a JSON config file sets, by ModelConfig field."""
     try:
         text = Path(path).read_text(encoding="utf-8").strip()
         data = json.loads(text) if text else {}
@@ -80,16 +85,20 @@ def load_config(path: str | Path) -> ModelConfig:
         if not isinstance(data["exact"], bool):
             raise ConfigError(f"invalid value for 'exact': {data['exact']!r}")
         kwargs["exact"] = data["exact"]
+    return kwargs
+
+
+def _model_config(kwargs: dict) -> ModelConfig:
     try:
         return ModelConfig(**kwargs)
     except (ValueError, ParameterError) as exc:
         raise ConfigError(str(exc)) from None
 
 
-def _config_from_args(args) -> ModelConfig:
-    base = load_config(args.config) if args.config else ModelConfig()
-    kwargs = dict(g=base.g, gp=base.gp, R=base.R, jmode=base.jmode,
-                  seed=base.seed, samples=base.samples, exact=base.exact)
+def _config_from_args(args) -> tuple[ModelConfig, JMode | None]:
+    """The config file's values overridden by the flags, and the mode that
+    ``--j`` or the file's ``jmode`` selects (None when neither sets one)."""
+    kwargs = _config_values(args.config) if args.config else {}
     try:
         if args.g is not None:
             kwargs["g"] = _as_fraction(args.g, "g")
@@ -99,18 +108,16 @@ def _config_from_args(args) -> ModelConfig:
             kwargs["R"] = _as_fraction(args.R, "R")
         if args.j is not None:
             kwargs["jmode"] = JMode.from_text(args.j)
-        if args.seed is not None:
-            kwargs["seed"] = args.seed
-        if args.samples is not None:
-            kwargs["samples"] = args.samples
-        if args.exact is not None:
-            kwargs["exact"] = args.exact
-        return ModelConfig(**kwargs)
-    except (ValueError, ParameterError) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    for key in ("seed", "samples", "exact"):
+        if getattr(args, key) is not None:
+            kwargs[key] = getattr(args, key)
+    cfg = _model_config(kwargs)
+    return cfg, cfg.jmode if "jmode" in kwargs else None
 
 
-# Each suite takes the --j mode, or None when the flag was not given.
+# Each suite takes the selected mode, or None to run every mode.
 
 def _group_suite(cfg: ModelConfig, mode: JMode | None):
     modes = [J_ONE, J_NILPOTENT, JMode.numeric(Fraction(1, 1000))] if mode is None else [mode]
@@ -183,7 +190,9 @@ def _add_common(sub) -> None:
     sub.add_argument("--gp", help="U(1) coupling")
     sub.add_argument("--R", help="sphere radius")
     sub.add_argument("--seed", type=int)
-    sub.add_argument("--samples", type=int)
+    sub.add_argument("--samples", type=int,
+                     help="random draws for the float j modes of verify group "
+                     "and verify trace (trace uses at most 100), and for sweep")
     sub.add_argument("--exact", action=argparse.BooleanOptionalAction, default=None)
     sub.add_argument("--config", help="JSON config file path")
     sub.add_argument("--out", help="write output to this path")
@@ -216,9 +225,9 @@ def run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _config_from_args(args)
+        cfg, mode = _config_from_args(args)
         _check_usage(args, cfg)
-        return _dispatch(args, cfg)
+        return _dispatch(args, cfg, mode)
     except (ConfigError, OSError) as exc:
         print(f"ewverify: {exc}", file=sys.stderr)
         return 2
@@ -241,9 +250,8 @@ def _check_usage(args, cfg: ModelConfig) -> None:
         raise ConfigError("sweep needs --samples >= 10")
 
 
-def _dispatch(args, cfg: ModelConfig) -> int:
+def _dispatch(args, cfg: ModelConfig, mode: JMode | None) -> int:
     if args.command == "verify":
-        mode = cfg.jmode if args.j is not None else None
         return _emit_reports(SUITES[args.suite](cfg, mode), args)
 
     if args.command == "masses":

@@ -37,6 +37,7 @@ __all__ = [
     "euler_lagrange",
     "field",
     "first_order_variation",
+    "group_normal_form",
     "imag",
     "instantiate_params",
     "inv_sqrt2",
@@ -90,8 +91,9 @@ declare_field("Wp", 1, real=False, partner="Wm", display="W+")
 declare_field("Wm", 1, real=False, partner="Wp", display="W-", primary=False)
 for _s in ("rho", "omega", "eps1", "eps2", "eps3"):
     declare_field(_s, 0)
-declare_field("phi1", 0, real=False)
-declare_field("phi2", 0, real=False)
+# the matter doublet, and the complex parameters of two symbolic group elements
+for _s in ("phi1", "phi2", "alpha", "beta", "alpha2", "beta2"):
+    declare_field(_s, 0, real=False)
 
 PARAM_NAMES = ("g", "gp", "R")
 
@@ -420,8 +422,12 @@ def derive(e: Expression, idx: str) -> Expression:
     Derivative tags form a multiset, so repeated derivatives commute by
     construction.  ``idx`` must not already be summed in any term.
     """
+    return Expression.build(_leibniz(e.terms, idx))
+
+
+def _leibniz(terms, idx: str) -> list[Term]:
     raw = []
-    for t in e.terms:
+    for t in terms:
         if t.index_counts()[idx] >= 2:
             raise IndexConflictError(f"index {idx} is already summed in {t}")
         for p, f in enumerate(t.factors):
@@ -430,12 +436,13 @@ def derive(e: Expression, idx: str) -> Expression:
                 t.coeff, t.jdeg, t.params, t.r2,
                 t.factors[:p] + (new_factor,) + t.factors[p + 1:],
             ))
-    return Expression.build(raw)
+    return raw
 
 
 def _prepare_replacement(rep: Expression, f: FieldFactor) -> Expression:
     """Specialize a rule body to one factor: rename its summed indices apart
-    from the factor's index, bind the hole, conjugate, derive."""
+    from the factor's index and derivative tags, bind the hole, derive,
+    conjugate."""
     arity = FIELDS[f.field].arity
     for t in rep.terms:
         hole_count = t.index_counts()[HOLE]
@@ -445,18 +452,19 @@ def _prepare_replacement(rep: Expression, f: FieldFactor) -> Expression:
                 f"'{HOLE}' exactly {arity} time(s) per term"
             )
     out = rep
-    if arity:
+    if arity or f.derivs:
+        bind = {HOLE: f.indices[0]} if arity else {}
         raw = []
-        for t in out.terms:
+        for t in rep.terms:
+            # building before the last derivative could hand a summed pair
+            # the name of a tag, so the terms stay unbuilt until then
             t = Expression._refresh_dummies(t, "S")
             raw.append(Term(t.coeff, t.jdeg, t.params, t.r2,
-                            tuple(fc.rename({HOLE: f.indices[0]}) for fc in t.factors)))
+                            tuple(fc.rename(bind) for fc in t.factors)))
+        for dv in f.derivs:
+            raw = _leibniz(raw, dv)
         out = Expression.build(raw)
-    if f.conj:
-        out = conjugate(out)
-    for dv in f.derivs:
-        out = derive(out, dv)
-    return out
+    return conjugate(out) if f.conj else out
 
 
 def substitute(e: Expression, rules: dict[str, Expression]) -> Expression:
@@ -528,6 +536,30 @@ def reduce_mode(e: Expression, mode: JMode) -> Expression:
             for t in e.terms
         ]
     return Expression.build(raw)
+
+
+def group_normal_form(e: Expression, mode: JMode) -> Expression:
+    """Normal form of ``e`` on SU(2;j), reduced in ``mode``.
+
+    Each product alpha conj(alpha) becomes 1 - j^2 beta conj(beta), and
+    likewise for (alpha2, beta2).  A single polynomial is a Groebner basis
+    of its own ideal and alpha conj(alpha) leads it; the two relations have
+    coprime leading terms.  So the result is zero exactly when ``e``
+    vanishes on every pair of group elements (Cox, Little & O'Shea,
+    *Ideals, Varieties, and Algorithms*, ch. 2).
+    """
+    raw = []
+    for t in e.terms:
+        factors = list(t.factors)
+        piece = Expression((Term(t.coeff, t.jdeg, t.params, t.r2),))
+        for a, b in (("alpha", "beta"), ("alpha2", "beta2")):
+            plain, conj = FieldFactor(a), FieldFactor(a, conj=True)
+            for _ in range(min(factors.count(plain), factors.count(conj))):
+                factors.remove(plain)
+                factors.remove(conj)
+                piece = piece * (1 - jpow(2) * field(b) * field(b, conj=True))
+        raw.extend((piece * Expression((Term(CR_ONE, factors=tuple(factors)),))).terms)
+    return reduce_mode(Expression(tuple(raw)), mode)
 
 
 def instantiate_params(e: Expression, values: dict[str, Fraction]) -> Expression:

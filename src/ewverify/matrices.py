@@ -1,29 +1,30 @@
-"""2x2 matrices over the contraction ring: SU(2;j), its Lie algebra, U(1).
+"""2x2 matrices over any commutative ring: SU(2;j) and its Lie algebra.
 
-Entries are :class:`~ewverify.contraction.ContractionScalar` in the exact
-modes (j=1 and j=iota) and plain complex floats after numeric reduction.
-All matrix operations are entrywise-generic, so the same :class:`Mat2`
-also serves field-valued matrices elsewhere in the package.
+The group element and the Lie algebra element are each written once, for
+any entry ring.  With :class:`~ewverify.fields.Expression` entries over the
+complex symbols alpha and beta they are symbolic, and the group axioms at
+j=1 and j=iota are decided for every group element by
+:func:`~ewverify.fields.group_normal_form`.  With
+:class:`~ewverify.contraction.ContractionScalar` entries they are numbers;
+after numeric reduction the entries are complex floats, and the float mode
+is checked on random draws.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .contraction import ComplexRational, ContractionScalar, JMode
+from .fields import const, field, group_normal_form, jpow
 from .report import VerificationReport, timed, verdict
 
 CS = ContractionScalar
+_I_HALF = ComplexRational(0, Fraction(1, 2))
 
 
 class NotUnimodularError(ValueError):
     """Raised when |alpha|^2 + j^2 |beta|^2 does not reduce to 1."""
-
-
-def _conj(entry):
-    return entry.conjugate()
 
 
 def _is_zero(entry) -> bool:
@@ -47,10 +48,6 @@ class Mat2:
     @classmethod
     def identity(cls) -> "Mat2":
         return cls(((CS.one(), CS.zero()), (CS.zero(), CS.one())))
-
-    @classmethod
-    def zero(cls) -> "Mat2":
-        return cls(((CS.zero(), CS.zero()), (CS.zero(), CS.zero())))
 
     def __getitem__(self, rc):
         r, c = rc
@@ -90,7 +87,7 @@ class Mat2:
 
     def dagger(self) -> "Mat2":
         (a, b), (c, d) = self.rows
-        return Mat2(((_conj(a), _conj(c)), (_conj(b), _conj(d))))
+        return Mat2(((a.conjugate(), c.conjugate()), (b.conjugate(), d.conjugate())))
 
     def det(self):
         (a, b), (c, d) = self.rows
@@ -130,6 +127,17 @@ def max_abs_entry(m: Mat2) -> float:
     return max(abs(x) for r in m.rows for x in r)
 
 
+def _omega(alpha, beta, j) -> Mat2:
+    """[[alpha, j beta], [-j conj(beta), conj(alpha)]] over any ring."""
+    return Mat2(((alpha, j * beta), (-(j * beta.conjugate()), alpha.conjugate())))
+
+
+def _lie(a1, a2, a3, j, one) -> Mat2:
+    """sum_k a_k T_k, with T1 = j(i/2)tau1, T2 = j(i/2)tau2, T3 = (i/2)tau3."""
+    x, y, z = a1 * _I_HALF, a2 * Fraction(1, 2), a3 * _I_HALF
+    return Mat2(((one * z, j * (x + y)), (j * (x - y), one * -z)))
+
+
 def su2_element(alpha, beta, mode: JMode) -> Mat2:
     """Group element [[alpha, j beta], [-j conj(beta), conj(alpha)]].
 
@@ -147,79 +155,29 @@ def su2_element(alpha, beta, mode: JMode) -> Mat2:
             )
     elif reduced != CS.one():
         raise NotUnimodularError(f"determinant condition fails: {reduced!r} != 1")
-    m = Mat2(
-        (
-            (CS.term(alpha), CS.term(beta, 1)),
-            (CS.term(-beta.conjugate(), 1), CS.term(alpha.conjugate())),
-        )
-    )
-    return m.reduce(mode)
+    return _omega(CS.term(alpha), CS.term(beta), CS.j()).reduce(mode)
+
+
+def symbolic_element(alpha: str, beta: str) -> Mat2:
+    """The group element over the complex symbols ``alpha`` and ``beta``."""
+    return _omega(field(alpha), field(beta), jpow())
 
 
 def generator(k: int, mode: JMode) -> Mat2:
-    """Lie algebra generators: T1 = j(i/2)tau1, T2 = j(i/2)tau2, T3 = (i/2)tau3."""
+    """Lie algebra generator T_k: the element with a_k = 1 and the rest 0."""
     if k not in (1, 2, 3):
         raise ValueError("generator index must be 1, 2, or 3")
-    i2 = ComplexRational(0, Fraction(1, 2))
-    z = CS.zero()
-    if k == 1:
-        m = Mat2(((z, CS.term(i2, 1)), (CS.term(i2, 1), z)))
-    elif k == 2:
-        m = Mat2(((z, CS.term(Fraction(1, 2), 1)), (CS.term(Fraction(-1, 2), 1), z)))
-    else:
-        m = Mat2(((CS.term(i2), z), (z, CS.term(-i2))))
-    return m.reduce(mode)
+    return lie_element(*(int(n == k) for n in (1, 2, 3)), mode)
 
 
 def lie_element(a1, a2, a3, mode: JMode) -> Mat2:
     """General algebra element sum_k a_k T_k; satisfies T = -T^dagger."""
-    a1, a2, a3 = Fraction(a1), Fraction(a2), Fraction(a3)
-    i2 = ComplexRational(0, Fraction(1, 2))
-    m = Mat2(
-        (
-            (CS.term(i2 * a3), CS.term(i2 * ComplexRational(a1, -a2), 1)),
-            (CS.term(i2 * ComplexRational(a1, a2), 1), CS.term(-i2 * a3)),
-        )
-    )
-    return m.reduce(mode)
+    return _lie(a1, a2, a3, CS.j(), CS.one()).reduce(mode)
 
 
-@dataclass(frozen=True)
-class Doublet:
-    """Matter doublet (phi1, j phi2); the j weight is applied by the form."""
-
-    phi1: ContractionScalar
-    phi2: ContractionScalar
-
-    @classmethod
-    def of(cls, phi1, phi2) -> "Doublet":
-        return cls(CS._coerce(phi1), CS._coerce(phi2))
-
-
-def hermitian_form(phi: Doublet, mode: JMode):
-    """|phi1|^2 + j^2 |phi2|^2, reduced in the given mode."""
-    form = (
-        phi.phi1.conjugate() * phi.phi1
-        + CS.j(2) * phi.phi2.conjugate() * phi.phi2
-    )
-    return form.reduce(mode)
-
-
-def apply_group_element(alpha, beta, phi: Doublet, mode: JMode) -> Doublet:
-    """Action of the group element on (phi1, j phi2), solved for the components.
-
-    phi1' = alpha phi1 + j^2 beta phi2 and phi2' = -conj(beta) phi1
-    + conj(alpha) phi2; the j-weights cancel exactly so the fiber
-    coordinate stays finite at contraction.
-    """
-    alpha = ComplexRational.of(alpha)
-    beta = ComplexRational.of(beta)
-    jj = CS.j(2).reduce(mode)
-    if mode.is_numeric:
-        raise ValueError("doublet action is defined for the exact modes")
-    p1 = CS.term(alpha) * phi.phi1 + jj * CS.term(beta) * phi.phi2
-    p2 = CS.term(-beta.conjugate()) * phi.phi1 + CS.term(alpha.conjugate()) * phi.phi2
-    return Doublet(p1.reduce(mode), p2.reduce(mode))
+def symbolic_lie_element() -> Mat2:
+    """sum_k eps_k T_k over the real symbols eps1, eps2, eps3."""
+    return _lie(field("eps1"), field("eps2"), field("eps3"), jpow(), const(1))
 
 
 # --- rational sampling helpers -------------------------------------------
@@ -236,65 +194,64 @@ def random_unit_complex(rng: random.Random) -> ComplexRational:
     return ComplexRational(c, s)
 
 
-def random_complex_rational(rng: random.Random, span: int = 6) -> ComplexRational:
-    den = rng.randint(1, 4)
-    return ComplexRational(
-        Fraction(rng.randint(-span, span), den),
-        Fraction(rng.randint(-span, span), den),
-    )
-
-
 def random_su2_pair(rng: random.Random, mode: JMode):
-    """(alpha, beta) satisfying the mode's determinant condition exactly.
+    """(alpha, beta) satisfying a numeric j's determinant condition exactly.
 
-    For j=1 this draws |alpha|^2 + |beta|^2 = 1 from rational circle points;
-    for j=iota (and the j=0 boundary) only |alpha| = 1 is constrained and
-    beta ranges over a bounded rational box; a numeric j reuses the j=1
-    construction rescaled so the determinant condition holds exactly.
+    Draws |alpha|^2 + |beta|^2 = 1 from rational circle points and rescales
+    beta by 1/j; at the boundary j=0, which constrains only |alpha| = 1,
+    alpha and beta are unit complex numbers.
     """
-    if mode.is_nilpotent or (mode.is_numeric and mode.value == 0):
-        return random_unit_complex(rng), random_complex_rational(rng)
+    if mode.value == 0:
+        return random_unit_complex(rng), random_unit_complex(rng)
     c, s = rational_circle_point(rng)
     alpha = ComplexRational(c) * random_unit_complex(rng)
     beta = ComplexRational(s) * random_unit_complex(rng)
-    if mode.is_numeric:
-        beta = beta / ComplexRational(mode.value)
-    return alpha, beta
-
-
-def random_doublet(rng: random.Random) -> Doublet:
-    return Doublet(
-        CS.term(random_complex_rational(rng)),
-        CS.term(random_complex_rational(rng)),
-    )
+    return alpha, beta / ComplexRational(mode.value)
 
 
 # --- group axiom verification --------------------------------------------
 
-def _matrix_error(m: Mat2, target: Mat2, mode: JMode) -> float:
-    """0.0 when equal in the mode's ring; max float deviation in numeric mode;
-    inf on exact mismatch.  Products of j=iota elements acquire j^2 terms
-    that vanish only under the mode reduction, so the difference is reduced
-    before comparison."""
-    diff = m - target
-    if mode.is_numeric:
-        return max_abs_entry(diff)
-    return 0.0 if diff.reduce(mode).is_zero() else float("inf")
+def _group_failures(mode: JMode) -> list[str]:
+    """Each axiom as expressions that vanish on the whole group; the first
+    nonzero normal form of an axiom is its witness."""
+    omega = symbolic_element("alpha", "beta")
+    unit = omega @ omega.dagger()
+    doublet = Mat2(((field("phi1"), 0), (jpow() * field("phi2"), 0)))  # (phi1, j phi2)
+    moved = omega @ doublet
+    lie = symbolic_lie_element()
+    axioms = {
+        "unitarity": (unit[0, 0] - 1, unit[0, 1], unit[1, 0], unit[1, 1] - 1),
+        "closure": ((omega @ symbolic_element("alpha2", "beta2")).det() - 1,),
+        "form invariance": ((moved.dagger() @ moved)[0, 0]
+                            - (doublet.dagger() @ doublet)[0, 0],),
+        "anti-hermiticity": sum((lie + lie.dagger()).rows, ()),
+    }
+    failures = []
+    for name, exprs in axioms.items():
+        for nf in (group_normal_form(e, mode) for e in exprs):
+            if nf:
+                failures.append(f"{name}: {str(nf)[:200]}")
+                break
+    return failures
 
 
 @timed
 def verify_group(mode: JMode, samples: int, seed: int) -> VerificationReport:
-    """Check determinant, unitarity, closure, form invariance, anti-hermiticity.
+    """Check unitarity, closure, form invariance and anti-hermiticity.
 
-    All checks are exact in the rational modes; the numeric mode records the
-    worst float deviation.  Failures are recorded in the report, not raised.
+    At j=1 and j=iota each axiom is decided once for every group element by
+    its normal form, so ``samples`` and ``seed`` do not matter there; a
+    numeric j records the worst float deviation over ``samples`` random
+    draws.  Failures are recorded in the report, not raised.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if not mode.is_numeric:
+        return verdict("group-axioms", mode.label(), _group_failures(mode)[:3])
     rng = random.Random(seed)
     max_err = 0.0
     failures: list[str] = []
-    tol = 1e-12 if mode.is_numeric else 0.0
+    tol = 1e-12
     identity = Mat2.identity().reduce(mode)
 
     for k in range(samples):
@@ -308,29 +265,16 @@ def verify_group(mode: JMode, samples: int, seed: int) -> VerificationReport:
             max_err = float("inf")
             continue
 
-        err = _matrix_error(omega @ omega.dagger(), identity, mode)
+        err = max_abs_entry(omega @ omega.dagger() - identity)
         if err > tol:
             failures.append(f"sample {k}: unitarity violated ({err})")
         max_err = max(max_err, err)
 
         # closure: the product satisfies the determinant condition again
-        prod = omega @ omega2
-        det = prod.det()
-        if mode.is_numeric:
-            err = abs(det - 1.0)
-        else:
-            err = 0.0 if det.reduce(mode) == CS.one() else float("inf")
+        err = abs((omega @ omega2).det() - 1.0)
         if err > tol:
             failures.append(f"sample {k}: closure determinant ({err})")
         max_err = max(max_err, err)
-
-        if not mode.is_numeric:
-            phi = random_doublet(rng)
-            before = hermitian_form(phi, mode)
-            after = hermitian_form(apply_group_element(a1, b1, phi, mode), mode)
-            if before != after:
-                failures.append(f"sample {k}: hermitian form not invariant")
-                max_err = float("inf")
 
         t = lie_element(
             Fraction(rng.randint(-5, 5)),
@@ -338,19 +282,10 @@ def verify_group(mode: JMode, samples: int, seed: int) -> VerificationReport:
             Fraction(rng.randint(-5, 5)),
             mode,
         )
-        err = _matrix_error(t + t.dagger(), Mat2.zero().reduce(mode), mode)
+        err = max_abs_entry(t + t.dagger())
         if err > tol:
             failures.append(f"sample {k}: Lie element not anti-hermitian ({err})")
         max_err = max(max_err, err)
 
-    # the contracted group's translation-like parameter is unbounded;
-    # sampling covers a rational box only
-    note = "beta drawn from a bounded rational box" if mode.is_nilpotent else None
-    return verdict(
-        "group-axioms",
-        mode.label(),
-        failures[:3],
-        decision_path="numeric-oracle" if mode.is_numeric else "exact-symbolic",
-        error=max_err,
-        witness=note,
-    )
+    return verdict("group-axioms", mode.label(), failures[:3],
+                   decision_path="numeric-oracle", error=max_err)

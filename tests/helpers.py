@@ -1,5 +1,5 @@
 """Shared test utilities: random canonical expressions for round-trip and
-normalization property tests."""
+normalization property tests, and exact points of the group SU(2;j)."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ from fractions import Fraction
 
 from ewverify import ComplexRational, Expression
 from ewverify.fields import FieldFactor, Term
+from ewverify.matrices import rational_circle_point, random_unit_complex
 
 VECTOR_FIELDS = ("A1", "A2", "A3", "B", "W1", "W2", "W3", "Z", "Aem", "Wp", "Wm")
 SCALAR_FIELDS = ("rho", "omega", "eps1", "eps2", "eps3", "phi1", "phi2")
@@ -79,3 +80,17 @@ def random_expression(rng: random.Random) -> Expression:
         return Expression.build([_random_term(rng, scalar=False)])
     nterms = rng.randint(1, 4)
     return Expression.build([_random_term(rng, scalar=True) for _ in range(nterms)])
+
+
+def exact_group_point(rng: random.Random, mode) -> tuple[ComplexRational, ComplexRational]:
+    """(alpha, beta) with |alpha|^2 + j^2 |beta|^2 = 1 exactly, at j=1 or
+    j=iota.  At j=iota only |alpha| = 1 is required, and beta is drawn far
+    outside any small box (numerators up to 10^6)."""
+    if mode.is_nilpotent:
+        def big():
+            return Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 9))
+
+        return random_unit_complex(rng), ComplexRational(big(), big())
+    c, s = rational_circle_point(rng)
+    return (ComplexRational(c) * random_unit_complex(rng),
+            ComplexRational(s) * random_unit_complex(rng))

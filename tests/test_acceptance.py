@@ -84,7 +84,7 @@ def test_criterion_02_group_suite():
             assert report.max_abs_error == 0.0
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
-    announce(2, f"group suite, 1000 elements per mode ({elapsed:.2f}s)")
+    announce(2, f"group suite, exact modes by normal form, 1000 float samples ({elapsed:.2f}s)")
 
 
 def test_criterion_03_division_rules():
@@ -151,7 +151,7 @@ def test_criterion_08_trace_identity():
     report = verify_trace_identity(samples=100, seed=42)
     assert report.passed
     assert report.max_abs_error <= 1e-10
-    announce(8, "trace identity, 100 samples per mode")
+    announce(8, "trace identity, exact modes by normal form, 100 float samples")
 
 
 def test_criterion_09_decoupling():

@@ -30,11 +30,12 @@ from ewverify.fields import (
     UnknownFieldError,
     euler_lagrange,
     first_order_variation,
+    group_normal_form,
     imag,
     inv_sqrt2,
 )
 
-from helpers import random_expression
+from helpers import exact_group_point, random_expression
 
 
 def test_like_terms_merge():
@@ -159,6 +160,21 @@ def test_substitute_renames_summed_indices_of_the_rule_body():
     assert substitute(field("A2", "mu"), {"A2": body}) == parse("A3[mu] B[nu] W2[nu]")
 
 
+def test_substitute_renames_summed_indices_apart_from_derivative_tags():
+    body = field("A3", "_") * field("B", "nu") * field("W2", "nu")
+    got = substitute(field("A2", "mu", derivs=("nu",)), {"A2": body})
+    assert got == parse(
+        "d[nu]A3[mu] B[al] W2[al] + A3[mu] d[nu]B[al] W2[al] + A3[mu] B[al] d[nu]W2[al]"
+    )
+    # a scalar field's tags too, and a conjugated occurrence
+    got = substitute(field("phi1", derivs=("mu", "nu"), conj=True),
+                     {"phi1": imag() * field("B", "mu") * field("Z", "mu")})
+    assert got == parse(
+        "-i d[mu]d[nu]B[al] Z[al] - i d[mu]B[al] d[nu]Z[al]"
+        " - i d[nu]B[al] d[mu]Z[al] - i B[al] d[mu]d[nu]Z[al]"
+    )
+
+
 def test_substitute_arity_check():
     with pytest.raises(ArityError):
         substitute(field("W3", "mu"), {"W3": field("rho")})
@@ -278,3 +294,53 @@ def test_symbolic_operations_are_additive_over_terms(rng):
                 continue  # second derivatives of the varied field are rejected
             op = lambda x: euler_lagrange(x, fld, idx)
             assert op(e) == _termwise_sum(op, e)
+
+
+# --- normal form on the group SU(2;j) ----------------------------------------
+
+GROUP_SYMBOLS = (
+    field("alpha"), field("alpha", conj=True), field("beta"), field("beta", conj=True),
+)
+
+
+def _random_group_polynomial(rng):
+    """A sum of monomials in alpha, beta, their conjugates, j and phi1."""
+    total = Expression.zero()
+    for _ in range(rng.randint(1, 4)):
+        m = const(ComplexRational(rng.randint(-4, 4), rng.randint(-2, 2)))
+        m = m * jpow(rng.randint(0, 3))
+        for _ in range(rng.randint(0, 6)):
+            m = m * rng.choice(GROUP_SYMBOLS)
+        if rng.random() < 0.3:
+            m = m * field("phi1")
+        total = total + m
+    return total
+
+
+@pytest.mark.parametrize("mode", [J_ONE, J_NILPOTENT])
+def test_group_normal_form_agrees_at_group_points(rng, mode):
+    """An expression and its normal form take the same value at exact group
+    points; at j=iota beta lies far outside a small box."""
+    for _ in range(60):
+        e = _random_group_polynomial(rng)
+        nf = group_normal_form(e, mode)
+        for f in nf.terms:  # alpha conj(alpha) is rewritten away
+            assert not {FieldFactor("alpha"), FieldFactor("alpha", conj=True)} <= set(f.factors)
+        for _ in range(3):
+            a, b = exact_group_point(rng, mode)
+            point = {"alpha": const(a), "beta": const(b)}
+            assert (reduce_mode(substitute(e, point), mode)
+                    == reduce_mode(substitute(nf, point), mode))
+
+
+@pytest.mark.parametrize("mode", [J_ONE, J_NILPOTENT])
+def test_defining_relation_has_zero_normal_form(mode):
+    for a, b in (("alpha", "beta"), ("alpha2", "beta2")):
+        relation = (field(a) * field(a, conj=True)
+                    + jpow(2) * field(b) * field(b, conj=True) - 1)
+        assert group_normal_form(relation, mode).is_zero()
+        assert group_normal_form(relation * field("phi2") * field(a), mode).is_zero()
+    # only the relation is used: |alpha|^2 alone is not 1 at j=1
+    assert group_normal_form(field("alpha") * field("alpha", conj=True) - 1, J_ONE) == (
+        -field("beta") * field("beta", conj=True)
+    )

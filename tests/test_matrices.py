@@ -1,4 +1,4 @@
-"""SU(2;j) matrix layer: generators, group elements, form invariance."""
+"""SU(2;j) matrix layer: generators, group elements, group axioms."""
 
 import random
 from fractions import Fraction
@@ -8,7 +8,6 @@ import pytest
 from ewverify import (
     ComplexRational,
     ContractionScalar,
-    Doublet,
     J_NILPOTENT,
     J_ONE,
     JMode,
@@ -16,12 +15,13 @@ from ewverify import (
     NotUnimodularError,
     commutator,
     generator,
-    hermitian_form,
     lie_element,
     su2_element,
     verify_group,
 )
-from ewverify.matrices import apply_group_element, max_abs_entry, random_su2_pair
+from ewverify.matrices import max_abs_entry
+
+from helpers import exact_group_point
 
 CS = ContractionScalar
 CR = ComplexRational
@@ -130,8 +130,8 @@ def test_nilpotent_closure_formula(rng):
     """Product of two contracted elements follows the dual-number formula
     alpha3 = alpha1 alpha2, beta3 = alpha1 beta2 + beta1 conj(alpha2)."""
     for _ in range(50):
-        a1, b1 = random_su2_pair(rng, J_NILPOTENT)
-        a2, b2 = random_su2_pair(rng, J_NILPOTENT)
+        a1, b1 = exact_group_point(rng, J_NILPOTENT)
+        a2, b2 = exact_group_point(rng, J_NILPOTENT)
         prod = su2_element(a1, b1, J_NILPOTENT) @ su2_element(a2, b2, J_NILPOTENT)
         expected = su2_element(
             a1 * a2, a1 * b2 + b1 * a2.conjugate(), J_NILPOTENT
@@ -142,25 +142,22 @@ def test_nilpotent_closure_formula(rng):
         assert (omega @ omega.dagger() - Mat2.identity()).reduce(J_NILPOTENT).is_zero()
 
 
-def test_hermitian_form_examples():
-    assert hermitian_form(Doublet.of(CS.one(), CS.zero()), J_ONE) == CS.one()
-    assert hermitian_form(Doublet.of(CS.one(), CS.zero()), J_NILPOTENT) == CS.one()
-    fiber_only = Doublet.of(CS.zero(), CS.one())
-    assert hermitian_form(fiber_only, J_NILPOTENT).is_zero()
-    phi = Doublet.of(cs(Fraction(3, 5)), cs(Fraction(4, 5)))
-    assert hermitian_form(phi, J_ONE) == CS.one()
-
-
 def test_form_invariance_under_group_action(rng):
-    from ewverify.matrices import random_doublet
+    """|phi1|^2 + j^2 |phi2|^2 is kept by the group element acting on the
+    column (phi1, j phi2), at exact points; an independent check, in the
+    contraction ring, of the identity the group check decides symbolically."""
+    def form(v):
+        return (v.dagger() @ v)[0, 0]
+
+    def component():
+        return cs(Fraction(rng.randint(-50, 50), rng.randint(1, 9)),
+                  Fraction(rng.randint(-50, 50), rng.randint(1, 9)))
 
     for mode in (J_ONE, J_NILPOTENT):
         for _ in range(100):
-            alpha, beta = random_su2_pair(rng, mode)
-            phi = random_doublet(rng)
-            before = hermitian_form(phi, mode)
-            after = hermitian_form(apply_group_element(alpha, beta, phi, mode), mode)
-            assert before == after
+            omega = su2_element(*exact_group_point(rng, mode), mode)
+            phi = Mat2(((component(), 0), (CS.j() * component(), 0)))
+            assert form(omega @ phi).reduce(mode) == form(phi).reduce(mode)
 
 
 @pytest.mark.parametrize("mode", [J_ONE, J_NILPOTENT, NUMERIC])
@@ -176,3 +173,13 @@ def test_verify_group_passes(mode):
 def test_verify_group_rejects_bad_samples():
     with pytest.raises(ValueError):
         verify_group(J_ONE, 0, seed=1)
+
+
+@pytest.mark.parametrize("mode", [J_ONE, J_NILPOTENT])
+def test_exact_group_report_takes_no_draw(mode):
+    """The exact modes decide every group element at once: samples and
+    seed do not enter the report."""
+    one = verify_group(mode, 1, seed=1).as_dict()
+    assert one == verify_group(mode, 500, seed=99).as_dict()
+    assert one["decision_path"] == "exact-symbolic"
+    assert one["witness"] is None

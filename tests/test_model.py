@@ -424,6 +424,18 @@ def test_trace_identity():
     assert report.max_abs_error <= 1e-10
 
 
+def test_trace_exact_modes_take_no_draw(monkeypatch):
+    """j=1 and j=iota are decided by the normal form alone: with the dagger
+    dropped, their witnesses do not depend on samples or seed."""
+    monkeypatch.setattr(Mat2, "dagger", lambda self: self)
+    first, second = (
+        verify_trace_identity(samples, seed).witness.split("; ")[:2]
+        for samples, seed in ((1, 5), (7, 9))
+    )
+    assert first == second
+    assert [w.split(":")[0] for w in first] == ["j=1", "j=iota"]
+
+
 def test_trace_conjugation_by_identity_is_trivial():
     from ewverify import lie_element
 

@@ -10,6 +10,7 @@ import dataclasses
 from fractions import Fraction
 
 from ewverify import (
+    J_NILPOTENT,
     J_ONE,
     Expression,
     JMode,
@@ -29,7 +30,6 @@ from ewverify import (
 )
 from ewverify import limits, matrices, model
 from ewverify.cli import run
-from ewverify.matrices import Doublet
 
 CFG = ModelConfig()
 NUMERIC = JMode.numeric(Fraction(1, 1000))
@@ -63,19 +63,24 @@ def assert_exact_fail(report, witness):
 # --- matrices.verify_group ---------------------------------------------------
 
 
-def test_group_fails_when_the_doublet_action_breaks_the_form(monkeypatch, capsys):
-    original = matrices.apply_group_element
+def test_group_fails_with_a_flipped_sign_in_the_group_element(monkeypatch, capsys):
+    def flipped(alpha, beta, j):
+        return Mat2(((alpha, j * beta), (j * beta.conjugate(), alpha.conjugate())))
 
-    def doubled(alpha, beta, phi, mode):
-        out = original(alpha, beta, phi, mode)
-        return Doublet(out.phi1 + out.phi1, out.phi2)
-
-    monkeypatch.setattr(matrices, "apply_group_element", doubled)
+    monkeypatch.setattr(matrices, "_omega", flipped)
     report = verify_group(J_ONE, 5, seed=3)
-    assert_exact_fail(report, "; ".join(
-        f"sample {k}: hermitian form not invariant" for k in range(3)
+    assert_exact_fail(report, (
+        "unitarity: 2 alpha beta; "
+        "closure: -2 beta conj(beta) + 4 beta conj(beta) beta2 conj(beta2)"
+        " - 2 beta2 conj(beta2); "
+        "form invariance: 2 alpha conj(beta) phi1 conj(phi2)"
+        " + 2 conj(alpha) beta conj(phi1) phi2"
     ))
     assert report.mode == "j=1"
+    # at j=iota the j^2 terms vanish, and only unitarity breaks
+    report = verify_group(J_NILPOTENT, 5, seed=3)
+    assert_exact_fail(report, "unitarity: 2 j alpha beta")
+    assert report.mode == "j=iota"
     assert_exit_1(capsys, "verify", "group", "--j", "iota", "--samples", "2")
 
 
@@ -177,8 +182,12 @@ def test_trace_fails_when_conjugation_drops_the_dagger(monkeypatch, capsys):
     assert report.check_name == "trace-identity"
     assert report.max_abs_error == -1.0
     assert report.witness == (
-        "j=1 sample 0: exact mismatch; j=1 sample 1: exact mismatch; "
-        "j=iota sample 0: exact mismatch"
+        "j=1: -1/4 alpha^4 eps3^2 - 1/2 alpha^3 beta eps1 eps3"
+        " - 1/2 i alpha^3 beta eps2 eps3 + 1/2 alpha^3 conj(beta) eps1 eps3"
+        " - 1/2 i alpha^3 conj(beta) eps2 eps3 - 1/4 alpha^2 beta^2 eps1^2"
+        " - 1/2 i alpha^2 beta; "
+        "j=iota: -1/4 alpha^4 eps3^2 - 1/4 conj(alpha)^4 eps3^2 + 1/2 eps3^2; "
+        "j=0.001 sample 0: err=19.590945464714117"
     )
     assert_exit_1(capsys, "verify", "trace", "--samples", "2")
 

@@ -3,12 +3,18 @@
 A public top-level name that no module of ``src/ewverify`` refers to (the
 re-exports in ``__init__.py`` do not count) is either dead code or a helper
 kept only for tests.  The second kind is listed here with its reason.
+
+The names the benchmark tracer (``perfbench/tracer.py``) looks up must also
+stay: it is installed here in a fresh interpreter.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ewverify"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "ewverify"
 
 KEPT_FOR_TESTS = {
     "commutator": "acceptance criterion 01 checks the commutator table with it",
@@ -19,6 +25,8 @@ KEPT_FOR_TESTS = {
     "contraction_rules_phi": "the paper's contraction map for the doublet, "
     "checked by test_grading_enters_via_substitution",
     "parse": "the text grammar the README documents",
+    "load_config": "tests read a config file alone with it; the CLI merges "
+    "the file's values with the flags before building one ModelConfig",
 }
 
 
@@ -55,3 +63,30 @@ def test_every_public_name_has_a_caller_in_the_package():
     )
     assert not unused, f"public names nothing in src/ uses: {unused}"
 
+
+
+TRACER_SCRIPT = """
+import sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import importlib
+from tracer import CHECKS, HOOKS, Tracer
+
+tracer = Tracer().install()
+for name in list(HOOKS) + list(CHECKS):
+    module, *attrs = name.split(".")
+    obj = importlib.import_module("ewverify." + module)
+    for attr in attrs:
+        obj = getattr(obj, attr)
+    assert hasattr(obj, "__wrapped__"), name + " is not wrapped"
+tracer.uninstall()
+"""
+
+
+def test_benchmark_tracer_installs_and_uninstalls():
+    """The tracer wraps ContractionScalar, Mat2, numeric.equals and each
+    check by name; removing one from src/ must fail here."""
+    result = subprocess.run(
+        [sys.executable, "-c", TRACER_SCRIPT, str(ROOT / "perfbench"), str(ROOT / "src")],
+        capture_output=True, text=True, cwd=ROOT, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
