@@ -121,7 +121,7 @@ def _config_from_args(args) -> tuple[ModelConfig, JMode | None]:
 
 def _group_suite(cfg: ModelConfig, mode: JMode | None):
     modes = [J_ONE, J_NILPOTENT, JMode.numeric(Fraction(1, 1000))] if mode is None else [mode]
-    return [verify_group(m, cfg.samples, cfg.seed) for m in modes]
+    return [verify_group(m) for m in modes]
 
 
 def _lagrangian_suite(cfg: ModelConfig, mode: JMode | None):
@@ -134,8 +134,7 @@ def _gauge_suite(cfg: ModelConfig, mode: JMode | None):
 
 
 def _trace_suite(cfg: ModelConfig, mode: JMode | None):
-    samples = min(cfg.samples, 100)
-    return [verify_trace_identity(samples, cfg.seed)]
+    return [verify_trace_identity()]
 
 
 def _all_suite(cfg: ModelConfig, mode: JMode | None):
@@ -191,8 +190,7 @@ def _add_common(sub) -> None:
     sub.add_argument("--R", help="sphere radius")
     sub.add_argument("--seed", type=int)
     sub.add_argument("--samples", type=int,
-                     help="random draws for the float j modes of verify group "
-                     "and verify trace (trace uses at most 100), and for sweep")
+                     help="random field draws of sweep (default 100, at least 10)")
     sub.add_argument("--exact", action=argparse.BooleanOptionalAction, default=None)
     sub.add_argument("--config", help="JSON config file path")
     sub.add_argument("--out", help="write output to this path")
@@ -244,10 +242,10 @@ def _check_usage(args, cfg: ModelConfig) -> None:
         raise ConfigError("csv output is only available for the sweep command")
     if args.j is not None and command in IGNORES_J:
         raise ConfigError(f"--j is not used by {command}")
-    if cfg.samples < 1:
-        raise ConfigError("samples must be >= 1")
-    if args.command == "sweep" and args.samples is not None and args.samples < 10:
-        raise ConfigError("sweep needs --samples >= 10")
+    if args.samples is not None and command != "sweep":
+        raise ConfigError(f"--samples is not used by {command}")
+    if command == "sweep" and cfg.samples < 10:
+        raise ConfigError("sweep needs samples >= 10")
 
 
 def _dispatch(args, cfg: ModelConfig, mode: JMode | None) -> int:
@@ -264,8 +262,7 @@ def _dispatch(args, cfg: ModelConfig, mode: JMode | None) -> int:
         return 0
 
     if args.command == "sweep":
-        samples = cfg.samples if args.samples is not None else 100
-        report = scaling_sweep(SWEEP_JS, samples, cfg, cfg.seed)
+        report = scaling_sweep(SWEEP_JS, cfg.samples, cfg, cfg.seed)
         if args.format == "csv":
             rows = ["j,ratio_f,ratio_h"]
             rows += [f"{j!r},{rf!r},{rh!r}" for j, rf, rh in report.rows()]

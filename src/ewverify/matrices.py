@@ -2,17 +2,15 @@
 
 The group element and the Lie algebra element are each written once, for
 any entry ring.  With :class:`~ewverify.fields.Expression` entries over the
-complex symbols alpha and beta they are symbolic, and the group axioms at
-j=1 and j=iota are decided for every group element by
+complex symbols alpha and beta they are symbolic, and the group axioms are
+decided in every mode, for every group element, by
 :func:`~ewverify.fields.group_normal_form`.  With
-:class:`~ewverify.contraction.ContractionScalar` entries they are numbers;
-after numeric reduction the entries are complex floats, and the float mode
-is checked on random draws.
+:class:`~ewverify.contraction.ContractionScalar` entries they are numbers:
+the generators, the commutator table and single group elements.
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
 from .contraction import ComplexRational, ContractionScalar, JMode
@@ -180,35 +178,6 @@ def symbolic_lie_element() -> Mat2:
     return _lie(field("eps1"), field("eps2"), field("eps3"), jpow(), const(1))
 
 
-# --- rational sampling helpers -------------------------------------------
-
-def rational_circle_point(rng: random.Random) -> tuple[Fraction, Fraction]:
-    """Exact rational (cos, sin) on the unit circle via the tangent half-angle map."""
-    t = Fraction(rng.randint(-12, 12), rng.randint(1, 12))
-    d = 1 + t * t
-    return (1 - t * t) / d, 2 * t / d
-
-
-def random_unit_complex(rng: random.Random) -> ComplexRational:
-    c, s = rational_circle_point(rng)
-    return ComplexRational(c, s)
-
-
-def random_su2_pair(rng: random.Random, mode: JMode):
-    """(alpha, beta) satisfying a numeric j's determinant condition exactly.
-
-    Draws |alpha|^2 + |beta|^2 = 1 from rational circle points and rescales
-    beta by 1/j; at the boundary j=0, which constrains only |alpha| = 1,
-    alpha and beta are unit complex numbers.
-    """
-    if mode.value == 0:
-        return random_unit_complex(rng), random_unit_complex(rng)
-    c, s = rational_circle_point(rng)
-    alpha = ComplexRational(c) * random_unit_complex(rng)
-    beta = ComplexRational(s) * random_unit_complex(rng)
-    return alpha, beta / ComplexRational(mode.value)
-
-
 # --- group axiom verification --------------------------------------------
 
 def _group_failures(mode: JMode) -> list[str]:
@@ -236,56 +205,11 @@ def _group_failures(mode: JMode) -> list[str]:
 
 
 @timed
-def verify_group(mode: JMode, samples: int, seed: int) -> VerificationReport:
+def verify_group(mode: JMode) -> VerificationReport:
     """Check unitarity, closure, form invariance and anti-hermiticity.
 
-    At j=1 and j=iota each axiom is decided once for every group element by
-    its normal form, so ``samples`` and ``seed`` do not matter there; a
-    numeric j records the worst float deviation over ``samples`` random
-    draws.  Failures are recorded in the report, not raised.
+    Each axiom is decided once for every group element by its normal form
+    in ``mode``; a numeric j is folded in exactly.  Failures are recorded
+    in the report, not raised.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    if not mode.is_numeric:
-        return verdict("group-axioms", mode.label(), _group_failures(mode)[:3])
-    rng = random.Random(seed)
-    max_err = 0.0
-    failures: list[str] = []
-    tol = 1e-12
-    identity = Mat2.identity().reduce(mode)
-
-    for k in range(samples):
-        a1, b1 = random_su2_pair(rng, mode)
-        a2, b2 = random_su2_pair(rng, mode)
-        try:
-            omega = su2_element(a1, b1, mode)
-            omega2 = su2_element(a2, b2, mode)
-        except NotUnimodularError as exc:
-            failures.append(f"sample {k}: {exc}")
-            max_err = float("inf")
-            continue
-
-        err = max_abs_entry(omega @ omega.dagger() - identity)
-        if err > tol:
-            failures.append(f"sample {k}: unitarity violated ({err})")
-        max_err = max(max_err, err)
-
-        # closure: the product satisfies the determinant condition again
-        err = abs((omega @ omega2).det() - 1.0)
-        if err > tol:
-            failures.append(f"sample {k}: closure determinant ({err})")
-        max_err = max(max_err, err)
-
-        t = lie_element(
-            Fraction(rng.randint(-5, 5)),
-            Fraction(rng.randint(-5, 5)),
-            Fraction(rng.randint(-5, 5)),
-            mode,
-        )
-        err = max_abs_entry(t + t.dagger())
-        if err > tol:
-            failures.append(f"sample {k}: Lie element not anti-hermitian ({err})")
-        max_err = max(max_err, err)
-
-    return verdict("group-axioms", mode.label(), failures[:3],
-                   decision_path="numeric-oracle", error=max_err)
+    return verdict("group-axioms", mode.label(), _group_failures(mode)[:3])

@@ -8,7 +8,6 @@ from fractions import Fraction
 
 from ewverify import ComplexRational, Expression
 from ewverify.fields import FieldFactor, Term
-from ewverify.matrices import rational_circle_point, random_unit_complex
 
 VECTOR_FIELDS = ("A1", "A2", "A3", "B", "W1", "W2", "W3", "Z", "Aem", "Wp", "Wm")
 SCALAR_FIELDS = ("rho", "omega", "eps1", "eps2", "eps3", "phi1", "phi2")
@@ -80,6 +79,18 @@ def random_expression(rng: random.Random) -> Expression:
         return Expression.build([_random_term(rng, scalar=False)])
     nterms = rng.randint(1, 4)
     return Expression.build([_random_term(rng, scalar=True) for _ in range(nterms)])
+
+
+def rational_circle_point(rng: random.Random) -> tuple[Fraction, Fraction]:
+    """Exact rational (cos, sin) on the unit circle via the tangent half-angle map."""
+    t = Fraction(rng.randint(-12, 12), rng.randint(1, 12))
+    d = 1 + t * t
+    return (1 - t * t) / d, 2 * t / d
+
+
+def random_unit_complex(rng: random.Random) -> ComplexRational:
+    c, s = rational_circle_point(rng)
+    return ComplexRational(c, s)
 
 
 def exact_group_point(rng: random.Random, mode) -> tuple[ComplexRational, ComplexRational]:

@@ -76,15 +76,12 @@ def test_criterion_01_commutator_table():
 def test_criterion_02_group_suite():
     t0 = time.perf_counter()
     for mode in (J_ONE, J_NILPOTENT, JMode.numeric(Fraction(1, 1000))):
-        report = verify_group(mode, samples=1000, seed=42)
-        assert report.passed
-        if mode.is_numeric:
-            assert report.max_abs_error <= 1e-12
-        else:
-            assert report.max_abs_error == 0.0
+        report = verify_group(mode)
+        assert report.passed and report.decision_path == "exact-symbolic"
+        assert report.max_abs_error == 0.0
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
-    announce(2, f"group suite, exact modes by normal form, 1000 float samples ({elapsed:.2f}s)")
+    announce(2, f"group suite, all three modes by normal form ({elapsed:.2f}s)")
 
 
 def test_criterion_03_division_rules():
@@ -148,10 +145,10 @@ def test_criterion_07_gauge_invariance():
 
 
 def test_criterion_08_trace_identity():
-    report = verify_trace_identity(samples=100, seed=42)
-    assert report.passed
-    assert report.max_abs_error <= 1e-10
-    announce(8, "trace identity, exact modes by normal form, 100 float samples")
+    report = verify_trace_identity()
+    assert report.passed and report.decision_path == "exact-symbolic"
+    assert report.max_abs_error == 0.0
+    announce(8, "trace identity, all three modes by normal form")
 
 
 def test_criterion_09_decoupling():

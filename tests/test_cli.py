@@ -25,10 +25,18 @@ def test_masses_json(capsys):
     assert data["exact"]["e_charge"] == "12/5"
 
 
+def test_masses_keeps_a_rounded_charge_out_of_exact(capsys):
+    """At a float config s = sqrt(g^2+gp^2) is rounded, so e = g gp / s is a
+    float and is not listed among the exact values."""
+    code, out, _ = run_cli(capsys, "masses", "--no-exact", "--g", "1.3", "--gp", "0.7")
+    assert code == 0
+    data = json.loads(out)
+    assert data["e_charge"] == 0.6163297699455227
+    assert data["exact"] == {"m_Z_sq": "109/50", "m_W_sq": "169/100", "m_W": "13/10"}
+
+
 def test_verify_group_exit_zero(capsys):
-    code, out, _ = run_cli(
-        capsys, "verify", "group", "--j", "iota", "--samples", "25"
-    )
+    code, out, _ = run_cli(capsys, "verify", "group", "--j", "iota")
     assert code == 0
     data = json.loads(out)
     assert data["summary"]["failed"] == 0
@@ -37,9 +45,9 @@ def test_verify_group_exit_zero(capsys):
 
 
 def test_verify_gauge_and_lagrangian(capsys):
-    code, out, _ = run_cli(capsys, "verify", "gauge", "--samples", "10")
+    code, out, _ = run_cli(capsys, "verify", "gauge")
     assert code == 0
-    code, out, _ = run_cli(capsys, "verify", "lagrangian", "--samples", "10")
+    code, out, _ = run_cli(capsys, "verify", "lagrangian")
     assert code == 0
 
 
@@ -53,6 +61,19 @@ def test_sweep_csv(capsys):
     assert len(lines) == 6
     first = lines[1].split(",")
     assert float(first[0]) == pytest.approx(0.1)
+
+
+def test_sweep_reads_samples_from_the_config_file(tmp_path, capsys):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({"samples": 20}))
+    code, out, _ = run_cli(capsys, "sweep", "--config", str(path))
+    assert code == 0
+    assert json.loads(out)["samples"] == 20
+    path.write_text(json.dumps({"samples": 5}))
+    code, out, err = run_cli(capsys, "sweep", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert "samples" in err
 
 
 def test_eom_text(capsys):
@@ -77,6 +98,15 @@ def test_verify_all_with_config(tmp_path, capsys):
     assert data["summary"]["failed"] == 0
 
 
+def test_exact_config_decides_every_report_exactly(capsys):
+    code, out, _ = run_cli(capsys, "verify", "all")
+    assert code == 0
+    reports = json.loads(out)["reports"]
+    assert len(reports) == 11
+    for r in reports:
+        assert (r["decision_path"], r["max_abs_error"]) == ("exact-symbolic", 0.0), r
+
+
 def test_config_jmode_selects_the_modes_like_the_flag(tmp_path, capsys):
     path = tmp_path / "iota.json"
     path.write_text(json.dumps({"jmode": "iota"}))
@@ -96,8 +126,7 @@ def test_json_reports_are_deterministic(tmp_path, capsys):
     out2 = tmp_path / "b.json"
     for out in (out1, out2):
         code = run(
-            ["verify", "group", "--j", "1", "--samples", "30", "--seed", "5",
-             "--out", str(out)]
+            ["verify", "group", "--j", "1", "--seed", "5", "--out", str(out)]
         )
         assert code == 0
     capsys.readouterr()
@@ -108,8 +137,7 @@ def test_verify_all_is_deterministic(tmp_path, capsys):
     outs = []
     for name in ("x.json", "y.json"):
         out = tmp_path / name
-        code = run(["verify", "all", "--samples", "20", "--seed", "11",
-                    "--out", str(out)])
+        code = run(["verify", "all", "--seed", "11", "--out", str(out)])
         assert code == 0
         outs.append(out.read_bytes())
     capsys.readouterr()
@@ -121,11 +149,14 @@ def test_verify_all_is_deterministic(tmp_path, capsys):
 # reproduce it byte for byte.  The first two were re-pinned when the exact
 # group axioms came to be decided for every beta: the j=iota group report
 # lost its note "beta drawn from a bounded rational box" (now null), and no
-# other byte changed.
+# other byte changed.  The first was re-pinned again when j=0.001 came to be
+# decided by the normal form too: group-axioms (j=0.001) and trace-identity
+# (all) changed from "numeric-oracle" with a float error to
+# "exact-symbolic" with 0.0, and no other byte changed.
 PINNED_JSON = [
-    (("verify", "all", "--samples", "20", "--seed", "42"),
-     "b1ac703a38e958b4d97c5fc312dff7b5fc4b7e092ea19d31252fe55184a1a140"),
-    (("verify", "group", "--j", "iota", "--samples", "25", "--seed", "7"),
+    (("verify", "all", "--seed", "42"),
+     "b03d36e52dc651ddb8c66e0b8cfb1aa2b8619581b45fa40b8fa908d8de51b1c7"),
+    (("verify", "group", "--j", "iota", "--seed", "7"),
      "ce26d6bdf4b57d75e5988f68fa912f1da4fdc2853a9ecc5066af1216fefbe84b"),
     (("verify", "lagrangian", "--no-exact", "--g", "1.3", "--gp", "0.7"),
      "7f0fce0134491b2e6f781ef23f669279afd79f074ddcc275d7eef97cb6090d9b"),
@@ -190,7 +221,7 @@ def test_load_config_defaults_and_overrides(tmp_path):
     cfg = load_config(empty)
     assert (cfg.g, cfg.gp, cfg.R) == (3, 4, 2)
     assert cfg.jmode.is_nilpotent
-    assert (cfg.seed, cfg.samples, cfg.exact) == (42, 1000, True)
+    assert (cfg.seed, cfg.samples, cfg.exact) == (42, 100, True)
 
     full = tmp_path / "full.json"
     full.write_text(
@@ -237,8 +268,8 @@ def test_config_file_plus_flag_override(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("verify", "group", "--samples", "0"),
-        ("masses", "--samples", "-3"),
+        ("sweep", "--samples", "0"),
+        ("sweep", "--samples", "-3"),
         ("sweep", "--samples", "5"),
     ],
 )
@@ -246,6 +277,25 @@ def test_too_few_samples_is_a_usage_error(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert "samples" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "group"),
+        ("verify", "lagrangian"),
+        ("verify", "gauge"),
+        ("verify", "trace"),
+        ("verify", "all"),
+        ("masses",),
+        ("eom",),
+    ],
+)
+def test_unused_samples_flag_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--samples", "20")
+    assert code == 2
+    assert out == ""
+    assert "--samples" in err
 
 
 @pytest.mark.parametrize(
@@ -278,9 +328,7 @@ def test_engine_fault_exits_1(monkeypatch, capsys):
 
 
 def test_text_output_shows_each_check_duration(capsys):
-    code, out, _ = run_cli(
-        capsys, "verify", "group", "--samples", "2", "--format", "text"
-    )
+    code, out, _ = run_cli(capsys, "verify", "group", "--format", "text")
     assert code == 0
     lines = out.strip().splitlines()
     assert len(lines) == 4

@@ -419,21 +419,12 @@ def test_cartesian_u1_invariance():
 
 
 def test_trace_identity():
-    report = verify_trace_identity(50, seed=11)
+    """Every mode decides every group element at once, by the normal form."""
+    report = verify_trace_identity()
     assert report.passed
-    assert report.max_abs_error <= 1e-10
-
-
-def test_trace_exact_modes_take_no_draw(monkeypatch):
-    """j=1 and j=iota are decided by the normal form alone: with the dagger
-    dropped, their witnesses do not depend on samples or seed."""
-    monkeypatch.setattr(Mat2, "dagger", lambda self: self)
-    first, second = (
-        verify_trace_identity(samples, seed).witness.split("; ")[:2]
-        for samples, seed in ((1, 5), (7, 9))
-    )
-    assert first == second
-    assert [w.split(":")[0] for w in first] == ["j=1", "j=iota"]
+    assert report.decision_path == "exact-symbolic"
+    assert report.max_abs_error == 0.0
+    assert report.witness is None
 
 
 def test_trace_conjugation_by_identity_is_trivial():

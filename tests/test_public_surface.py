@@ -19,6 +19,9 @@ PACKAGE = ROOT / "src" / "ewverify"
 KEPT_FOR_TESTS = {
     "commutator": "acceptance criterion 01 checks the commutator table with it",
     "generator": "acceptance criterion 01 builds the generators with it",
+    "su2_element": "the concrete-entry reference for the form-invariance and "
+    "nilpotent-closure tests",
+    "max_abs_entry": "acceptance criterion 01's float bound on the commutator table",
     "float_config": "tests build float parameter points for the numeric oracle",
     "random_pythagorean_config": "acceptance criterion 11 draws exact points with it",
     "assignment_from_components": "tests plug explicit field values into eval_expression",
