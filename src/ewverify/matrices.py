@@ -139,19 +139,17 @@ def _lie(a1, a2, a3, j, one) -> Mat2:
 def su2_element(alpha, beta, mode: JMode) -> Mat2:
     """Group element [[alpha, j beta], [-j conj(beta), conj(alpha)]].
 
-    Validates the determinant condition |alpha|^2 + j^2 |beta|^2 = 1 in the
-    given mode (exactly in the rational modes, within 1e-12 numerically).
+    Exact modes only (j = 1 or j = iota): validates the determinant
+    condition |alpha|^2 + j^2 |beta|^2 = 1 exactly and raises
+    ``ValueError`` for a numeric mode.
     """
+    if mode.is_numeric:
+        raise ValueError("su2_element takes an exact mode, not a numeric j")
     alpha = ComplexRational.of(alpha)
     beta = ComplexRational.of(beta)
     det = CS.term(alpha.abs2()) + CS.term(beta.abs2(), 2)
     reduced = det.reduce(mode)
-    if mode.is_numeric:
-        if abs(reduced - 1.0) > 1e-12:
-            raise NotUnimodularError(
-                f"determinant condition fails: {reduced} != 1"
-            )
-    elif reduced != CS.one():
+    if reduced != CS.one():
         raise NotUnimodularError(f"determinant condition fails: {reduced!r} != 1")
     return _omega(CS.term(alpha), CS.term(beta), CS.j()).reduce(mode)
 

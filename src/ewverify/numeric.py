@@ -10,10 +10,18 @@ tolerance of ``REL_TOL`` = 1e-9 per j-grade.
 Summed index pairs expand over a 4-dimensional index range; contraction is
 plain pairing with no metric signs.  Conjugate field instances always
 receive the conjugate value of their partners.
+
+Each expression is compiled once per free-index binding into a plan: per
+term a base coefficient, per index combination a tuple of slots, and the
+slots' field instances in first-access order.  An evaluation draws each
+instance once in that order and then runs the products and the sum in
+term-by-term float order, so a lazy :class:`FieldSample` draws, and the
+result rounds, exactly as a walk over every combination would.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -103,6 +111,38 @@ def assignment_from_components(components: dict) -> _DictAssignment:
     return _DictAssignment(mapping)
 
 
+@functools.lru_cache(maxsize=64)
+def _plan(e: Expression, binding: tuple) -> tuple:
+    """Compile ``e`` with its free indices bound by ``binding``.
+
+    Returns ``(terms, keys)``: per term its base ``complex(coeff) *
+    sqrt(2)**r2``, its parameter monomial and, per summed-index
+    combination, a tuple of slots into ``keys``; ``keys`` holds each
+    distinct ``(field, indices, derivs, conj)`` once, in first-access order.
+    """
+    bound = dict(binding)
+    slots: dict = {}
+    terms = []
+    for t in e.terms:
+        counts = t.index_counts()
+        dummies = sorted(n for n, c in counts.items() if c == 2)
+        missing = [n for n, c in counts.items() if c == 1 and n not in bound]
+        if missing:
+            raise MissingAssignmentError(f"free index {missing[0]} has no value")
+        combos = []
+        for combo in itertools.product(range(DIMENSION), repeat=len(dummies)):
+            concrete = {**bound, **dict(zip(dummies, combo))}
+            combos.append(tuple(
+                slots.setdefault((f.field,
+                                  tuple(concrete[i] for i in f.indices),
+                                  tuple(concrete[i] for i in f.derivs),
+                                  f.conj), len(slots))
+                for f in t.factors
+            ))
+        terms.append((complex(t.coeff) * (SQRT2**t.r2), t.params, tuple(combos)))
+    return tuple(terms), tuple(slots)
+
+
 def eval_expression(
     e: Expression,
     assignment,
@@ -115,35 +155,29 @@ def eval_expression(
     assignment; ``free_values`` fixes any free indices to concrete values
     in ``range(4)``.  Callers that need one j-grade evaluate the parts of
     :func:`~ewverify.fields.j_decompose`.
+
+    The expression is compiled once per free-index binding into a plan,
+    kept in a bounded memo.  Each call looks up every distinct field
+    instance once, in first-access order, so a lazy :class:`FieldSample`
+    draws as a term-by-term walk would; the products and the sum then run
+    in the walk's float order, so the result is bit-identical to it.
     """
     if isinstance(assignment, dict):
         assignment = _DictAssignment(assignment)
     params = params or {}
-    free_values = free_values or {}
+    terms, keys = _plan(e, tuple(sorted((free_values or {}).items())))
+    value = assignment.value
+    values = [value(*key) for key in keys]
     total = 0j
-    for t in e.terms:
-        base = complex(t.coeff) * (SQRT2**t.r2)
-        for name, exp in t.params:
+    for base, monomial, combos in terms:
+        for name, exp in monomial:
             if name not in params:
                 raise MissingAssignmentError(f"no value for parameter {name}")
             base *= float(params[name]) ** exp
-        counts = t.index_counts()
-        dummies = sorted(n for n, c in counts.items() if c == 2)
-        frees = [n for n, c in counts.items() if c == 1]
-        missing = [n for n in frees if n not in free_values]
-        if missing:
-            raise MissingAssignmentError(f"free index {missing[0]} has no value")
-        for combo in itertools.product(range(DIMENSION), repeat=len(dummies)):
-            concrete = dict(free_values)
-            concrete.update(zip(dummies, combo))
+        for slots in combos:
             prod = base
-            for f in t.factors:
-                prod *= assignment.value(
-                    f.field,
-                    tuple(concrete[i] for i in f.indices),
-                    tuple(concrete[i] for i in f.derivs),
-                    f.conj,
-                )
+            for s in slots:
+                prod *= values[s]
             total += prod
     return total
 

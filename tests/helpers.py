@@ -1,13 +1,16 @@
 """Shared test utilities: random canonical expressions for round-trip and
-normalization property tests, and exact points of the group SU(2;j)."""
+normalization property tests, exact points of the group SU(2;j), and the
+term-by-term reference evaluator of the numeric oracle."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
-from ewverify import ComplexRational, Expression
+from ewverify import ComplexRational, Expression, MissingAssignmentError
 from ewverify.fields import FieldFactor, Term
+from ewverify.numeric import DIMENSION, SQRT2, _DictAssignment
 
 VECTOR_FIELDS = ("A1", "A2", "A3", "B", "W1", "W2", "W3", "Z", "Aem", "Wp", "Wm")
 SCALAR_FIELDS = ("rho", "omega", "eps1", "eps2", "eps3", "phi1", "phi2")
@@ -105,3 +108,39 @@ def exact_group_point(rng: random.Random, mode) -> tuple[ComplexRational, Comple
     c, s = rational_circle_point(rng)
     return (ComplexRational(c) * random_unit_complex(rng),
             ComplexRational(s) * random_unit_complex(rng))
+
+
+def reference_eval(e: Expression, assignment, params=None, free_values=None) -> complex:
+    """Term-by-term evaluation of ``e``: per index combination a fresh index
+    binding and one ``assignment.value`` call per factor.  The reference that
+    ``eval_expression`` must match bit for bit."""
+    if isinstance(assignment, dict):
+        assignment = _DictAssignment(assignment)
+    params = params or {}
+    free_values = free_values or {}
+    total = 0j
+    for t in e.terms:
+        base = complex(t.coeff) * (SQRT2**t.r2)
+        for name, exp in t.params:
+            if name not in params:
+                raise MissingAssignmentError(f"no value for parameter {name}")
+            base *= float(params[name]) ** exp
+        counts = t.index_counts()
+        dummies = sorted(n for n, c in counts.items() if c == 2)
+        frees = [n for n, c in counts.items() if c == 1]
+        missing = [n for n in frees if n not in free_values]
+        if missing:
+            raise MissingAssignmentError(f"free index {missing[0]} has no value")
+        for combo in itertools.product(range(DIMENSION), repeat=len(dummies)):
+            concrete = dict(free_values)
+            concrete.update(zip(dummies, combo))
+            prod = base
+            for f in t.factors:
+                prod *= assignment.value(
+                    f.field,
+                    tuple(concrete[i] for i in f.indices),
+                    tuple(concrete[i] for i in f.derivs),
+                    f.conj,
+                )
+            total += prod
+    return total

@@ -119,6 +119,13 @@ def test_su2_element_validation():
         su2_element(CR(2), CR(0), J_ONE)
 
 
+def test_su2_element_rejects_a_numeric_mode():
+    # (1, 0) is unimodular at every j; the mode alone is refused
+    with pytest.raises(ValueError, match="exact mode") as info:
+        su2_element(CR(1), CR(0), NUMERIC)
+    assert not isinstance(info.value, NotUnimodularError)
+
+
 def test_identity_element():
     assert su2_element(CR(1), CR(0), J_ONE) == Mat2.identity()
     ident = Mat2.identity()

@@ -9,13 +9,16 @@ from ewverify import (
     FieldSample,
     MissingAssignmentError,
     assignment_from_components,
+    build_L27,
     equals,
     eval_expression,
+    j_decompose,
     parse,
 )
-from ewverify.numeric import REL_TOL
+from ewverify.model import float_config
+from ewverify.numeric import DIMENSION, REL_TOL
 
-from helpers import random_expression
+from helpers import random_expression, reference_eval
 
 SEED = 20210  # oracle seed for the equality tests
 
@@ -37,6 +40,26 @@ def test_eval_requires_full_assignment():
         eval_expression(e, assignment)
     with pytest.raises(MissingAssignmentError):
         eval_expression(parse("g rho"), FieldSample(0))
+
+
+def test_missing_assignment_survives_the_plan_memo():
+    """A memoized plan must not skip the parameter or free-index check."""
+    e = parse("g rho + rho rho")
+    for _ in range(2):
+        with pytest.raises(MissingAssignmentError, match="parameter g"):
+            eval_expression(e, FieldSample(0))
+    assert eval_expression(e, FieldSample(0), {"g": 1.5}) != 0j
+    with pytest.raises(MissingAssignmentError, match="parameter g"):
+        eval_expression(e, FieldSample(0))
+
+    e = parse("B[mu] rho")
+    for _ in range(2):
+        with pytest.raises(MissingAssignmentError, match="free index mu"):
+            eval_expression(e, FieldSample(0))
+    assert eval_expression(e, FieldSample(0), free_values={"mu": 2}) != 0j
+    for binding in ({}, {"nu": 2}):
+        with pytest.raises(MissingAssignmentError, match="free index mu"):
+            eval_expression(e, FieldSample(0), free_values=binding)
 
 
 def test_eval_free_indices():
@@ -101,3 +124,34 @@ def test_equals_policy_tolerance():
     strict = equals(a, b, SEED)
     assert not strict.equal
     assert strict.max_rel_error > REL_TOL
+
+
+def _assert_matches_reference(exprs, seed, params=None, free_values=None):
+    """Evaluate ``exprs`` in order on one shared sample, twice (plan compiled,
+    then memoized), against the reference on a sample of the same seed: the
+    values and the sample's draw order must be identical."""
+    ref_sample = FieldSample(seed)
+    want = [reference_eval(e, ref_sample, params, free_values) for e in exprs]
+    for _ in range(2):
+        sample = FieldSample(seed)
+        got = [eval_expression(e, sample, params, free_values) for e in exprs]
+        assert got == want
+        assert list(sample._values.items()) == list(ref_sample._values.items())
+
+
+def test_eval_matches_reference_on_random_expressions(rng):
+    params = {"g": 1.3, "gp": 0.7, "R": 2.1}
+    for _ in range(200):
+        e = random_expression(rng)
+        free_values = {n: rng.randrange(DIMENSION) for n in sorted(e.free_indices())}
+        _assert_matches_reference([e], rng.randrange(2**32), params, free_values)
+
+
+def test_eval_matches_reference_on_the_lagrangian_parts():
+    parts = j_decompose(build_L27(float_config(1.3, 0.7, 2.1)))
+    exprs = [parts[0], parts[2], parts[4]]  # base, fiber, quartic
+    for seed in range(5):
+        for e in exprs:
+            _assert_matches_reference([e], seed)
+        # one sample shared across the three parts, as the sweep draws it
+        _assert_matches_reference(exprs, seed)
