@@ -16,6 +16,7 @@ equality of normalized expressions is equality up to dummy relabeling.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass
@@ -102,7 +103,7 @@ DUMMY_NAMES = ("mu", "nu", "al", "be", "ga", "de", "ze", "et", "ka", "la", "si",
 HOLE = "_"  # placeholder index in substitution rules
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FieldFactor:
     field: str
     indices: tuple[str, ...] = ()
@@ -146,7 +147,7 @@ class FieldFactor:
         return itertools.chain(self.indices, self.derivs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Term:
     coeff: ComplexRational
     jdeg: int = 0
@@ -178,13 +179,16 @@ def _fold_params(params) -> tuple[tuple[str, int], ...]:
     return tuple(sorted((n, e) for n, e in acc.items() if e))
 
 
+@functools.lru_cache(maxsize=512)
 def _canonical_factors(factors: tuple[FieldFactor, ...]) -> tuple[FieldFactor, ...]:
     """Sort the factor multiset and relabel summed indices canonically.
 
     The canonical form is the lexicographic minimum over every bijection
     from the term's summed indices to the canonical alphabet, which makes
     structural equality complete for relabeling symmetry.  Terms here stay
-    small (a handful of summed indices), so the factorial sweep is cheap.
+    small (at most two summed indices in the model's Lagrangians), so the
+    factorial sweep is cheap; the memo saves the per-call cost on the factor
+    tuples that recur, and a raised error is not kept.
     """
     counts: Counter = Counter()
     for f in factors:
@@ -217,7 +221,7 @@ def _canonical_factors(factors: tuple[FieldFactor, ...]) -> tuple[FieldFactor, .
 class Expression:
     """Canonical sum of terms; immutable, structural equality is semantic."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_hash")
 
     def __init__(self, terms: tuple[Term, ...] = ()):
         object.__setattr__(self, "terms", terms)
@@ -347,7 +351,12 @@ class Expression:
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash(self.terms)
+        try:
+            return self._hash
+        except AttributeError:  # computed on first use, then kept
+            h = hash(self.terms)
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def conjugate(self) -> "Expression":
         return conjugate(self)

@@ -18,6 +18,7 @@ normal form on the group.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -60,6 +61,12 @@ def exact_sqrt(value: Fraction) -> Fraction | None:
     return None
 
 
+def _s_value(g: Fraction, gp: Fraction) -> Fraction:
+    s2 = g**2 + gp**2
+    s = exact_sqrt(s2)
+    return s if s is not None else Fraction(math.sqrt(float(s2)))
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     g: Fraction = Fraction(3)
@@ -84,10 +91,7 @@ class ModelConfig:
 
     def s_value(self) -> Fraction:
         """sqrt(g^2 + gp^2), float-rounded if irrational (never in exact mode)."""
-        s = exact_sqrt(self.g**2 + self.gp**2)
-        if s is not None:
-            return s
-        return Fraction(math.sqrt(float(self.g**2 + self.gp**2)))
+        return _s_value(self.g, self.gp)
 
     def e_charge(self) -> Fraction:
         return self.g * self.gp / self.s_value()
@@ -241,8 +245,14 @@ def build_L27(cfg: ModelConfig) -> Expression:
     """Graded Lagrangian L_base + j^2 L_fiber + j^4 L_quartic, assembled from
     the closed-form pieces (curls, the charged-pair tensor H, and the P/S
     mixing polynomials), with couplings instantiated at cfg."""
-    g, gp = cfg.g, cfg.gp
-    s = cfg.s_value()
+    return _build_L27(cfg.g, cfg.gp)
+
+
+@functools.lru_cache(maxsize=4)
+def _build_L27(g: Fraction, gp: Fraction) -> Expression:
+    """build_L27 at (g, gp), built once per pair: nothing else of the
+    config enters it."""
+    s = _s_value(g, gp)
     s2 = g * g + gp * gp
     i_ = imag()
 
@@ -486,12 +496,16 @@ def su2_variation_rules() -> dict[str, Expression]:
     }
 
 
+@functools.lru_cache(maxsize=1)
+def _su2_delta() -> Expression:
+    """delta(L_gauge + L_matter), graded by j and the same for every mode."""
+    return first_order_variation(build_LA() + build_Lphi(), su2_variation_rules())
+
+
 @timed
 def check_su2_invariance(mode: JMode) -> VerificationReport:
     """delta(L_gauge + L_matter) = 0 in the given mode, fully symbolically."""
-    lagrangian = build_LA() + build_Lphi()
-    delta = first_order_variation(lagrangian, su2_variation_rules())
-    reduced = reduce_mode(delta, mode)
+    reduced = reduce_mode(_su2_delta(), mode)
     failures = [] if reduced.is_zero() else [str(reduced)[:200]]
     return verdict("su2-invariance", mode.label(), failures)
 

@@ -2,6 +2,22 @@ import random
 
 import pytest
 
+from ewverify import fields, model
+
+# Process-wide memos of deterministic symbolic work.  A test that patches a
+# function they call must not see, or leave behind, a result built without
+# (or with) its patch.
+MEMOS = (fields._canonical_factors, model._build_L27, model._su2_delta)
+
+
+@pytest.fixture(autouse=True)
+def fresh_memos():
+    for memo in MEMOS:
+        memo.cache_clear()
+    yield
+    for memo in MEMOS:
+        memo.cache_clear()
+
 
 @pytest.fixture
 def rng():

@@ -25,7 +25,7 @@ def _random_coeff(rng: random.Random) -> ComplexRational:
     return ComplexRational(re, im)
 
 
-def _random_term(rng: random.Random, scalar: bool) -> Term:
+def random_term(rng: random.Random, scalar: bool) -> Term:
     """One random term with a valid index pattern.
 
     ``scalar`` pairs every index slot; otherwise leftover slots become free
@@ -79,9 +79,9 @@ def _random_term(rng: random.Random, scalar: bool) -> Term:
 def random_expression(rng: random.Random) -> Expression:
     """Random normalized expression; mostly scalars, some free-index one-liners."""
     if rng.random() < 0.3:
-        return Expression.build([_random_term(rng, scalar=False)])
+        return Expression.build([random_term(rng, scalar=False)])
     nterms = rng.randint(1, 4)
-    return Expression.build([_random_term(rng, scalar=True) for _ in range(nterms)])
+    return Expression.build([random_term(rng, scalar=True) for _ in range(nterms)])
 
 
 def rational_circle_point(rng: random.Random) -> tuple[Fraction, Fraction]:

@@ -28,6 +28,7 @@ from ewverify import (
 from ewverify.fields import (
     FieldFactor,
     UnknownFieldError,
+    _canonical_factors,
     euler_lagrange,
     first_order_variation,
     group_normal_form,
@@ -35,7 +36,7 @@ from ewverify.fields import (
     inv_sqrt2,
 )
 
-from helpers import exact_group_point, random_expression
+from helpers import exact_group_point, random_expression, random_term
 
 
 def test_like_terms_merge():
@@ -75,14 +76,25 @@ def test_index_rule_enforced():
         ComplexRational(1),
         factors=tuple(FieldFactor("A1", ("mu",)) for _ in range(3)),
     )
-    with pytest.raises(IndexConflictError):
-        Expression.build([triple])
+    for _ in range(2):  # the canonical-form memo keeps no error
+        with pytest.raises(IndexConflictError, match="more than twice: mu"):
+            Expression.build([triple])
+    assert _canonical_factors.cache_info().currsize == 0
     with pytest.raises(ArityError):
         FieldFactor("rho", ("mu",))
     with pytest.raises(ArityError):
         FieldFactor("B", ())
     with pytest.raises(UnknownFieldError):
         field("nosuch", "mu")
+
+
+def test_canonical_memo_matches_the_unmemoized_form(rng):
+    for _ in range(500):
+        raw = random_term(rng, scalar=rng.random() < 0.7).factors
+        for factors in (raw, raw[::-1], random_expression(rng).terms[0].factors):
+            canonical = _canonical_factors(factors)
+            assert canonical == _canonical_factors.__wrapped__(factors)
+            assert _canonical_factors(factors) is canonical
 
 
 def test_products_contract_rather_than_collide():

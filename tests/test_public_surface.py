@@ -75,19 +75,23 @@ import importlib
 from tracer import CHECKS, HOOKS, Tracer
 
 tracer = Tracer().install()
-for name in list(HOOKS) + list(CHECKS):
+wrappers = set(tracer.wrapped.values())
+# model.build_L27 backs the model.build_L27.calls and .s metrics
+for name in list(HOOKS) + list(CHECKS) + ["model.build_L27", "limits.build_L27"]:
     module, *attrs = name.split(".")
     obj = importlib.import_module("ewverify." + module)
     for attr in attrs:
         obj = getattr(obj, attr)
-    assert hasattr(obj, "__wrapped__"), name + " is not wrapped"
+    assert getattr(obj, "__func__", obj) in wrappers, name + " is not wrapped"
 tracer.uninstall()
 """
 
 
 def test_benchmark_tracer_installs_and_uninstalls():
-    """The tracer wraps ContractionScalar, Mat2, numeric.equals and each
-    check by name; removing one from src/ must fail here."""
+    """The tracer wraps ContractionScalar, Mat2, numeric.equals, build_L27
+    and each check by name; removing one from src/, or hiding it from the
+    tracer (which wraps plain functions only, not an ``lru_cache``), must
+    fail here."""
     result = subprocess.run(
         [sys.executable, "-c", TRACER_SCRIPT, str(ROOT / "perfbench"), str(ROOT / "src")],
         capture_output=True, text=True, cwd=ROOT, timeout=120,
