@@ -2,7 +2,7 @@
 
 An :class:`Expression` is a canonical sum of :class:`Term` objects.  Each
 term carries an exact complex-rational coefficient, a j-degree (the
-contraction grading), a monomial in the coupling parameters {g, gp, R}, an
+contraction grading), a monomial in the parameters {g, gp, R, s}, an
 optional factor sqrt(2) (exponent 0 or 1; pairs fold into the coefficient),
 and a commuting multiset of field factors.  A field factor is a field
 symbol with its Lorentz indices, outer-derivative tags, and a conjugation
@@ -96,7 +96,7 @@ for _s in ("rho", "omega", "eps1", "eps2", "eps3"):
 for _s in ("phi1", "phi2", "alpha", "beta", "alpha2", "beta2"):
     declare_field(_s, 0, real=False)
 
-PARAM_NAMES = ("g", "gp", "R")
+PARAM_NAMES = ("g", "gp", "R", "s")
 
 # Canonical names handed to summed indices, skipping any that are free.
 DUMMY_NAMES = ("mu", "nu", "al", "be", "ga", "de", "ze", "et", "ka", "la", "si", "ta")
@@ -180,8 +180,9 @@ def _fold_params(params) -> tuple[tuple[str, int], ...]:
 
 
 @functools.lru_cache(maxsize=512)
-def _canonical_factors(factors: tuple[FieldFactor, ...]) -> tuple[FieldFactor, ...]:
-    """Sort the factor multiset and relabel summed indices canonically.
+def _canonical_factors(factors: tuple[FieldFactor, ...]) -> tuple:
+    """Sort the factor multiset and relabel summed indices canonically;
+    returns the canonical factors and the term's free indices.
 
     The canonical form is the lexicographic minimum over every bijection
     from the term's summed indices to the canonical alphabet, which makes
@@ -196,10 +197,10 @@ def _canonical_factors(factors: tuple[FieldFactor, ...]) -> tuple[FieldFactor, .
     over = [n for n, c in counts.items() if c > 2]
     if over:
         raise IndexConflictError(f"index used more than twice: {over[0]}")
-    free = {n for n, c in counts.items() if c == 1}
+    free = frozenset(n for n, c in counts.items() if c == 1)
     dummies = sorted(n for n, c in counts.items() if c == 2)
     if not dummies:
-        return tuple(sorted(factors, key=FieldFactor.sort_key))
+        return tuple(sorted(factors, key=FieldFactor.sort_key)), free
     if len(dummies) > 7:
         raise IndexConflictError("too many summed indices in one term")
     pool = [n for n in DUMMY_NAMES if n not in free]
@@ -215,7 +216,7 @@ def _canonical_factors(factors: tuple[FieldFactor, ...]) -> tuple[FieldFactor, .
         key = tuple(f.sort_key() for f in renamed)
         if best_key is None or key < best_key:
             best_key, best = key, renamed
-    return best
+    return best, free
 
 
 class Expression:
@@ -249,26 +250,24 @@ class Expression:
             if r2 >= 2:  # sqrt(2)^2 = 2 folds into the coefficient
                 coeff = coeff * ComplexRational(2 ** (r2 // 2))
                 r2 %= 2
-            factors = _canonical_factors(
+            factors, free = _canonical_factors(
                 tuple(f.canonical_conj() for f in t.factors)
             )
             term = Term(coeff, t.jdeg, _fold_params(t.params), r2, factors)
             k = term.key()
             prev = merged.get(k)
             if prev is not None:
-                term = Term(prev.coeff + coeff, term.jdeg, term.params,
+                term = Term(prev[0].coeff + coeff, term.jdeg, term.params,
                             term.r2, term.factors)
-            merged[k] = term
-        out = tuple(
-            sorted((t for t in merged.values() if not t.coeff.is_zero()),
-                   key=Term.key)
-        )
-        frees = {t.free_indices() for t in out}
+            merged[k] = term, free
+        # the keys are distinct, so sorting the items orders the terms by key
+        live = [tf for _, tf in sorted(merged.items()) if not tf[0].coeff.is_zero()]
+        frees = {free for _, free in live}
         if len(frees) > 1:
             raise IndexConflictError(
                 f"terms carry different free indices: {sorted(map(sorted, frees))}"
             )
-        return cls(out)
+        return cls(tuple(t for t, _ in live))
 
     # --- queries ----------------------------------------------------------
 
@@ -329,11 +328,11 @@ class Expression:
 
     def __mul__(self, other) -> "Expression":
         o = self._coerce(other)
+        right = [self._refresh_dummies(tb, "R") for tb in o.terms]
         raw = []
         for ta in self.terms:
             ta = self._refresh_dummies(ta, "L")
-            for tb in o.terms:
-                tb = self._refresh_dummies(tb, "R")
+            for tb in right:
                 raw.append(Term(
                     ta.coeff * tb.coeff,
                     ta.jdeg + tb.jdeg,

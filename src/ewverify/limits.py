@@ -70,6 +70,7 @@ def scaling_sweep(
     fiber = parts.get(2, Expression.zero())
     quartic = parts.get(4, Expression.zero())
 
+    params = {"s": float(cfg.s_value())}
     rng = random.Random(seed)
     ratio_f_sum = 0.0
     ratio_h_sum = 0.0
@@ -77,14 +78,14 @@ def scaling_sweep(
     collected = 0
     while collected < samples:
         sample = FieldSample(rng.randrange(2**32))
-        vb = abs(eval_expression(base, sample))
+        vb = abs(eval_expression(base, sample, params))
         if vb < 1e-12:
             redraws += 1
             if redraws > 1000:
                 raise DegenerateSampleError("base Lagrangian keeps vanishing")
             continue
-        ratio_f_sum += abs(eval_expression(fiber, sample)) / vb
-        ratio_h_sum += abs(eval_expression(quartic, sample)) / vb
+        ratio_f_sum += abs(eval_expression(fiber, sample, params)) / vb
+        ratio_h_sum += abs(eval_expression(quartic, sample, params)) / vb
         collected += 1
     mean_f = ratio_f_sum / samples
     mean_h = ratio_h_sum / samples

@@ -1,11 +1,11 @@
 """Randomized numeric evaluation of field expressions.
 
-Two normalized expressions that differ must disagree on random field values
-(the polynomial identity-testing argument), so evaluating both sides on a
-handful of random assignments is a sound oracle for identities the
-canonical form cannot settle, e.g. after float parameter instantiation.
-The oracle is fixed at ``TRIALS`` = 20 seeded trials and a relative
-tolerance of ``REL_TOL`` = 1e-9 per j-grade.
+The scaling sweep evaluates the Lagrangian's j-grade parts on random field
+values.  No check decides an identity here any more: the canonical form
+settles them all, with s = sqrt(g^2+gp^2) carried as a symbol where it is
+irrational.  The equality oracle :func:`equals` (``TRIALS`` = 20 seeded
+trials, relative tolerance ``REL_TOL`` = 1e-9 per j-grade) stays only
+because the benchmark's tracer hooks it by name.
 
 Summed index pairs expand over a 4-dimensional index range; contraction is
 plain pairing with no metric signs.  Conjugate field instances always

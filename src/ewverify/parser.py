@@ -3,7 +3,7 @@
     expr       := ['+'|'-'] term (('+'|'-') term)*
     term       := factor factor ...          (juxtaposition is multiplication)
     factor     := atom ['^' INT]
-    atom       := NUMBER | 'i' | 'j' | 'sqrt2' | 'g' | 'gp' | 'R'
+    atom       := NUMBER | 'i' | 'j' | 'sqrt2' | 'g' | 'gp' | 'R' | 's'
                 | derivfield | 'conj' '(' derivfield ')'
     derivfield := ('d' '[' INDEX ']')* NAME ['[' INDEX (',' INDEX)* ']']
     NUMBER     := INT ['/' INT]
@@ -33,9 +33,6 @@ __all__ = ["ParseError", "parse", "to_text"]
 
 _DISPLAY_TO_NAME = {d.shown: d.name for d in FIELDS.values()}
 _DISPLAY_TO_NAME.update({d.name: d.name for d in FIELDS.values()})
-
-_KEYWORDS = {"i", "j", "sqrt2", "conj", "d"} | set(PARAM_NAMES)
-
 
 class ParseError(ValueError):
     """Syntax error with the offending position."""

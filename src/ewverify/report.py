@@ -4,7 +4,6 @@ and the timing wrapper that stamps their duration."""
 from __future__ import annotations
 
 import functools
-import math
 import time
 from dataclasses import dataclass, replace
 
@@ -13,15 +12,14 @@ from dataclasses import dataclass, replace
 class VerificationReport:
     """Outcome of one named check.
 
-    ``max_abs_error`` is 0.0 for exact passes and the worst observed float
-    deviation on the numeric path; -1.0 marks an exact-arithmetic mismatch
-    (no meaningful magnitude).
+    Every check decides in exact arithmetic: ``max_abs_error`` is 0.0 for
+    a pass, and -1.0 marks a mismatch (no meaningful magnitude).
     """
 
     check_name: str
     mode: str
     status: str  # "pass" | "fail"
-    decision_path: str  # "exact-symbolic" | "numeric-oracle"
+    decision_path: str  # "exact-symbolic"
     max_abs_error: float
     witness: str | None = None
     duration_ms: int = 0
@@ -44,37 +42,28 @@ class VerificationReport:
 
     def line(self) -> str:
         mark = "PASS" if self.passed else "FAIL"
-        err = f" max_err={self.max_abs_error:.3g}" if self.max_abs_error > 0 else ""
         wit = f" [{self.witness}]" if (self.witness and not self.passed) else ""
         return (
             f"[{mark}] {self.check_name} ({self.mode}) via {self.decision_path}"
-            f"{err} in {self.duration_ms} ms{wit}"
+            f" in {self.duration_ms} ms{wit}"
         )
 
 
 def verdict(
-    check_name: str,
-    mode: str,
-    failures,
-    decision_path: str = "exact-symbolic",
-    error: float | None = None,
-    witness: str | None = None,
+    check_name: str, mode: str, failures, witness: str | None = None
 ) -> VerificationReport:
     """Build a check's report: it passes exactly when ``failures`` is empty.
 
-    ``error`` defaults to 0.0 on a pass and to an exact mismatch on a fail;
-    an ``inf`` error is an exact mismatch and is written as -1.0.  A failing
-    report's witness joins the failures; a passing one keeps ``witness``.
+    A pass reports error 0.0 and keeps ``witness``; a fail reports the
+    exact-mismatch marker -1.0 and joins the failures as its witness.
     """
     passed = not failures
-    if error is None:
-        error = 0.0 if passed else math.inf
     return VerificationReport(
         check_name=check_name,
         mode=mode,
         status="pass" if passed else "fail",
-        decision_path=decision_path,
-        max_abs_error=-1.0 if error == math.inf else error,
+        decision_path="exact-symbolic",
+        max_abs_error=0.0 if passed else -1.0,
         witness=witness if passed else "; ".join(failures),
     )
 

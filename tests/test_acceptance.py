@@ -105,8 +105,8 @@ def test_criterion_04_grading_identity():
             rng.uniform(0.2, 2.5), rng.uniform(0.2, 2.5), seed=1000 + k
         )
         report = verify_grading(cfg)
-        assert report.passed
-        assert report.max_abs_error <= 1e-9
+        assert report.passed and report.decision_path == "exact-symbolic"
+        assert report.max_abs_error == 0.0
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
     announce(4, f"grading identity, 3 exact + 10 float points ({elapsed:.2f}s)")

@@ -152,14 +152,18 @@ def test_verify_all_is_deterministic(tmp_path, capsys):
 # other byte changed.  The first was re-pinned again when j=0.001 came to be
 # decided by the normal form too: group-axioms (j=0.001) and trace-identity
 # (all) changed from "numeric-oracle" with a float error to
-# "exact-symbolic" with 0.0, and no other byte changed.
+# "exact-symbolic" with 0.0, and no other byte changed.  The third was
+# re-pinned when s = sqrt(g^2+gp^2) came to be carried exactly at float
+# points: grading-identity and matter-radial-identity changed from
+# "numeric-oracle" with a float error to "exact-symbolic" with 0.0, and no
+# other byte changed.
 PINNED_JSON = [
     (("verify", "all", "--seed", "42"),
      "b03d36e52dc651ddb8c66e0b8cfb1aa2b8619581b45fa40b8fa908d8de51b1c7"),
     (("verify", "group", "--j", "iota", "--seed", "7"),
      "ce26d6bdf4b57d75e5988f68fa912f1da4fdc2853a9ecc5066af1216fefbe84b"),
     (("verify", "lagrangian", "--no-exact", "--g", "1.3", "--gp", "0.7"),
-     "7f0fce0134491b2e6f781ef23f669279afd79f074ddcc275d7eef97cb6090d9b"),
+     "4f897d25379f50dd7c39ff76094fd4f1fb2d8bdc647d05f6e8164cc63758dac2"),
     (("masses", "--g", "5", "--gp", "12", "--R", "3"),
      "2239af46cdc131469d76c9b7e7a68521ae08124f5ed925482d70c461ede993f8"),
     (("eom", "--no-exact", "--g", "1.3", "--gp", "0.7"),

@@ -80,6 +80,12 @@ def test_index_rule_enforced():
         with pytest.raises(IndexConflictError, match="more than twice: mu"):
             Expression.build([triple])
     assert _canonical_factors.cache_info().currsize == 0
+    a_mu, b_nu = field("A1", "mu").terms[0], field("B", "nu").terms[0]
+    with pytest.raises(IndexConflictError, match="different free indices"):
+        Expression.build([a_mu, b_nu])
+    # a term that cancels to zero carries no free indices into the check
+    minus_b_nu = Term(-b_nu.coeff, factors=b_nu.factors)
+    assert Expression.build([a_mu, b_nu, minus_b_nu]) == field("A1", "mu")
     with pytest.raises(ArityError):
         FieldFactor("rho", ("mu",))
     with pytest.raises(ArityError):

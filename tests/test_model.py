@@ -275,8 +275,8 @@ def test_grading_identity_float_points():
         cfg = float_config(rng.uniform(0.3, 2.0), rng.uniform(0.3, 2.0),
                            seed=rng.randrange(1000))
         report = verify_grading(cfg)
-        assert report.passed
-        assert report.max_abs_error <= 1e-9
+        assert report.passed and report.decision_path == "exact-symbolic"
+        assert report.max_abs_error == 0.0
 
 
 def test_transformed_lagrangian_grades():

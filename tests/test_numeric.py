@@ -136,10 +136,12 @@ def test_eval_matches_reference_on_random_expressions(rng):
 
 
 def test_eval_matches_reference_on_the_lagrangian_parts():
-    parts = j_decompose(build_L27(float_config(1.3, 0.7, 2.1)))
+    cfg = float_config(1.3, 0.7, 2.1)
+    parts = j_decompose(build_L27(cfg))
     exprs = [parts[0], parts[2], parts[4]]  # base, fiber, quartic
+    params = {"s": float(cfg.s_value())}  # the irrational s stays a symbol
     for seed in range(5):
         for e in exprs:
-            _assert_matches_reference([e], seed)
+            _assert_matches_reference([e], seed, params)
         # one sample shared across the three parts, as the sweep draws it
-        _assert_matches_reference(exprs, seed)
+        _assert_matches_reference(exprs, seed, params)

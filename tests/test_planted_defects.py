@@ -2,8 +2,8 @@
 
 Each test swaps a module attribute that the check looks up at call time, so
 the defect reaches the check and the CLI suite that runs it.  The reports
-pin the failing output: status, the -1.0 exact-mismatch marker or the float
-error of the numeric oracle, the witness text, and exit code 1.
+pin the failing output: status, the -1.0 exact-mismatch marker, the witness
+text, and exit code 1.
 """
 
 import dataclasses
@@ -117,16 +117,21 @@ def test_grading_fails_without_the_quartic_weight(monkeypatch, capsys):
     monkeypatch.setattr(
         model, "jpow", lambda power=1: jpow(0) if power == 4 else jpow(power)
     )
-    report = verify_grading(CFG)
-    assert report.status == "fail"
-    assert report.check_name == "grading-identity"
-    assert report.decision_path == "exact-symbolic"
-    assert report.max_abs_error == -1.0
-    assert report.witness == (
-        "-9/2 W-[mu]^2 W+[nu]^2 + 9/2 W-[mu] W-[nu] W+[mu] W+[nu]"
-        " + 9/2 j^4 W-[mu]^2 W+[nu]^2 - 9/2 j^4 W-[mu] W-[nu] W+[mu] W+[nu]"
-    )
+    # the missing quartic is g^2/2 times the same W pair structure; at the
+    # float point s = sqrt(2.18) is irrational and still decided exactly
+    float_point = ModelConfig(g=Fraction(13, 10), gp=Fraction(7, 10), exact=False)
+    for cfg, c in ((CFG, "9/2"), (float_point, "169/200")):
+        report = verify_grading(cfg)
+        assert report.status == "fail"
+        assert report.check_name == "grading-identity"
+        assert report.decision_path == "exact-symbolic"
+        assert report.max_abs_error == -1.0
+        assert report.witness == (
+            f"-{c} W-[mu]^2 W+[nu]^2 + {c} W-[mu] W-[nu] W+[mu] W+[nu]"
+            f" + {c} j^4 W-[mu]^2 W+[nu]^2 - {c} j^4 W-[mu] W-[nu] W+[mu] W+[nu]"
+        )
     assert_exit_1(capsys, "verify", "lagrangian")
+    assert_exit_1(capsys, "verify", "lagrangian", "--no-exact", "--g", "1.3", "--gp", "0.7")
 
 
 def test_matter_radial_fails_with_a_wrong_charged_weight(monkeypatch, capsys):

@@ -30,6 +30,8 @@ KEPT_FOR_TESTS = {
     "parse": "the text grammar the README documents",
     "load_config": "tests read a config file alone with it; the CLI merges "
     "the file's values with the flags before building one ModelConfig",
+    "equals": "no check calls it; perfbench's tracer hooks it by name and its "
+    "test looks up model.equals, so it goes with the next benchmark change",
 }
 
 
