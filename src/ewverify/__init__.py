@@ -44,9 +44,6 @@ from .limits import (
 from .matrices import (
     Mat2,
     NotUnimodularError,
-    commutator,
-    generator,
-    lie_element,
     su2_element,
     verify_group,
 )

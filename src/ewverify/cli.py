@@ -35,8 +35,18 @@ CONFIG_KEYS = ("g", "gp", "R", "jmode", "seed", "samples", "exact")
 
 SWEEP_JS = (1e-1, 10**-1.5, 1e-2, 10**-2.5, 1e-3)
 
-# commands whose checks take no contraction mode, so --j would be ignored
-IGNORES_J = ("verify lagrangian", "verify trace", "eom", "sweep")
+# the flags each command never reads; passing one is a usage error
+_COUPLING_FLAGS = ("g", "gp", "R", "exact")
+IGNORED_FLAGS = {
+    "verify group": _COUPLING_FLAGS + ("samples",),
+    "verify lagrangian": ("j", "samples"),
+    "verify gauge": ("samples",),
+    "verify trace": ("j",) + _COUPLING_FLAGS + ("samples",),
+    "verify all": ("samples",),
+    "masses": ("samples",),
+    "eom": ("j", "samples"),
+    "sweep": ("j",),
+}
 
 
 class ConfigError(ValueError):
@@ -44,6 +54,8 @@ class ConfigError(ValueError):
 
 
 def _as_fraction(value, key: str) -> Fraction:
+    if isinstance(value, bool):  # JSON true is not the number 1
+        raise ConfigError(f"invalid value for {key!r}: {value!r}")
     try:
         return Fraction(value)
     except (ValueError, TypeError, ZeroDivisionError, OverflowError):
@@ -223,8 +235,10 @@ def run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _reject_ignored_flags(args)
         cfg, mode = _config_from_args(args)
-        _check_usage(args, cfg)
+        if args.command == "sweep" and cfg.samples < 10:
+            raise ConfigError("sweep needs samples >= 10")
         return _dispatch(args, cfg, mode)
     except (ConfigError, OSError) as exc:
         print(f"ewverify: {exc}", file=sys.stderr)
@@ -235,17 +249,16 @@ def run(argv) -> int:
         return 1
 
 
-def _check_usage(args, cfg: ModelConfig) -> None:
-    """Reject flags the command cannot honour before any check runs."""
+def _reject_ignored_flags(args) -> None:
+    """Reject flags the command cannot honour, before the config is built."""
     command = f"verify {args.suite}" if args.command == "verify" else args.command
     if args.format == "csv" and args.command != "sweep":
         raise ConfigError("csv output is only available for the sweep command")
-    if args.j is not None and command in IGNORES_J:
-        raise ConfigError(f"--j is not used by {command}")
-    if args.samples is not None and command != "sweep":
-        raise ConfigError(f"--samples is not used by {command}")
-    if command == "sweep" and cfg.samples < 10:
-        raise ConfigError("sweep needs samples >= 10")
+    for flag in IGNORED_FLAGS[command]:
+        value = getattr(args, flag)
+        if value is not None:
+            shown = "no-exact" if value is False else flag
+            raise ConfigError(f"--{shown} is not used by {command}")
 
 
 def _dispatch(args, cfg: ModelConfig, mode: JMode | None) -> int:

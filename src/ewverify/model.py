@@ -44,7 +44,7 @@ from .fields import (
 )
 from .matrices import symbolic_element, symbolic_lie_element
 from .numeric import equals  # noqa: F401  perfbench's tracer test looks up model.equals
-from .report import VerificationReport, timed, verdict
+from .report import VerificationReport, timed, verdict, witness
 
 
 class ParameterError(ValueError):
@@ -319,9 +319,7 @@ def _identity_verdict(check_name: str, cfg: ModelConfig, lhs: Expression,
                       rhs: Expression, failures=()) -> VerificationReport:
     """Verdict on lhs == rhs and on ``failures`` found before, decided by
     the canonical difference (the witness of a mismatch)."""
-    diff = lhs - rhs
-    found = [] if diff.is_zero() else [str(diff)[:200]]
-    return verdict(check_name, _param_label(cfg), found or list(failures))
+    return verdict(check_name, _param_label(cfg), witness(lhs - rhs) or list(failures))
 
 
 @timed
@@ -482,8 +480,7 @@ def check_u1_invariance(cfg: ModelConfig | None = None) -> VerificationReport:
     cfg = cfg or DEFAULT_CONFIG
     delta = _fold_s(first_order_variation(build_L27(cfg), u1_variation_rules(cfg)),
                     cfg.g, cfg.gp)
-    failures = [] if delta.is_zero() else [str(delta)[:200]]
-    return verdict("u1-invariance", _param_label(cfg), failures)
+    return verdict("u1-invariance", _param_label(cfg), witness(delta))
 
 
 def su2_variation_rules() -> dict[str, Expression]:
@@ -518,8 +515,7 @@ def _su2_delta() -> Expression:
 def check_su2_invariance(mode: JMode) -> VerificationReport:
     """delta(L_gauge + L_matter) = 0 in the given mode, fully symbolically."""
     reduced = reduce_mode(_su2_delta(), mode)
-    failures = [] if reduced.is_zero() else [str(reduced)[:200]]
-    return verdict("su2-invariance", mode.label(), failures)
+    return verdict("su2-invariance", mode.label(), witness(reduced))
 
 
 # --- trace identity -----------------------------------------------------------
@@ -536,8 +532,8 @@ def verify_trace_identity() -> VerificationReport:
     rotated = h.dagger() @ f @ h
     diff = (rotated @ rotated).trace() - (f @ f).trace()
     modes = (J_ONE, J_NILPOTENT, JMode.numeric(Fraction(1, 1000)))
-    failures = [f"{mode.label()}: {str(nf)[:200]}" for mode in modes
-                if (nf := group_normal_form(diff, mode))]
+    failures = [w for mode in modes
+                for w in witness(group_normal_form(diff, mode), mode.label())]
     return verdict("trace-identity", "all", failures)
 
 

@@ -1,5 +1,6 @@
 """Verification report records, the one constructor checks build them with,
-and the timing wrapper that stamps their duration."""
+the witness rule for a nonzero residue, and the timing wrapper that stamps
+their duration."""
 
 from __future__ import annotations
 
@@ -66,6 +67,15 @@ def verdict(
         max_abs_error=0.0 if passed else -1.0,
         witness=witness if passed else "; ".join(failures),
     )
+
+
+def witness(residue, label: str | None = None) -> list[str]:
+    """The failure a nonzero residue records: its text cut to 200
+    characters, after ``label`` when one is given; ``[]`` for zero."""
+    if not residue:
+        return []
+    text = str(residue)[:200]
+    return [f"{label}: {text}" if label else text]
 
 
 def timed(check):

@@ -248,6 +248,7 @@ def test_load_config_defaults_and_overrides(tmp_path):
         ({"seed": "abc"}, "seed"),
         ({"exact": "yes"}, "exact"),
         ({"g": 1, "gp": 1}, "rational"),
+        ({"R": True}, "R"),
     ],
 )
 def test_load_config_rejects_bad_values(tmp_path, payload, needle):
@@ -316,6 +317,26 @@ def test_unused_j_flag_is_a_usage_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert "--j" in err
+
+
+@pytest.mark.parametrize("suite", ["group", "trace"])
+@pytest.mark.parametrize(
+    "flags, shown",
+    [
+        (("--g", "5"), "--g"),
+        (("--gp", "12"), "--gp"),
+        (("--R", "7"), "--R"),
+        (("--exact",), "--exact"),
+        (("--no-exact",), "--no-exact"),
+        # rejected before the config is built: sqrt(1^2 + 1^2) is irrational
+        (("--g", "1", "--gp", "1"), "--g"),
+    ],
+)
+def test_unused_coupling_flag_is_a_usage_error(capsys, suite, flags, shown):
+    code, out, err = run_cli(capsys, "verify", suite, *flags)
+    assert code == 2
+    assert out == ""
+    assert f"{shown} is not used by verify {suite}" in err
 
 
 def test_engine_fault_exits_1(monkeypatch, capsys):

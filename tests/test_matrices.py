@@ -1,58 +1,70 @@
 """SU(2;j) matrix layer: generators, group elements, group axioms."""
 
-import random
 from fractions import Fraction
 
 import pytest
 
 from ewverify import (
     ComplexRational,
-    ContractionScalar,
     J_NILPOTENT,
     J_ONE,
     JMode,
     Mat2,
     NotUnimodularError,
-    commutator,
-    generator,
-    lie_element,
+    const,
+    jpow,
+    reduce_mode,
     su2_element,
     verify_group,
 )
-from ewverify.matrices import max_abs_entry
+from ewverify.matrices import symbolic_lie_element
 
 from helpers import exact_group_point
 
-CS = ContractionScalar
 CR = ComplexRational
 NUMERIC = JMode.numeric(Fraction(1, 1000))
+ZERO = const(0)
+IDENTITY = Mat2(((const(1), ZERO), (ZERO, const(1))))
 
 
-def cs(re, im=0, deg=0):
-    return CS.term(CR(re, im), deg)
+def cst(re, im=0, deg=0):
+    """The constant (re + im i) j^deg."""
+    return const(CR(re, im)) * jpow(deg)
+
+
+def lie(a1, a2, a3, mode):
+    """The Lie element the checks use, at eps = (a1, a2, a3)."""
+    return symbolic_lie_element().at({"eps1": a1, "eps2": a2, "eps3": a3}, mode)
+
+
+def generator(k, mode):
+    return lie(*(int(n == k) for n in (1, 2, 3)), mode)
+
+
+def commutator(x, y, mode):
+    return (x @ y - y @ x).reduce(mode)
 
 
 def pauli_generator(k):
     """Independent construction of the generators from the Pauli matrices."""
     i2 = Fraction(1, 2)
     if k == 1:
-        return Mat2(((cs(0), cs(0, i2, 1)), (cs(0, i2, 1), cs(0))))
+        return Mat2(((cst(0), cst(0, i2, 1)), (cst(0, i2, 1), cst(0))))
     if k == 2:
-        return Mat2(((cs(0), cs(i2, 0, 1)), (cs(-i2, 0, 1), cs(0))))
-    return Mat2(((cs(0, i2), cs(0)), (cs(0), cs(0, -i2))))
+        return Mat2(((cst(0), cst(i2, 0, 1)), (cst(-i2, 0, 1), cst(0))))
+    return Mat2(((cst(0, i2), cst(0)), (cst(0), cst(0, -i2))))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_generators_match_pauli_construction(k):
-    for mode in (J_ONE, J_NILPOTENT):
-        assert generator(k, mode) == pauli_generator(k).reduce(mode)
+    for mode in (J_ONE, J_NILPOTENT, NUMERIC):
+        assert generator(k, mode).rows == pauli_generator(k).reduce(mode).rows
 
 
 def test_generator_vanishes_at_zero_j():
-    t1 = generator(1, JMode.numeric(0))
-    assert max_abs_entry(t1) == 0.0
-    t3 = generator(3, JMode.numeric(0))
-    assert t3[0, 0] == 0.5j
+    zero_j = JMode.numeric(0)
+    assert generator(1, zero_j).is_zero()
+    assert generator(3, zero_j)[0, 0] == cst(0, Fraction(1, 2))
 
 
 COMMUTATOR_TABLE = [
@@ -63,21 +75,24 @@ COMMUTATOR_TABLE = [
 ]
 
 
+def scaled(weight, m):
+    return Mat2(((weight, ZERO), (ZERO, weight))) @ m
+
+
 @pytest.mark.parametrize("a,b,c,sign,jp", COMMUTATOR_TABLE)
 @pytest.mark.parametrize("mode", [J_ONE, J_NILPOTENT])
 def test_commutator_table_exact(a, b, c, sign, jp, mode):
     got = commutator(generator(a, mode), generator(b, mode), mode)
-    weight = CS.term(sign, jp).reduce(mode)
-    expected = pauli_generator(c).scale(weight).reduce(mode)
-    assert (got - expected).reduce(mode).is_zero()
+    expected = scaled(cst(sign, 0, jp), pauli_generator(c)).reduce(mode)
+    assert (got - expected).is_zero()
 
 
 @pytest.mark.parametrize("a,b,c,sign,jp", COMMUTATOR_TABLE)
 def test_commutator_table_numeric(a, b, c, sign, jp):
+    """j = 1/1000 is folded in exactly: the residue is zero, not small."""
     got = commutator(generator(a, NUMERIC), generator(b, NUMERIC), NUMERIC)
-    eps = float(Fraction(1, 1000))
-    expected = generator(c, NUMERIC).scale(sign * eps**jp)
-    assert max_abs_entry(got - expected) <= 1e-12
+    expected = scaled(const(sign * NUMERIC.value**jp), generator(c, NUMERIC))
+    assert (got - expected).is_zero()
 
 
 def test_nilpotent_mode_t1_t2_commute():
@@ -86,35 +101,31 @@ def test_nilpotent_mode_t1_t2_commute():
 
 
 def test_lie_element_examples():
-    assert lie_element(0, 0, 2, J_ONE) == Mat2(((cs(0, 1), cs(0)), (cs(0), cs(0, -1))))
-    m = lie_element(1, 1, 1, J_ONE)
+    assert lie(0, 0, 2, J_ONE).rows == ((cst(0, 1), cst(0)), (cst(0), cst(0, -1)))
     half = Fraction(1, 2)
-    assert m == Mat2((
-        (cs(0, half), cs(half, half)),
-        (cs(-half, half), cs(0, -half)),
-    ))
-    m_nil = lie_element(1, 1, 1, J_NILPOTENT)
-    assert m_nil[0, 1] == cs(half, half, 1)
+    assert lie(1, 1, 1, J_ONE).rows == (
+        (cst(0, half), cst(half, half)),
+        (cst(-half, half), cst(0, -half)),
+    )
+    assert lie(1, 1, 1, J_NILPOTENT)[0, 1] == cst(half, half, 1)
 
 
 def test_lie_elements_antihermitian(rng):
     for mode in (J_ONE, J_NILPOTENT):
         for _ in range(50):
-            t = lie_element(
-                rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(-9, 9), mode
-            )
+            t = lie(rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(-9, 9), mode)
             assert (t + t.dagger()).reduce(mode).is_zero()
 
 
 def test_su2_element_validation():
     # |alpha|^2 + |beta|^2 = 9/25 + 16/25 = 1
     omega = su2_element(CR(Fraction(3, 5)), CR(0, Fraction(4, 5)), J_ONE)
-    assert omega.det().reduce(J_ONE) == CS.one()
+    assert reduce_mode(omega.det(), J_ONE) == const(1)
     with pytest.raises(NotUnimodularError):
         su2_element(CR(Fraction(3, 5)), CR(0, Fraction(4, 5)), J_NILPOTENT)
     # at j=iota only |alpha| = 1 is required, beta is free
     omega = su2_element(CR(1), CR(Fraction(7, 2), 3), J_NILPOTENT)
-    assert omega.det().reduce(J_NILPOTENT) == CS.one()
+    assert reduce_mode(omega.det(), J_NILPOTENT) == const(1)
     with pytest.raises(NotUnimodularError):
         su2_element(CR(2), CR(0), J_ONE)
 
@@ -127,10 +138,9 @@ def test_su2_element_rejects_a_numeric_mode():
 
 
 def test_identity_element():
-    assert su2_element(CR(1), CR(0), J_ONE) == Mat2.identity()
-    ident = Mat2.identity()
-    x = lie_element(2, 3, 4, J_ONE)
-    assert ident @ x == x
+    assert su2_element(CR(1), CR(0), J_ONE).rows == IDENTITY.rows
+    x = lie(2, 3, 4, J_ONE)
+    assert (IDENTITY @ x).rows == x.rows
 
 
 def test_nilpotent_closure_formula(rng):
@@ -146,25 +156,25 @@ def test_nilpotent_closure_formula(rng):
         assert (prod - expected).reduce(J_NILPOTENT).is_zero()
         # inverse = conjugate transpose stays in the set
         omega = su2_element(a1, b1, J_NILPOTENT)
-        assert (omega @ omega.dagger() - Mat2.identity()).reduce(J_NILPOTENT).is_zero()
+        assert (omega @ omega.dagger() - IDENTITY).reduce(J_NILPOTENT).is_zero()
 
 
 def test_form_invariance_under_group_action(rng):
     """|phi1|^2 + j^2 |phi2|^2 is kept by the group element acting on the
-    column (phi1, j phi2), at exact points; an independent check, in the
-    contraction ring, of the identity the group check decides symbolically."""
+    column (phi1, j phi2), at exact points; an independent check, with
+    constant entries, of the identity the group check decides symbolically."""
     def form(v):
         return (v.dagger() @ v)[0, 0]
 
     def component():
-        return cs(Fraction(rng.randint(-50, 50), rng.randint(1, 9)),
-                  Fraction(rng.randint(-50, 50), rng.randint(1, 9)))
+        return cst(Fraction(rng.randint(-50, 50), rng.randint(1, 9)),
+                 Fraction(rng.randint(-50, 50), rng.randint(1, 9)))
 
     for mode in (J_ONE, J_NILPOTENT):
         for _ in range(100):
             omega = su2_element(*exact_group_point(rng, mode), mode)
-            phi = Mat2(((component(), 0), (CS.j() * component(), 0)))
-            assert form(omega @ phi).reduce(mode) == form(phi).reduce(mode)
+            phi = Mat2(((component(), ZERO), (jpow() * component(), ZERO)))
+            assert reduce_mode(form(omega @ phi), mode) == reduce_mode(form(phi), mode)
 
 
 @pytest.mark.parametrize("mode", [J_ONE, J_NILPOTENT, NUMERIC])

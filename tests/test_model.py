@@ -428,10 +428,11 @@ def test_trace_identity():
 
 
 def test_trace_conjugation_by_identity_is_trivial():
-    from ewverify import lie_element
+    from ewverify.matrices import symbolic_lie_element
 
-    h = Mat2.identity()
-    f = lie_element(2, -3, 5, J_ONE)
+    zero = const(0)
+    h = Mat2(((const(1), zero), (zero, const(1))))
+    f = symbolic_lie_element().at({"eps1": 2, "eps2": -3, "eps3": 5}, J_ONE)
     direct = (f @ f).trace()
     rotated = ((h.dagger() @ f @ h) @ (h.dagger() @ f @ h)).trace()
     assert direct == rotated

@@ -17,11 +17,8 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "ewverify"
 
 KEPT_FOR_TESTS = {
-    "commutator": "acceptance criterion 01 checks the commutator table with it",
-    "generator": "acceptance criterion 01 builds the generators with it",
     "su2_element": "the concrete-entry reference for the form-invariance and "
     "nilpotent-closure tests",
-    "max_abs_entry": "acceptance criterion 01's float bound on the commutator table",
     "float_config": "tests build float parameter points for the numeric oracle",
     "random_pythagorean_config": "acceptance criterion 11 draws exact points with it",
     "assignment_from_components": "tests plug explicit field values into eval_expression",
@@ -68,6 +65,17 @@ def test_every_public_name_has_a_caller_in_the_package():
     )
     assert not unused, f"public names nothing in src/ uses: {unused}"
 
+
+def test_only_the_contraction_layer_refers_to_contraction_scalar():
+    """Every other layer works over Expression entries: ContractionScalar
+    serves only its own tests, criterion 03 and the benchmark tracer.  The
+    re-export in ``__init__.py`` does not count."""
+    users = sorted(
+        p.name for p in PACKAGE.glob("*.py")
+        if p.name not in ("contraction.py", "__init__.py")
+        and "ContractionScalar" in p.read_text()
+    )
+    assert not users, f"modules that use ContractionScalar: {users}"
 
 
 TRACER_SCRIPT = """
