@@ -111,6 +111,8 @@ def _config_from_args(args) -> tuple[ModelConfig, JMode | None]:
     """The config file's values overridden by the flags, and the mode that
     ``--j`` or the file's ``jmode`` selects (None when neither sets one)."""
     kwargs = _config_values(args.config) if args.config else {}
+    # a value the command never reads is not checked against the others
+    kwargs = {k: v for k, v in kwargs.items() if k not in IGNORED_FLAGS[_command(args)]}
     try:
         if args.g is not None:
             kwargs["g"] = _as_fraction(args.g, "g")
@@ -249,9 +251,13 @@ def run(argv) -> int:
         return 1
 
 
+def _command(args) -> str:
+    return f"verify {args.suite}" if args.command == "verify" else args.command
+
+
 def _reject_ignored_flags(args) -> None:
     """Reject flags the command cannot honour, before the config is built."""
-    command = f"verify {args.suite}" if args.command == "verify" else args.command
+    command = _command(args)
     if args.format == "csv" and args.command != "sweep":
         raise ConfigError("csv output is only available for the sweep command")
     for flag in IGNORED_FLAGS[command]:

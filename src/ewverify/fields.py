@@ -122,10 +122,10 @@ class FieldFactor:
         object.__setattr__(self, "derivs", tuple(sorted(self.derivs)))
 
     def rename(self, mapping: dict[str, str]) -> "FieldFactor":
-        return FieldFactor(
+        return _factor(
             self.field,
             tuple(mapping.get(i, i) for i in self.indices),
-            tuple(mapping.get(i, i) for i in self.derivs),
+            tuple(sorted(mapping.get(i, i) for i in self.derivs)),
             self.conj,
         )
 
@@ -135,9 +135,9 @@ class FieldFactor:
             return self
         fdef = FIELDS[self.field]
         if fdef.real:
-            return FieldFactor(self.field, self.indices, self.derivs, False)
-        if fdef.partner is not None:
-            return FieldFactor(fdef.partner, self.indices, self.derivs, False)
+            return _factor(self.field, self.indices, self.derivs, False)
+        if fdef.partner is not None:  # a conjugate pair shares its arity
+            return _factor(fdef.partner, self.indices, self.derivs, False)
         return self
 
     def sort_key(self):
@@ -147,6 +147,17 @@ class FieldFactor:
         return itertools.chain(self.indices, self.derivs)
 
 
+def _factor(field, indices, derivs, conj) -> FieldFactor:
+    """A factor built without validation, for a field and arity already
+    checked; ``derivs`` must be sorted."""
+    f, set_ = object.__new__(FieldFactor), object.__setattr__
+    set_(f, "field", field)
+    set_(f, "indices", indices)
+    set_(f, "derivs", derivs)
+    set_(f, "conj", conj)
+    return f
+
+
 @dataclass(frozen=True, slots=True)
 class Term:
     coeff: ComplexRational
@@ -154,9 +165,6 @@ class Term:
     params: tuple[tuple[str, int], ...] = ()
     r2: int = 0
     factors: tuple[FieldFactor, ...] = ()
-
-    def key(self):
-        return (self.jdeg, self.r2, self.params, tuple(f.sort_key() for f in self.factors))
 
     def index_counts(self) -> Counter:
         counts: Counter = Counter()
@@ -168,6 +176,7 @@ class Term:
         return frozenset(n for n, c in self.index_counts().items() if c == 1)
 
 
+@functools.lru_cache(maxsize=128)
 def _fold_params(params) -> tuple[tuple[str, int], ...]:
     acc: dict[str, int] = {}
     for name, exp in params:
@@ -181,16 +190,20 @@ def _fold_params(params) -> tuple[tuple[str, int], ...]:
 
 @functools.lru_cache(maxsize=512)
 def _canonical_factors(factors: tuple[FieldFactor, ...]) -> tuple:
-    """Sort the factor multiset and relabel summed indices canonically;
-    returns the canonical factors and the term's free indices.
+    """Resolve conjugation flags, sort the factor multiset and relabel summed
+    indices canonically; returns the canonical factors, the term's free
+    indices and the factors' sort keys.
 
     The canonical form is the lexicographic minimum over every bijection
     from the term's summed indices to the canonical alphabet, which makes
-    structural equality complete for relabeling symmetry.  Terms here stay
-    small (at most two summed indices in the model's Lagrangians), so the
-    factorial sweep is cheap; the memo saves the per-call cost on the factor
-    tuples that recur, and a raised error is not kept.
+    structural equality complete for relabeling symmetry.  Each relabeling
+    is compared as a tuple of sort keys, and only the least one is turned
+    into factors.  Terms here stay small (at most two summed indices in the
+    model's Lagrangians), so the factorial sweep is cheap; the memo saves
+    the per-call cost on the factor tuples that recur, and a raised error
+    is not kept.
     """
+    factors = tuple(f.canonical_conj() for f in factors)
     counts: Counter = Counter()
     for f in factors:
         counts.update(f.names())
@@ -200,23 +213,22 @@ def _canonical_factors(factors: tuple[FieldFactor, ...]) -> tuple:
     free = frozenset(n for n, c in counts.items() if c == 1)
     dummies = sorted(n for n, c in counts.items() if c == 2)
     if not dummies:
-        return tuple(sorted(factors, key=FieldFactor.sort_key)), free
+        ordered = sorted(factors, key=FieldFactor.sort_key)
+        return tuple(ordered), free, tuple(f.sort_key() for f in ordered)
     if len(dummies) > 7:
         raise IndexConflictError("too many summed indices in one term")
     pool = [n for n in DUMMY_NAMES if n not in free]
     pool += [f"x{k}" for k in range(len(dummies)) if f"x{k}" not in free]
     canon = pool[: len(dummies)]
-    best_key = None
-    best: tuple[FieldFactor, ...] = ()
-    for perm in itertools.permutations(dummies):
-        mapping = dict(zip(perm, canon))
-        renamed = tuple(
-            sorted((f.rename(mapping) for f in factors), key=FieldFactor.sort_key)
-        )
-        key = tuple(f.sort_key() for f in renamed)
-        if best_key is None or key < best_key:
-            best_key, best = key, renamed
-    return best, free
+    best = min(
+        tuple(sorted(
+            (f.field, f.conj, tuple(m.get(i, i) for i in f.indices),
+             tuple(sorted(m.get(i, i) for i in f.derivs)))
+            for f in factors
+        ))
+        for m in (dict(zip(perm, canon)) for perm in itertools.permutations(dummies))
+    )
+    return tuple(_factor(fd, ix, dv, cj) for fd, cj, ix, dv in best), free, best
 
 
 class Expression:
@@ -250,24 +262,18 @@ class Expression:
             if r2 >= 2:  # sqrt(2)^2 = 2 folds into the coefficient
                 coeff = coeff * ComplexRational(2 ** (r2 // 2))
                 r2 %= 2
-            factors, free = _canonical_factors(
-                tuple(f.canonical_conj() for f in t.factors)
-            )
-            term = Term(coeff, t.jdeg, _fold_params(t.params), r2, factors)
-            k = term.key()
+            factors, free, fkeys = _canonical_factors(t.factors)
+            k = (t.jdeg, r2, _fold_params(t.params), fkeys)  # the term's sort key
             prev = merged.get(k)
-            if prev is not None:
-                term = Term(prev[0].coeff + coeff, term.jdeg, term.params,
-                            term.r2, term.factors)
-            merged[k] = term, free
+            merged[k] = (coeff if prev is None else prev[0] + coeff), factors, free
         # the keys are distinct, so sorting the items orders the terms by key
-        live = [tf for _, tf in sorted(merged.items()) if not tf[0].coeff.is_zero()]
-        frees = {free for _, free in live}
+        live = [(k, v) for k, v in sorted(merged.items()) if not v[0].is_zero()]
+        frees = {free for _, (_, _, free) in live}
         if len(frees) > 1:
             raise IndexConflictError(
                 f"terms carry different free indices: {sorted(map(sorted, frees))}"
             )
-        return cls(tuple(t for t, _ in live))
+        return cls(tuple(Term(c, k[0], k[2], k[1], fs) for k, (c, fs, _) in live))
 
     # --- queries ----------------------------------------------------------
 
@@ -447,10 +453,12 @@ def _leibniz(terms, idx: str) -> list[Term]:
     return raw
 
 
+@functools.lru_cache(maxsize=256)
 def _prepare_replacement(rep: Expression, f: FieldFactor) -> Expression:
     """Specialize a rule body to one factor: rename its summed indices apart
     from the factor's index and derivative tags, bind the hole, derive,
-    conjugate."""
+    conjugate.  Memoized on the (body, factor) pair; a raised error is not
+    kept."""
     arity = FIELDS[f.field].arity
     for t in rep.terms:
         hole_count = t.index_counts()[HOLE]
@@ -480,19 +488,20 @@ def substitute(e: Expression, rules: dict[str, Expression]) -> Expression:
 
     Rule bodies reference the replaced field's index through the hole
     index ``_``; derivative tags distribute over the body via the Leibniz
-    rule, and conjugated occurrences receive the conjugated body.
+    rule, and conjugated occurrences receive the conjugated body.  Each
+    term's piece starts with its coefficient and every factor without a
+    rule, and only the replacements are multiplied in.
     """
     for name in rules:
         if name not in FIELDS:
             raise UnknownFieldError(name)
     raw = []
     for t in e.terms:
-        piece = Expression((Term(t.coeff, t.jdeg, t.params, t.r2),))
+        kept = tuple(f for f in t.factors if f.field not in rules)
+        piece = Expression((Term(t.coeff, t.jdeg, t.params, t.r2, kept),))
         for f in t.factors:
             if f.field in rules:
                 piece = piece * _prepare_replacement(rules[f.field], f)
-            else:
-                piece = piece * Expression((Term(CR_ONE, factors=(f,)),))
         raw.extend(piece.terms)
     return Expression.build(raw)
 

@@ -2,12 +2,19 @@ import random
 
 import pytest
 
-from ewverify import fields, model
+from ewverify import fields, model, numeric
 
-# Process-wide memos of deterministic symbolic work.  A test that patches a
+# Every process-wide memo of deterministic work.  A test that patches a
 # function they call must not see, or leave behind, a result built without
 # (or with) its patch.
-MEMOS = (fields._canonical_factors, model._build_L27, model._su2_delta)
+MEMOS = (
+    fields._canonical_factors,
+    fields._fold_params,
+    fields._prepare_replacement,
+    model._build_L27,
+    model._su2_delta,
+    numeric._plan,
+)
 
 
 @pytest.fixture(autouse=True)

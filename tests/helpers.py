@@ -1,15 +1,17 @@
 """Shared test utilities: random canonical expressions for round-trip and
-normalization property tests, exact points of the group SU(2;j), and the
-term-by-term reference evaluator of the numeric oracle."""
+normalization property tests, the rename-then-sort reference of the
+canonical form, exact points of the group SU(2;j), and the term-by-term
+reference evaluator of the numeric oracle."""
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 from ewverify import ComplexRational, Expression, MissingAssignmentError
-from ewverify.fields import FieldFactor, Term
+from ewverify.fields import DUMMY_NAMES, FIELDS, FieldFactor, Term
 from ewverify.numeric import DIMENSION, SQRT2, _DictAssignment
 
 VECTOR_FIELDS = ("A1", "A2", "A3", "B", "W1", "W2", "W3", "Z", "Aem", "Wp", "Wm")
@@ -82,6 +84,36 @@ def random_expression(rng: random.Random) -> Expression:
         return Expression.build([random_term(rng, scalar=False)])
     nterms = rng.randint(1, 4)
     return Expression.build([random_term(rng, scalar=True) for _ in range(nterms)])
+
+
+def reference_canonical_factors(factors) -> tuple:
+    """The canonical factors and free indices of one term, the slow way:
+    resolve the conjugation flags, rename validated factors under every
+    relabeling of the summed indices, sort each result and keep the least.
+    The reference that ``fields._canonical_factors`` must match."""
+    resolved = []
+    for f in factors:
+        fdef = FIELDS[f.field]
+        if f.conj and (fdef.real or fdef.partner):
+            f = FieldFactor(fdef.partner or f.field, f.indices, f.derivs, False)
+        resolved.append(f)
+    counts = Counter(n for f in resolved for n in f.names())
+    free = frozenset(n for n, c in counts.items() if c == 1)
+    dummies = sorted(n for n, c in counts.items() if c == 2)
+    pool = [n for n in DUMMY_NAMES if n not in free]
+    pool += [f"x{k}" for k in range(len(dummies)) if f"x{k}" not in free]
+    best = None
+    for perm in itertools.permutations(dummies):
+        mapping = dict(zip(perm, pool))
+        renamed = sorted(
+            (FieldFactor(f.field, tuple(mapping.get(i, i) for i in f.indices),
+                         tuple(mapping.get(i, i) for i in f.derivs), f.conj)
+             for f in resolved),
+            key=FieldFactor.sort_key,
+        )
+        if best is None or [f.sort_key() for f in renamed] < [f.sort_key() for f in best]:
+            best = renamed
+    return tuple(best), free
 
 
 def rational_circle_point(rng: random.Random) -> tuple[Fraction, Fraction]:

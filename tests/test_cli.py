@@ -121,6 +121,23 @@ def test_config_jmode_selects_the_modes_like_the_flag(tmp_path, capsys):
     assert len(json.loads(out)["reports"]) == 3
 
 
+@pytest.mark.parametrize(
+    "suite, payload",
+    [("group", {"g": 1, "gp": 1}), ("trace", {"R": -1})],
+)
+def test_config_values_a_command_never_reads_are_not_validated(
+    tmp_path, capsys, suite, payload
+):
+    """sqrt(1^2 + 1^2) is irrational and R = -1 is not positive, but neither
+    command reads the couplings, so the file is the same as no file."""
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(payload))
+    code, from_file, err = run_cli(capsys, "verify", suite, "--config", str(path))
+    assert (code, err) == (0, "")
+    _, plain, _ = run_cli(capsys, "verify", suite)
+    assert from_file == plain
+
+
 def test_json_reports_are_deterministic(tmp_path, capsys):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"

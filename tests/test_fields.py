@@ -29,6 +29,7 @@ from ewverify.fields import (
     FieldFactor,
     UnknownFieldError,
     _canonical_factors,
+    _prepare_replacement,
     euler_lagrange,
     first_order_variation,
     group_normal_form,
@@ -36,7 +37,14 @@ from ewverify.fields import (
     inv_sqrt2,
 )
 
-from helpers import exact_group_point, random_expression, random_term
+from ewverify.model import DEFAULT_CONFIG, build_L27, contraction_rules_phi
+
+from helpers import (
+    exact_group_point,
+    random_expression,
+    random_term,
+    reference_canonical_factors,
+)
 
 
 def test_like_terms_merge():
@@ -95,12 +103,49 @@ def test_index_rule_enforced():
 
 
 def test_canonical_memo_matches_the_unmemoized_form(rng):
+    """The memo, its unmemoized form and the rename-then-sort reference
+    agree, and the keys are the canonical factors' sort keys."""
     for _ in range(500):
         raw = random_term(rng, scalar=rng.random() < 0.7).factors
-        for factors in (raw, raw[::-1], random_expression(rng).terms[0].factors):
+        flipped = tuple(FieldFactor(f.field, f.indices, f.derivs, not f.conj) for f in raw)
+        for factors in (raw, raw[::-1], flipped, random_expression(rng).terms[0].factors):
             canonical = _canonical_factors(factors)
             assert canonical == _canonical_factors.__wrapped__(factors)
             assert _canonical_factors(factors) is canonical
+            ordered, free, keys = canonical
+            assert (ordered, free) == reference_canonical_factors(factors)
+            assert keys == tuple(f.sort_key() for f in ordered)
+
+
+def test_built_factors_are_valid_factors(rng):
+    """Factors renamed or resolved without validation still pass it, with
+    their derivative tags sorted."""
+    lagrangian = build_L27(DEFAULT_CONFIG)
+    built = [random_expression(rng) for _ in range(200)] + [
+        lagrangian,
+        conjugate(lagrangian),
+        substitute(lagrangian, contraction_rules_phi()),
+        derive(parse("d[nu]W+[mu] conj(phi1) B[mu]"), "al"),
+        euler_lagrange(lagrangian, "Z", "mu"),
+    ]
+    for e in built:
+        for f in (f for t in e.terms for f in t.factors):
+            assert f == FieldFactor(f.field, f.indices, f.derivs, f.conj)
+    assert FieldFactor("B", ("mu",), ("al", "nu")).rename({"al": "ze"}).derivs == ("nu", "ze")
+
+
+def test_prepared_replacement_memo_matches_the_unmemoized_form():
+    body = field("A3", "_") * field("B", "nu") * field("W2", "nu")
+    for f in (FieldFactor("A2", ("mu",)), FieldFactor("A2", ("mu",), ("nu", "al")),
+              FieldFactor("Wp", ("nu",), ("mu",), conj=True)):
+        prepared = _prepare_replacement(body, f)
+        assert prepared == _prepare_replacement.__wrapped__(body, f)
+        assert _prepare_replacement(body, f) is prepared
+    _prepare_replacement.cache_clear()
+    for _ in range(2):  # the memo keeps no error
+        with pytest.raises(ArityError):
+            _prepare_replacement(field("rho"), FieldFactor("W3", ("mu",)))
+    assert _prepare_replacement.cache_info().currsize == 0
 
 
 def test_products_contract_rather_than_collide():

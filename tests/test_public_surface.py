@@ -78,6 +78,28 @@ def test_only_the_contraction_layer_refers_to_contraction_scalar():
     assert not users, f"modules that use ContractionScalar: {users}"
 
 
+def test_every_memo_is_cleared_between_tests():
+    """``conftest.MEMOS`` lists every memo in the package, so the autouse
+    fixture leaves no result cached across tests."""
+    import importlib
+    import pkgutil
+
+    import ewverify
+    from conftest import MEMOS
+
+    modules = [
+        importlib.import_module(f"ewverify.{info.name}")
+        for info in pkgutil.iter_modules(ewverify.__path__)
+        if info.name != "__main__"  # importing it runs the CLI
+    ]
+    found = {obj for m in modules for obj in vars(m).values() if hasattr(obj, "cache_clear")}
+
+    def names(memos):
+        return sorted(f"{memo.__module__}.{memo.__name__}" for memo in memos)
+
+    assert names(found) == names(MEMOS)
+
+
 TRACER_SCRIPT = """
 import sys
 sys.path[:0] = [sys.argv[1], sys.argv[2]]
