@@ -12,6 +12,10 @@ Index discipline: within one term an index name occurs exactly once (free)
 or exactly twice (summed).  Summed indices are renamed canonically by
 taking the lexicographic minimum over all relabelings, so structural
 equality of normalized expressions is equality up to dummy relabeling.
+
+Every operation collects the raw terms of its result, products through the
+one private ``_product``, and builds them once; only :func:`euler_lagrange`
+also builds each rest it derives, through :func:`derive`.
 """
 
 from __future__ import annotations
@@ -250,8 +254,9 @@ class Expression:
     def build(cls, raw_terms) -> "Expression":
         """Normalize a raw term list: canonicalize, merge, prune, sort.
 
-        This is the one place where sums are merged: every operation
-        collects the raw terms of its result and builds once.
+        The one place where sums are merged: every operation collects the
+        raw terms of its result, products through ``_product``, and builds
+        once; only :func:`euler_lagrange` also builds, via :func:`derive`.
         """
         merged: dict = {}
         for t in raw_terms:
@@ -323,30 +328,8 @@ class Expression:
             Term(-t.coeff, t.jdeg, t.params, t.r2, t.factors) for t in self.terms
         ))
 
-    @staticmethod
-    def _refresh_dummies(t: Term, tag: str) -> Term:
-        dummies = [n for n, c in t.index_counts().items() if c == 2]
-        if not dummies:
-            return t
-        mapping = {n: f"_{tag}{k}" for k, n in enumerate(sorted(dummies))}
-        return Term(t.coeff, t.jdeg, t.params, t.r2,
-                    tuple(f.rename(mapping) for f in t.factors))
-
     def __mul__(self, other) -> "Expression":
-        o = self._coerce(other)
-        right = [self._refresh_dummies(tb, "R") for tb in o.terms]
-        raw = []
-        for ta in self.terms:
-            ta = self._refresh_dummies(ta, "L")
-            for tb in right:
-                raw.append(Term(
-                    ta.coeff * tb.coeff,
-                    ta.jdeg + tb.jdeg,
-                    ta.params + tb.params,
-                    ta.r2 + tb.r2,
-                    ta.factors + tb.factors,
-                ))
-        return Expression.build(raw)
+        return Expression.build(_product(self.terms, self._coerce(other).terms))
 
     __rmul__ = __mul__
 
@@ -376,6 +359,30 @@ class Expression:
 
 
 _EMPTY = Expression(())
+
+
+def _refresh_dummies(t: Term, tag: str) -> Term:
+    """Rename a term's summed indices to ``_<tag>0``, ``_<tag>1``, ..."""
+    names = [n for f in t.factors for n in f.names()]
+    if len(names) == len(set(names)):
+        return t
+    dummies = sorted({n for n in names if names.count(n) == 2})
+    mapping = {n: f"_{tag}{k}" for k, n in enumerate(dummies)}
+    return Term(t.coeff, t.jdeg, t.params, t.r2,
+                tuple(f.rename(mapping) for f in t.factors))
+
+
+def _product(left, right) -> list[Term]:
+    """The raw terms of the product of two term lists, raw or built, with
+    summed indices renamed apart; products chain without a build between."""
+    right = [_refresh_dummies(tb, "R") for tb in right]
+    raw = []
+    for ta in left:
+        ta = _refresh_dummies(ta, "L")
+        for tb in right:
+            raw.append(Term(ta.coeff * tb.coeff, ta.jdeg + tb.jdeg, ta.params + tb.params,
+                            ta.r2 + tb.r2, ta.factors + tb.factors))
+    return raw
 
 
 # --- constructors ----------------------------------------------------------
@@ -418,16 +425,11 @@ def conjugate(e: Expression) -> Expression:
     Real fields are fixed; mutually conjugate pairs swap; j and the
     parameters are real.
     """
-    raw = []
-    for t in e.terms:
-        raw.append(Term(
-            t.coeff.conjugate(), t.jdeg, t.params, t.r2,
-            tuple(
-                FieldFactor(f.field, f.indices, f.derivs, not f.conj)
-                for f in t.factors
-            ),
-        ))
-    return Expression.build(raw)
+    return Expression.build([
+        Term(t.coeff.conjugate(), t.jdeg, t.params, t.r2,
+             tuple(FieldFactor(f.field, f.indices, f.derivs, not f.conj) for f in t.factors))
+        for t in e.terms
+    ])
 
 
 def derive(e: Expression, idx: str) -> Expression:
@@ -446,10 +448,8 @@ def _leibniz(terms, idx: str) -> list[Term]:
             raise IndexConflictError(f"index {idx} is already summed in {t}")
         for p, f in enumerate(t.factors):
             new_factor = FieldFactor(f.field, f.indices, f.derivs + (idx,), f.conj)
-            raw.append(Term(
-                t.coeff, t.jdeg, t.params, t.r2,
-                t.factors[:p] + (new_factor,) + t.factors[p + 1:],
-            ))
+            raw.append(Term(t.coeff, t.jdeg, t.params, t.r2,
+                            t.factors[:p] + (new_factor,) + t.factors[p + 1:]))
     return raw
 
 
@@ -474,7 +474,7 @@ def _prepare_replacement(rep: Expression, f: FieldFactor) -> Expression:
         for t in rep.terms:
             # building before the last derivative could hand a summed pair
             # the name of a tag, so the terms stay unbuilt until then
-            t = Expression._refresh_dummies(t, "S")
+            t = _refresh_dummies(t, "S")
             raw.append(Term(t.coeff, t.jdeg, t.params, t.r2,
                             tuple(fc.rename(bind) for fc in t.factors)))
         for dv in f.derivs:
@@ -497,12 +497,12 @@ def substitute(e: Expression, rules: dict[str, Expression]) -> Expression:
             raise UnknownFieldError(name)
     raw = []
     for t in e.terms:
-        kept = tuple(f for f in t.factors if f.field not in rules)
-        piece = Expression((Term(t.coeff, t.jdeg, t.params, t.r2, kept),))
+        piece = [Term(t.coeff, t.jdeg, t.params, t.r2,
+                      tuple(f for f in t.factors if f.field not in rules))]
         for f in t.factors:
             if f.field in rules:
-                piece = piece * _prepare_replacement(rules[f.field], f)
-        raw.extend(piece.terms)
+                piece = _product(piece, _prepare_replacement(rules[f.field], f).terms)
+        raw.extend(piece)
     return Expression.build(raw)
 
 
@@ -521,11 +521,8 @@ def first_order_variation(e: Expression, rules: dict[str, Expression]) -> Expres
             rule = rules.get(f.field)
             if rule is None or rule.is_zero():
                 continue
-            rest = Expression((Term(
-                t.coeff, t.jdeg, t.params, t.r2,
-                t.factors[:p] + t.factors[p + 1:],
-            ),))
-            raw.extend((rest * _prepare_replacement(rule, f)).terms)
+            rest = Term(t.coeff, t.jdeg, t.params, t.r2, t.factors[:p] + t.factors[p + 1:])
+            raw.extend(_product((rest,), _prepare_replacement(rule, f).terms))
     return Expression.build(raw)
 
 
@@ -542,15 +539,19 @@ def j_decompose(e: Expression) -> dict[int, Expression]:
 def reduce_mode(e: Expression, mode: JMode) -> Expression:
     """Interpret the j-grading: j=1 collapses, j=iota truncates at degree 2,
     and a numeric j folds j^deg into the coefficient exactly."""
+    return _reduced(e.terms, mode)
+
+
+def _reduced(terms, mode: JMode) -> Expression:  # reduce_mode on a raw term list
     if mode.is_one:
-        raw = [Term(t.coeff, 0, t.params, t.r2, t.factors) for t in e.terms]
+        raw = [Term(t.coeff, 0, t.params, t.r2, t.factors) for t in terms]
     elif mode.is_nilpotent:
-        raw = [t for t in e.terms if t.jdeg < 2]
+        raw = [t for t in terms if t.jdeg < 2]
     else:
         jv = mode.value
         raw = [
             Term(t.coeff * ComplexRational(jv**t.jdeg), 0, t.params, t.r2, t.factors)
-            for t in e.terms
+            for t in terms
         ]
     return Expression.build(raw)
 
@@ -565,18 +566,21 @@ def group_normal_form(e: Expression, mode: JMode) -> Expression:
     vanishes on every pair of group elements (Cox, Little & O'Shea,
     *Ideals, Varieties, and Algorithms*, ch. 2).
     """
+    relations = {  # 1 - j^2 b conj(b), as raw terms
+        b: (Term(CR_ONE), Term(-CR_ONE, 2, factors=(FieldFactor(b), FieldFactor(b, conj=True))))
+        for b in ("beta", "beta2")}
     raw = []
     for t in e.terms:
         factors = list(t.factors)
-        piece = Expression((Term(t.coeff, t.jdeg, t.params, t.r2),))
+        piece = [Term(t.coeff, t.jdeg, t.params, t.r2)]
         for a, b in (("alpha", "beta"), ("alpha2", "beta2")):
             plain, conj = FieldFactor(a), FieldFactor(a, conj=True)
             for _ in range(min(factors.count(plain), factors.count(conj))):
                 factors.remove(plain)
                 factors.remove(conj)
-                piece = piece * (1 - jpow(2) * field(b) * field(b, conj=True))
-        raw.extend((piece * Expression((Term(CR_ONE, factors=tuple(factors)),))).terms)
-    return reduce_mode(Expression(tuple(raw)), mode)
+                piece = _product(piece, relations[b])
+        raw.extend(_product(piece, (Term(CR_ONE, factors=tuple(factors)),)))
+    return _reduced(raw, mode)
 
 
 def instantiate_params(e: Expression, values: dict[str, Fraction]) -> Expression:
@@ -630,10 +634,8 @@ def euler_lagrange(lagrangian: Expression, fld: str, idx: str | None = None) -> 
             rest = t.factors[:p] + t.factors[p + 1:]
             if len(f.derivs) == 0:
                 mapping = {f.indices[0]: idx} if fdef.arity else {}
-                raw.append(Term(
-                    t.coeff, t.jdeg, t.params, t.r2,
-                    tuple(r.rename(mapping) for r in rest),
-                ))
+                raw.append(Term(t.coeff, t.jdeg, t.params, t.r2,
+                                tuple(r.rename(mapping) for r in rest)))
             elif len(f.derivs) == 1:
                 b = f.derivs[0]
                 if fdef.arity and f.indices[0] == b:

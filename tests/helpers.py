@@ -1,7 +1,8 @@
 """Shared test utilities: random canonical expressions for round-trip and
 normalization property tests, the rename-then-sort reference of the
-canonical form, exact points of the group SU(2;j), and the term-by-term
-reference evaluator of the numeric oracle."""
+canonical form, the build-every-product references of substitution,
+variation and the group normal form, exact points of the group SU(2;j),
+and the term-by-term reference evaluator of the numeric oracle."""
 
 from __future__ import annotations
 
@@ -11,7 +12,10 @@ from collections import Counter
 from fractions import Fraction
 
 from ewverify import ComplexRational, Expression, MissingAssignmentError
-from ewverify.fields import DUMMY_NAMES, FIELDS, FieldFactor, Term
+from ewverify.contraction import CR_ONE
+from ewverify.fields import (
+    DUMMY_NAMES, FIELDS, FieldFactor, Term, _prepare_replacement, field, jpow, reduce_mode,
+)
 from ewverify.numeric import DIMENSION, SQRT2, _DictAssignment
 
 VECTOR_FIELDS = ("A1", "A2", "A3", "B", "W1", "W2", "W3", "Z", "Aem", "Wp", "Wm")
@@ -114,6 +118,51 @@ def reference_canonical_factors(factors) -> tuple:
         if best is None or [f.sort_key() for f in renamed] < [f.sort_key() for f in best]:
             best = renamed
     return tuple(best), free
+
+
+# The kernel operations with every product built: each piece is a one-term
+# Expression multiplied with ``*``.  The references that the unbuilt products
+# of ``substitute``, ``first_order_variation`` and ``group_normal_form`` match.
+
+def reference_substitute(e: Expression, rules) -> Expression:
+    raw = []
+    for t in e.terms:
+        kept = tuple(f for f in t.factors if f.field not in rules)
+        piece = Expression((Term(t.coeff, t.jdeg, t.params, t.r2, kept),))
+        for f in t.factors:
+            if f.field in rules:
+                piece = piece * _prepare_replacement(rules[f.field], f)
+        raw.extend(piece.terms)
+    return Expression.build(raw)
+
+
+def reference_first_order_variation(e: Expression, rules) -> Expression:
+    raw = []
+    for t in e.terms:
+        for p, f in enumerate(t.factors):
+            rule = rules.get(f.field)
+            if rule is None or rule.is_zero():
+                continue
+            rest = Expression((Term(
+                t.coeff, t.jdeg, t.params, t.r2, t.factors[:p] + t.factors[p + 1:],
+            ),))
+            raw.extend((rest * _prepare_replacement(rule, f)).terms)
+    return Expression.build(raw)
+
+
+def reference_group_normal_form(e: Expression, mode) -> Expression:
+    raw = []
+    for t in e.terms:
+        factors = list(t.factors)
+        piece = Expression((Term(t.coeff, t.jdeg, t.params, t.r2),))
+        for a, b in (("alpha", "beta"), ("alpha2", "beta2")):
+            plain, conj = FieldFactor(a), FieldFactor(a, conj=True)
+            for _ in range(min(factors.count(plain), factors.count(conj))):
+                factors.remove(plain)
+                factors.remove(conj)
+                piece = piece * (1 - jpow(2) * field(b) * field(b, conj=True))
+        raw.extend((piece * Expression((Term(CR_ONE, factors=tuple(factors)),))).terms)
+    return reduce_mode(Expression(tuple(raw)), mode)
 
 
 def rational_circle_point(rng: random.Random) -> tuple[Fraction, Fraction]:

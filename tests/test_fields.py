@@ -44,6 +44,9 @@ from helpers import (
     random_expression,
     random_term,
     reference_canonical_factors,
+    reference_first_order_variation,
+    reference_group_normal_form,
+    reference_substitute,
 )
 
 
@@ -312,6 +315,25 @@ def test_first_order_variation_is_linear():
     assert first_order_variation(parse("B[mu] B[mu]"), rules) == Expression.zero()
 
 
+def test_substitution_and_variation_build_once(monkeypatch):
+    """With the rule bodies prepared, each operation builds its result once:
+    its products stay unbuilt until then."""
+    e = parse("B[mu] B[mu] Z[nu] d[nu]rho + i conj(phi1) Z[mu] d[mu]rho + g A2[mu] W+[mu]")
+    group_poly = parse("alpha conj(alpha) alpha conj(alpha) phi1 + j alpha2 conj(alpha2)")
+    ops = [(substitute, e, ADDITIVITY_SUBSTITUTION), (substitute, e, SUMMED_RULES),
+           (first_order_variation, e, ADDITIVITY_VARIATION),
+           (first_order_variation, e, SUMMED_RULES),
+           (group_normal_form, group_poly, J_ONE), (group_normal_form, group_poly, J_NILPOTENT)]
+    expected = [op(x, arg) for op, x, arg in ops]  # also prepares the rule bodies
+    build, calls = Expression.build.__func__, []
+    monkeypatch.setattr(Expression, "build",
+                        classmethod(lambda cls, raw: calls.append(op) or build(cls, raw)))
+    for (op, x, arg), want in zip(ops, expected):
+        calls.clear()
+        assert op(x, arg) == want
+        assert len(calls) == 1, f"{op.__name__} built {len(calls)} times"
+
+
 def test_mixed_free_indices_rejected():
     with pytest.raises(IndexConflictError):
         field("B", "mu") + field("B", "nu")
@@ -334,6 +356,13 @@ ADDITIVITY_VARIATION = {
     "Wp": imag() * jpow(2) * field("eps3") * field("Wp", "_"),
     "phi1": param("gp") * imag() * field("eps2") * field("phi1"),
 }
+# One body carries a summed index pair, so a term with several replaced
+# factors chains unbuilt products whose summed indices are renamed apart.
+SUMMED_RULES = {
+    "B": field("B", "_") + jpow() * field("Z", "_") * field("W1", "nu") * field("W1", "nu"),
+    "Z": param("R") * field("Z", "_") + field("eps1") * field("A3", "_"),
+    "rho": field("rho") + field("eps2"),
+}
 
 
 def _termwise_sum(op, e):
@@ -346,9 +375,15 @@ def _termwise_sum(op, e):
 def test_symbolic_operations_are_additive_over_terms(rng):
     for _ in range(150):
         e = random_expression(rng)
-        for op in (lambda x: substitute(x, ADDITIVITY_SUBSTITUTION),
-                   lambda x: first_order_variation(x, ADDITIVITY_VARIATION)):
+        for kernel, reference, rules in (
+            (substitute, reference_substitute, ADDITIVITY_SUBSTITUTION),
+            (first_order_variation, reference_first_order_variation, ADDITIVITY_VARIATION),
+            (substitute, reference_substitute, SUMMED_RULES),
+            (first_order_variation, reference_first_order_variation, SUMMED_RULES),
+        ):
+            op = lambda x: kernel(x, rules)
             assert op(e) == _termwise_sum(op, e)
+            assert op(e) == reference(e, rules)  # the products built at each step
         if e.free_indices():
             continue
         for fld, idx in (("B", "a"), ("Wp", "b"), ("Aem", "c"), ("phi1", None)):
@@ -387,6 +422,7 @@ def test_group_normal_form_agrees_at_group_points(rng, mode):
     for _ in range(60):
         e = _random_group_polynomial(rng)
         nf = group_normal_form(e, mode)
+        assert nf == reference_group_normal_form(e, mode)
         for f in nf.terms:  # alpha conj(alpha) is rewritten away
             assert not {FieldFactor("alpha"), FieldFactor("alpha", conj=True)} <= set(f.factors)
         for _ in range(3):
