@@ -315,25 +315,6 @@ def test_first_order_variation_is_linear():
     assert first_order_variation(parse("B[mu] B[mu]"), rules) == Expression.zero()
 
 
-def test_substitution_and_variation_build_once(monkeypatch):
-    """With the rule bodies prepared, each operation builds its result once:
-    its products stay unbuilt until then."""
-    e = parse("B[mu] B[mu] Z[nu] d[nu]rho + i conj(phi1) Z[mu] d[mu]rho + g A2[mu] W+[mu]")
-    group_poly = parse("alpha conj(alpha) alpha conj(alpha) phi1 + j alpha2 conj(alpha2)")
-    ops = [(substitute, e, ADDITIVITY_SUBSTITUTION), (substitute, e, SUMMED_RULES),
-           (first_order_variation, e, ADDITIVITY_VARIATION),
-           (first_order_variation, e, SUMMED_RULES),
-           (group_normal_form, group_poly, J_ONE), (group_normal_form, group_poly, J_NILPOTENT)]
-    expected = [op(x, arg) for op, x, arg in ops]  # also prepares the rule bodies
-    build, calls = Expression.build.__func__, []
-    monkeypatch.setattr(Expression, "build",
-                        classmethod(lambda cls, raw: calls.append(op) or build(cls, raw)))
-    for (op, x, arg), want in zip(ops, expected):
-        calls.clear()
-        assert op(x, arg) == want
-        assert len(calls) == 1, f"{op.__name__} built {len(calls)} times"
-
-
 def test_mixed_free_indices_rejected():
     with pytest.raises(IndexConflictError):
         field("B", "mu") + field("B", "nu")
@@ -382,8 +363,9 @@ def test_symbolic_operations_are_additive_over_terms(rng):
             (first_order_variation, reference_first_order_variation, SUMMED_RULES),
         ):
             op = lambda x: kernel(x, rules)
-            assert op(e) == _termwise_sum(op, e)
-            assert op(e) == reference(e, rules)  # the products built at each step
+            got = op(e)
+            assert got == _termwise_sum(op, e)
+            assert got == reference(e, rules)  # the products built at each step
         if e.free_indices():
             continue
         for fld, idx in (("B", "a"), ("Wp", "b"), ("Aem", "c"), ("phi1", None)):
@@ -392,6 +374,25 @@ def test_symbolic_operations_are_additive_over_terms(rng):
                 continue  # second derivatives of the varied field are rejected
             op = lambda x: euler_lagrange(x, fld, idx)
             assert op(e) == _termwise_sum(op, e)
+
+
+def test_kernel_operations_build_once(monkeypatch):
+    """With the rule bodies prepared, each operation builds its result once:
+    its products stay unbuilt until then."""
+    e = parse("B[mu] B[mu] Z[nu] d[nu]rho + i conj(phi1) Z[mu] d[mu]rho + g A2[mu] W+[mu]")
+    group_poly = parse("alpha conj(alpha) alpha conj(alpha) phi1 + j alpha2 conj(alpha2)")
+    ops = [(substitute, e, ADDITIVITY_SUBSTITUTION), (substitute, e, SUMMED_RULES),
+           (first_order_variation, e, ADDITIVITY_VARIATION),
+           (first_order_variation, e, SUMMED_RULES),
+           (group_normal_form, group_poly, J_ONE), (group_normal_form, group_poly, J_NILPOTENT)]
+    expected = [op(x, arg) for op, x, arg in ops]  # also prepares the rule bodies
+    build, calls = Expression.build.__func__, []
+    monkeypatch.setattr(Expression, "build",
+                        classmethod(lambda cls, raw: calls.append(1) or build(cls, raw)))
+    for (op, x, arg), want in zip(ops, expected):
+        calls.clear()
+        assert op(x, arg) == want
+        assert len(calls) == 1, f"{op.__name__} built {len(calls)} times"
 
 
 # --- normal form on the group SU(2;j) ----------------------------------------
