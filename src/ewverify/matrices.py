@@ -14,7 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .contraction import ComplexRational, JMode
-from .fields import const, field, group_normal_form, jpow, reduce_mode, substitute
+from .fields import (Expression, _product, const, field, group_normal_form, jpow,
+                     reduce_mode, substitute)
 from .report import VerificationReport, timed, verdict, witness
 
 _I_HALF = ComplexRational(0, Fraction(1, 2))
@@ -41,9 +42,11 @@ class Mat2:
         return self.rows[r][c]
 
     def __matmul__(self, other: "Mat2") -> "Mat2":
-        (a, b), (c, d) = self.rows
+        def dot(x, y, z, w):  # x y + z w, built once
+            return Expression.build(_product(x.terms, y.terms) + _product(z.terms, w.terms))
+
         (e, f), (g, h) = other.rows
-        return Mat2(((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h)))
+        return Mat2([[dot(a, e, b, g), dot(a, f, b, h)] for a, b in self.rows])
 
     def __add__(self, other: "Mat2") -> "Mat2":
         return Mat2([[x + y for x, y in zip(r, s)] for r, s in zip(self.rows, other.rows)])

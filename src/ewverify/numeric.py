@@ -13,10 +13,12 @@ receive the conjugate value of their partners.
 
 Each expression is compiled once per free-index binding into a plan: per
 term a base coefficient, per index combination a tuple of slots, and the
-slots' field instances in first-access order.  An evaluation draws each
-instance once in that order and then runs the products and the sum in
-term-by-term float order, so a lazy :class:`FieldSample` draws, and the
-result rounds, exactly as a walk over every combination would.
+slots' field instances in first-access order, derivative tags sorted
+(derivatives commute).  An evaluation fetches every instance in one
+batched ``values(keys)`` lookup, in that order, then runs the products
+(unrolled, left to right, for 2 to 4 factors) and the sum in term-by-term
+float order, so a lazy :class:`FieldSample` draws, and the result rounds,
+exactly as a walk over every combination would.
 """
 
 from __future__ import annotations
@@ -55,7 +57,8 @@ class FieldSample:
 
     Real fields get real Gaussian draws, complex fields complex ones, and
     the value of a conjugate-partner field is forced to the conjugate of
-    its partner's value.
+    its partner's value.  :meth:`values` takes plan keys, whose derivative
+    tags are sorted, and draws unseen instances in key order.
     """
 
     def __init__(self, seed: int):
@@ -63,21 +66,23 @@ class FieldSample:
         self._values: dict = {}
 
     def value(self, fld: str, indices, derivs, conj: bool) -> complex:
-        fdef = FIELDS[fld]
-        if fdef.partner is not None and not fdef.primary:
-            # the secondary member of a conjugate pair mirrors its partner
-            return self.value(fdef.partner, indices, derivs, not conj)
-        if conj:
-            return self.value(fld, indices, derivs, False).conjugate()
-        key = (fld, tuple(indices), tuple(sorted(derivs)))
-        got = self._values.get(key)
-        if got is None:
-            if fdef.real:
-                got = complex(self._rng.gauss(0.0, 1.0), 0.0)
-            else:
-                got = complex(self._rng.gauss(0.0, 1.0), self._rng.gauss(0.0, 1.0))
-            self._values[key] = got
-        return got
+        return self.values(((fld, tuple(indices), tuple(sorted(derivs)), conj),))[0]
+
+    def values(self, keys) -> list:
+        drawn = self._values
+        gauss = self._rng.gauss
+        out = []
+        for fld, indices, derivs, conj in keys:
+            fdef = FIELDS[fld]
+            if not fdef.primary:  # mirrors its partner; a conjugate pair is complex
+                fld, conj = fdef.partner, not conj
+            key = (fld, indices, derivs)
+            got = drawn.get(key)
+            if got is None:
+                got = complex(gauss(0.0, 1.0), 0.0 if fdef.real else gauss(0.0, 1.0))
+                drawn[key] = got
+            out.append(got.conjugate() if conj else got)
+        return out
 
 
 class _DictAssignment:
@@ -85,10 +90,13 @@ class _DictAssignment:
         self.mapping = mapping
 
     def value(self, fld, indices, derivs, conj):
-        key = (fld, tuple(indices), tuple(sorted(derivs)), conj)
-        if key not in self.mapping:
-            raise MissingAssignmentError(f"no value assigned for {key}")
-        return complex(self.mapping[key])
+        return self.values(((fld, tuple(indices), tuple(sorted(derivs)), conj),))[0]
+
+    def values(self, keys) -> list:
+        try:
+            return [complex(self.mapping[key]) for key in keys]
+        except KeyError as missing:
+            raise MissingAssignmentError(f"no value assigned for {missing.args[0]}") from None
 
 
 def assignment_from_components(components: dict) -> _DictAssignment:
@@ -118,7 +126,8 @@ def _plan(e: Expression, binding: tuple) -> tuple:
     Returns ``(terms, keys)``: per term its base ``complex(coeff) *
     sqrt(2)**r2``, its parameter monomial and, per summed-index
     combination, a tuple of slots into ``keys``; ``keys`` holds each
-    distinct ``(field, indices, derivs, conj)`` once, in first-access order.
+    distinct ``(field, indices, derivs, conj)`` once, in first-access order,
+    with ``derivs`` sorted.
     """
     bound = dict(binding)
     slots: dict = {}
@@ -135,7 +144,7 @@ def _plan(e: Expression, binding: tuple) -> tuple:
             combos.append(tuple(
                 slots.setdefault((f.field,
                                   tuple(concrete[i] for i in f.indices),
-                                  tuple(concrete[i] for i in f.derivs),
+                                  tuple(sorted(concrete[i] for i in f.derivs)),
                                   f.conj), len(slots))
                 for f in t.factors
             ))
@@ -157,28 +166,40 @@ def eval_expression(
     :func:`~ewverify.fields.j_decompose`.
 
     The expression is compiled once per free-index binding into a plan,
-    kept in a bounded memo.  Each call looks up every distinct field
-    instance once, in first-access order, so a lazy :class:`FieldSample`
-    draws as a term-by-term walk would; the products and the sum then run
-    in the walk's float order, so the result is bit-identical to it.
+    kept in a bounded memo.  Each call fetches every distinct field
+    instance in one ``assignment.values(keys)`` lookup, in first-access
+    order, so a lazy :class:`FieldSample` draws as a term-by-term walk
+    would; the products (unrolled for 2, 3 and 4 factors, left to right)
+    and the sum then run in the walk's float order, so the result is
+    bit-identical to it.
     """
     if isinstance(assignment, dict):
         assignment = _DictAssignment(assignment)
     params = params or {}
     terms, keys = _plan(e, tuple(sorted((free_values or {}).items())))
-    value = assignment.value
-    values = [value(*key) for key in keys]
+    values = assignment.values(keys)
     total = 0j
     for base, monomial, combos in terms:
         for name, exp in monomial:
             if name not in params:
                 raise MissingAssignmentError(f"no value for parameter {name}")
             base *= float(params[name]) ** exp
-        for slots in combos:
-            prod = base
-            for s in slots:
-                prod *= values[s]
-            total += prod
+        arity = len(combos[0])
+        if arity == 2:
+            for a, b in combos:
+                total += base * values[a] * values[b]
+        elif arity == 3:
+            for a, b, c in combos:
+                total += base * values[a] * values[b] * values[c]
+        elif arity == 4:
+            for a, b, c, d in combos:
+                total += base * values[a] * values[b] * values[c] * values[d]
+        else:
+            for slots in combos:
+                prod = base
+                for s in slots:
+                    prod *= values[s]
+                total += prod
     return total
 
 

@@ -16,7 +16,7 @@ from ewverify import (
     parse,
 )
 from ewverify.model import float_config
-from ewverify.numeric import DIMENSION, REL_TOL
+from ewverify.numeric import DIMENSION, REL_TOL, _plan
 
 from helpers import random_expression, reference_eval
 
@@ -65,6 +65,29 @@ def test_conjugate_pair_values_mirror():
     assert wm == wp.conjugate()
     phi = sample.value("phi1", (), (), False)
     assert sample.value("phi1", (), (), True) == phi.conjugate()
+
+
+def test_batched_values_draw_as_single_lookups():
+    """``values`` on plan keys (derivative tags sorted) returns, and draws in
+    the same order, what one ``value`` call per key returns as a walk gives
+    the key."""
+    walk = [
+        ("Wm", (2,), (), False),
+        ("Wp", (2,), (), False),
+        ("phi1", (), (), True),
+        ("eps2", (), (3, 1), False),
+        ("B", (0,), (), False),
+        ("phi1", (), (), True),
+        ("eps2", (), (1, 3), False),
+        ("Wm", (1,), (0,), True),
+    ]
+    plan_keys = [(f, i, tuple(sorted(d)), c) for f, i, d, c in walk]
+    batched, single = FieldSample(17), FieldSample(17)
+    assert batched.values(plan_keys) == [single.value(*k) for k in walk]
+    assert list(batched._values.items()) == list(single._values.items())
+    # _plan stores the sorted form: d[mu]d[nu] at (3, 1) is the (1, 3) instance
+    _, keys = _plan(parse("d[mu]d[nu]eps2"), (("mu", 3), ("nu", 1)))
+    assert keys == (("eps2", (), (1, 3), False),)
 
 
 def test_equals_exact_path():
@@ -145,3 +168,16 @@ def test_eval_matches_reference_on_the_lagrangian_parts():
             _assert_matches_reference([e], seed, params)
         # one sample shared across the three parts, as the sweep draws it
         _assert_matches_reference(exprs, seed, params)
+
+
+def test_eval_matches_reference_beyond_the_unrolled_arities(rng):
+    """Products of two random expressions carry terms of up to 8 factors,
+    and a constant term has none: both leave the unrolled 2-4 factor paths."""
+    params = {"g": 1.3, "gp": 0.7, "R": 2.1}
+    for _ in range(30):
+        e = random_expression(rng) * random_expression(rng)
+        free_values = {n: rng.randrange(DIMENSION) for n in sorted(e.free_indices())}
+        _assert_matches_reference([e], rng.randrange(2**32), params, free_values)
+    e = parse("3/2 + g rho + rho eps1 d[mu]eps2 d[nu]eps3 B[mu] Z[nu]")
+    assert sorted(len(t.factors) for t in e.terms) == [0, 1, 6]
+    _assert_matches_reference([e], 5, params)
