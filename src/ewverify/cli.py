@@ -22,7 +22,6 @@ from .limits import decoupling_check, mass_invariance_check, scaling_sweep
 from .matrices import verify_group
 from .model import (
     ModelConfig,
-    ParameterError,
     check_su2_invariance,
     check_u1_invariance,
     extract_masses,
@@ -31,17 +30,19 @@ from .model import (
     verify_trace_identity,
 )
 
-CONFIG_KEYS = ("g", "gp", "R", "jmode", "seed", "samples", "exact")
-
 SWEEP_JS = (1e-1, 10**-1.5, 1e-2, 10**-2.5, 1e-3)
+
+# each config key and the flag that sets it
+FLAGS = {"g": "g", "gp": "gp", "R": "R", "jmode": "j", "seed": "seed",
+         "samples": "samples", "exact": "exact"}
 
 # the flags each command never reads; passing one is a usage error
 _COUPLING_FLAGS = ("g", "gp", "R", "exact")
 IGNORED_FLAGS = {
-    "verify group": _COUPLING_FLAGS + ("samples",),
+    "verify group": _COUPLING_FLAGS + ("seed", "samples"),
     "verify lagrangian": ("j", "samples"),
     "verify gauge": ("samples",),
-    "verify trace": ("j",) + _COUPLING_FLAGS + ("samples",),
+    "verify trace": ("j",) + _COUPLING_FLAGS + ("seed", "samples"),
     "verify all": ("samples",),
     "masses": ("samples",),
     "eom": ("j", "samples"),
@@ -53,13 +54,24 @@ class ConfigError(ValueError):
     pass
 
 
-def _as_fraction(value, key: str) -> Fraction:
-    if isinstance(value, bool):  # JSON true is not the number 1
-        raise ConfigError(f"invalid value for {key!r}: {value!r}")
-    try:
-        return Fraction(value)
-    except (ValueError, TypeError, ZeroDivisionError, OverflowError):
-        raise ConfigError(f"invalid value for {key!r}: {value!r}") from None
+def _setting(key: str, value):
+    """The value ModelConfig takes for config key ``key``, from the config
+    file or from the key's flag: both are read by these rules."""
+    if key == "jmode":
+        try:
+            return JMode.from_text(str(value))
+        except ValueError as exc:
+            raise ConfigError(f"invalid value for 'jmode': {exc}") from None
+    # only exact is a bool, and no other value is one: JSON true is not the number 1
+    if isinstance(value, bool) == (key == "exact"):
+        if key == "exact" or (key in ("seed", "samples") and isinstance(value, int)):
+            return value
+        if key in ("g", "gp", "R"):
+            try:
+                return Fraction(value)
+            except (ValueError, TypeError, ZeroDivisionError, OverflowError):
+                pass
+    raise ConfigError(f"invalid value for {key!r}: {value!r}")
 
 
 def load_config(path: str | Path) -> ModelConfig:
@@ -76,34 +88,16 @@ def _config_values(path: str | Path) -> dict:
         raise ConfigError(f"malformed config {str(path)!r}: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = sorted(set(data) - set(CONFIG_KEYS))
+    unknown = sorted(set(data) - set(FLAGS))
     if unknown:
         raise ConfigError(f"unknown config key {unknown[0]!r}")
-    kwargs = {}
-    for key in ("g", "gp", "R"):
-        if key in data:
-            kwargs[key] = _as_fraction(data[key], key)
-    if "jmode" in data:
-        try:
-            kwargs["jmode"] = JMode.from_text(str(data["jmode"]))
-        except ValueError as exc:
-            raise ConfigError(f"invalid value for 'jmode': {exc}") from None
-    for key in ("seed", "samples"):
-        if key in data:
-            if not isinstance(data[key], int) or isinstance(data[key], bool):
-                raise ConfigError(f"invalid value for {key!r}: {data[key]!r}")
-            kwargs[key] = data[key]
-    if "exact" in data:
-        if not isinstance(data["exact"], bool):
-            raise ConfigError(f"invalid value for 'exact': {data['exact']!r}")
-        kwargs["exact"] = data["exact"]
-    return kwargs
+    return {key: _setting(key, data[key]) for key in FLAGS if key in data}
 
 
 def _model_config(kwargs: dict) -> ModelConfig:
     try:
         return ModelConfig(**kwargs)
-    except (ValueError, ParameterError) as exc:
+    except ValueError as exc:  # a ParameterError too
         raise ConfigError(str(exc)) from None
 
 
@@ -111,22 +105,12 @@ def _config_from_args(args) -> tuple[ModelConfig, JMode | None]:
     """The config file's values overridden by the flags, and the mode that
     ``--j`` or the file's ``jmode`` selects (None when neither sets one)."""
     kwargs = _config_values(args.config) if args.config else {}
+    for key, flag in FLAGS.items():
+        if getattr(args, flag) is not None:
+            kwargs[key] = _setting(key, getattr(args, flag))
     # a value the command never reads is not checked against the others
-    kwargs = {k: v for k, v in kwargs.items() if k not in IGNORED_FLAGS[_command(args)]}
-    try:
-        if args.g is not None:
-            kwargs["g"] = _as_fraction(args.g, "g")
-        if args.gp is not None:
-            kwargs["gp"] = _as_fraction(args.gp, "gp")
-        if args.R is not None:
-            kwargs["R"] = _as_fraction(args.R, "R")
-        if args.j is not None:
-            kwargs["jmode"] = JMode.from_text(args.j)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    for key in ("seed", "samples", "exact"):
-        if getattr(args, key) is not None:
-            kwargs[key] = getattr(args, key)
+    ignored = IGNORED_FLAGS[_command(args)]
+    kwargs = {k: v for k, v in kwargs.items() if FLAGS[k] not in ignored}
     cfg = _model_config(kwargs)
     return cfg, cfg.jmode if "jmode" in kwargs else None
 

@@ -624,9 +624,7 @@ def euler_lagrange(lagrangian: Expression, fld: str, idx: str | None = None) -> 
     for t in lagrangian.terms:
         names = set(t.index_counts())
         if idx is not None and idx in names:
-            mapping = {n: f"_e{k}" for k, n in enumerate(sorted(names))}
-            t = Term(t.coeff, t.jdeg, t.params, t.r2,
-                     tuple(f.rename(mapping) for f in t.factors))
+            t = _refresh_dummies(t, "e")
             names = set(t.index_counts())
         for p, f in enumerate(t.factors):
             if f.field != fld or f.conj:

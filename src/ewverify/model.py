@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .contraction import J_NILPOTENT, J_ONE, ComplexRational, JMode
@@ -345,50 +345,46 @@ def verify_matter_radial(cfg: ModelConfig) -> VerificationReport:
 
 @dataclass(frozen=True)
 class MassSpectrum:
-    """Vector boson masses and couplings; the photon mass is identically 0.
+    """Vector boson masses and couplings.
 
-    ``m_Z_sq`` and ``m_W_sq`` keep the exact rational squares so spectra can
-    be compared with zero tolerance even when the roots are irrational.
+    Stored: the exact rational squares ``m_Z_sq`` and ``m_W_sq`` (so spectra
+    compare with zero tolerance even when the roots are irrational) and
+    ``e_charge``.  Derived: ``m_Z``, ``m_W`` and ``cos_theta_W`` are roots of
+    the squares, exact where rational; the photon mass ``m_A`` is
+    identically 0.
     """
 
-    m_A: Fraction
-    m_Z: "Fraction | float"
-    m_W: "Fraction | float"
-    e_charge: "Fraction | float"
-    cos_theta_W: "Fraction | float"
     m_Z_sq: Fraction
     m_W_sq: Fraction
+    e_charge: "Fraction | float"
+
+    m_A = Fraction(0)
 
     def __post_init__(self):
-        if self.m_A != 0:
-            raise ValueError("photon must be massless")
         if self.m_W_sq > self.m_Z_sq:
             raise ValueError("mass ordering violated: m_W > m_Z")
 
-    def same_spectrum(self, other: "MassSpectrum") -> bool:
-        return (
-            self.m_A == other.m_A
-            and self.m_Z_sq == other.m_Z_sq
-            and self.m_W_sq == other.m_W_sq
-            and self.e_charge == other.e_charge
-            and self.cos_theta_W == other.cos_theta_W
-        )
+    @property
+    def m_Z(self) -> "Fraction | float":
+        return _sqrt_or_float(self.m_Z_sq)
+
+    @property
+    def m_W(self) -> "Fraction | float":
+        return _sqrt_or_float(self.m_W_sq)
+
+    @property
+    def cos_theta_W(self) -> "Fraction | float":
+        return _sqrt_or_float(self.m_W_sq / self.m_Z_sq)
 
     def as_dict(self) -> dict:
-        def num(x):
-            return float(x)
-
         out = {
-            "m_A": num(self.m_A),
-            "m_Z": num(self.m_Z),
-            "m_W": num(self.m_W),
-            "e_charge": num(self.e_charge),
-            "cos_theta_W": num(self.cos_theta_W),
+            "m_A": float(self.m_A),
+            "m_Z": float(self.m_Z),
+            "m_W": float(self.m_W),
+            "e_charge": float(self.e_charge),
+            "cos_theta_W": float(self.cos_theta_W),
         }
-        out["exact"] = {
-            "m_Z_sq": str(self.m_Z_sq),
-            "m_W_sq": str(self.m_W_sq),
-        }
+        out["exact"] = {"m_Z_sq": str(self.m_Z_sq), "m_W_sq": str(self.m_W_sq)}
         for name in ("m_Z", "m_W", "e_charge", "cos_theta_W"):
             value = getattr(self, name)
             if isinstance(value, Fraction):
@@ -446,15 +442,7 @@ def extract_masses(cfg: ModelConfig) -> MassSpectrum:
     e_charge = cfg.e_charge()
     if exact_sqrt(cfg.g**2 + cfg.gp**2) is None:  # s was rounded to a float
         e_charge = float(e_charge)
-    return MassSpectrum(
-        m_A=Fraction(0),
-        m_Z=_sqrt_or_float(m_z_sq),
-        m_W=_sqrt_or_float(m_w_sq),
-        e_charge=e_charge,
-        cos_theta_W=_sqrt_or_float(m_w_sq / m_z_sq),
-        m_Z_sq=m_z_sq,
-        m_W_sq=m_w_sq,
-    )
+    return MassSpectrum(m_z_sq, m_w_sq, e_charge)
 
 
 # --- gauge invariance --------------------------------------------------------
@@ -536,14 +524,3 @@ def verify_trace_identity() -> VerificationReport:
                 for w in witness(group_normal_form(diff, mode), mode.label())]
     return verdict("trace-identity", "all", failures)
 
-
-def float_config(g: float, gp: float, R: float = 2.0, seed: int = 42) -> ModelConfig:
-    """Convenience constructor for float parameter points; an irrational
-    sqrt(g^2+gp^2) is carried as the symbol s."""
-    return ModelConfig(
-        g=Fraction(g), gp=Fraction(gp), R=Fraction(R), seed=seed, exact=False
-    )
-
-
-def with_mode(cfg: ModelConfig, mode: JMode) -> ModelConfig:
-    return replace(cfg, jmode=mode)

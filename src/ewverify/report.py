@@ -13,21 +13,28 @@ from dataclasses import dataclass, replace
 class VerificationReport:
     """Outcome of one named check.
 
-    Every check decides in exact arithmetic: ``max_abs_error`` is 0.0 for
-    a pass, and -1.0 marks a mismatch (no meaningful magnitude).
+    Stored: ``check_name``, ``mode``, ``passed``, ``witness`` and
+    ``duration_ms``.  Every check decides in exact arithmetic, so the rest
+    follows from ``passed``: ``status`` is "pass" or "fail",
+    ``decision_path`` is always "exact-symbolic", and ``max_abs_error`` is
+    0.0 for a pass and -1.0 for a mismatch (no meaningful magnitude).
     """
 
     check_name: str
     mode: str
-    status: str  # "pass" | "fail"
-    decision_path: str  # "exact-symbolic"
-    max_abs_error: float
+    passed: bool
     witness: str | None = None
     duration_ms: int = 0
 
+    decision_path = "exact-symbolic"
+
     @property
-    def passed(self) -> bool:
-        return self.status == "pass"
+    def status(self) -> str:
+        return "pass" if self.passed else "fail"
+
+    @property
+    def max_abs_error(self) -> float:
+        return 0.0 if self.passed else -1.0
 
     def as_dict(self) -> dict:
         # Timing is left out so identical (config, seed) runs serialize
@@ -54,19 +61,10 @@ def verdict(
     check_name: str, mode: str, failures, witness: str | None = None
 ) -> VerificationReport:
     """Build a check's report: it passes exactly when ``failures`` is empty.
-
-    A pass reports error 0.0 and keeps ``witness``; a fail reports the
-    exact-mismatch marker -1.0 and joins the failures as its witness.
-    """
-    passed = not failures
-    return VerificationReport(
-        check_name=check_name,
-        mode=mode,
-        status="pass" if passed else "fail",
-        decision_path="exact-symbolic",
-        max_abs_error=0.0 if passed else -1.0,
-        witness=witness if passed else "; ".join(failures),
-    )
+    A pass keeps ``witness``; a fail joins the failures as its witness."""
+    if failures:
+        return VerificationReport(check_name, mode, False, "; ".join(failures))
+    return VerificationReport(check_name, mode, True, witness)
 
 
 def witness(residue, label: str | None = None) -> list[str]:

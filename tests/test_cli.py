@@ -143,7 +143,7 @@ def test_json_reports_are_deterministic(tmp_path, capsys):
     out2 = tmp_path / "b.json"
     for out in (out1, out2):
         code = run(
-            ["verify", "group", "--j", "1", "--seed", "5", "--out", str(out)]
+            ["verify", "group", "--j", "1", "--out", str(out)]
         )
         assert code == 0
     capsys.readouterr()
@@ -177,7 +177,7 @@ def test_verify_all_is_deterministic(tmp_path, capsys):
 PINNED_JSON = [
     (("verify", "all", "--seed", "42"),
      "b03d36e52dc651ddb8c66e0b8cfb1aa2b8619581b45fa40b8fa908d8de51b1c7"),
-    (("verify", "group", "--j", "iota", "--seed", "7"),
+    (("verify", "group", "--j", "iota"),
      "ce26d6bdf4b57d75e5988f68fa912f1da4fdc2853a9ecc5066af1216fefbe84b"),
     (("verify", "lagrangian", "--no-exact", "--g", "1.3", "--gp", "0.7"),
      "4f897d25379f50dd7c39ff76094fd4f1fb2d8bdc647d05f6e8164cc63758dac2"),
@@ -318,6 +318,25 @@ def test_unused_samples_flag_is_a_usage_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert "--samples" in err
+
+
+@pytest.mark.parametrize("suite", ["group", "trace"])
+def test_unused_seed_flag_is_a_usage_error(capsys, suite):
+    code, out, err = run_cli(capsys, "verify", suite, "--seed", "3")
+    assert code == 2
+    assert out == ""
+    assert "--seed is not used by verify " + suite in err
+
+
+@pytest.mark.parametrize("flag, key, value", [("--j", "jmode", "xyz"), ("--g", "g", "abc")])
+def test_flag_and_config_value_give_one_message(tmp_path, capsys, flag, key, value):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({key: value}))
+    for argv in ((flag, value), ("--config", str(path))):
+        code, out, err = run_cli(capsys, "masses", *argv)
+        assert code == 2
+        assert out == ""
+        assert f"invalid value for {key!r}" in err
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -46,11 +47,9 @@ from ewverify.model import (
     covariant_phi_derivatives,
     curl,
     exact_sqrt,
-    float_config,
     matter_radial_display,
     physical_basis_rules,
     su2_stress_tensors,
-    with_mode,
 )
 CFG = ModelConfig()
 
@@ -218,7 +217,7 @@ def test_physical_basis_forward_maps():
 def test_physical_basis_requires_rational_s():
     with pytest.raises(ParameterError):
         ModelConfig(g=Fraction(1), gp=Fraction(1))
-    cfg = float_config(1.0, 1.0)
+    cfg = ModelConfig(g=1.0, gp=1.0, exact=False)
     assert cfg.s_value() == Fraction(math.sqrt(2.0))
 
 
@@ -272,8 +271,8 @@ def test_grading_identity_exact(triple):
 def test_grading_identity_float_points():
     rng = random.Random(5)
     for _ in range(2):
-        cfg = float_config(rng.uniform(0.3, 2.0), rng.uniform(0.3, 2.0),
-                           seed=rng.randrange(1000))
+        cfg = ModelConfig(g=rng.uniform(0.3, 2.0), gp=rng.uniform(0.3, 2.0),
+                          seed=rng.randrange(1000), exact=False)
         report = verify_grading(cfg)
         assert report.passed and report.decision_path == "exact-symbolic"
         assert report.max_abs_error == 0.0
@@ -340,7 +339,7 @@ def test_mass_spectrum_reading_convention():
 def test_observed_mass_calibration():
     # cos(theta_W) = 80/91 and m_W = 80 force m_Z = 91
     gp = math.sqrt(91**2 - 80**2)
-    cfg = float_config(80.0, gp, R=2.0)
+    cfg = ModelConfig(g=80.0, gp=gp, R=2.0, exact=False)
     spectrum = extract_masses(cfg)
     assert spectrum.m_W == 80
     assert abs(float(spectrum.m_Z) - 91.0) <= 91.0 * 1e-10
@@ -348,9 +347,17 @@ def test_observed_mass_calibration():
 
 
 def test_masses_equal_across_modes():
-    one = extract_masses(with_mode(CFG, J_ONE))
-    nil = extract_masses(with_mode(CFG, J_NILPOTENT))
-    assert one.same_spectrum(nil)
+    one = extract_masses(replace(CFG, jmode=J_ONE))
+    nil = extract_masses(replace(CFG, jmode=J_NILPOTENT))
+    assert one == nil
+
+
+def test_spectrum_derives_its_roots_from_the_squares():
+    spectrum = extract_masses(CFG)
+    moved = replace(spectrum, m_W_sq=Fraction(16))
+    assert moved.m_W == 4
+    assert moved.cos_theta_W == Fraction(4, 5)
+    assert moved != spectrum
 
 
 # --- invariances -------------------------------------------------------------------

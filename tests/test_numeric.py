@@ -8,6 +8,7 @@ from ewverify import (
     Expression,
     FieldSample,
     MissingAssignmentError,
+    ModelConfig,
     assignment_from_components,
     build_L27,
     equals,
@@ -15,7 +16,6 @@ from ewverify import (
     j_decompose,
     parse,
 )
-from ewverify.model import float_config
 from ewverify.numeric import DIMENSION, REL_TOL, _plan
 
 from helpers import random_expression, reference_eval
@@ -159,7 +159,7 @@ def test_eval_matches_reference_on_random_expressions(rng):
 
 
 def test_eval_matches_reference_on_the_lagrangian_parts():
-    cfg = float_config(1.3, 0.7, 2.1)
+    cfg = ModelConfig(g=1.3, gp=0.7, R=2.1, exact=False)
     parts = j_decompose(build_L27(cfg))
     exprs = [parts[0], parts[2], parts[4]]  # base, fiber, quartic
     params = {"s": float(cfg.s_value())}  # the irrational s stays a symbol

@@ -234,9 +234,7 @@ def test_mass_invariance_fails_when_one_mode_moves_the_w_mass(monkeypatch, capsy
         spectrum = original(cfg)
         if not cfg.jmode.is_nilpotent:
             return spectrum
-        return dataclasses.replace(
-            spectrum, m_W=Fraction(4), m_W_sq=Fraction(16), cos_theta_W=Fraction(4, 5)
-        )
+        return dataclasses.replace(spectrum, m_W_sq=Fraction(16))
 
     monkeypatch.setattr(limits, "extract_masses", moved)
     report = mass_invariance_check(CFG)

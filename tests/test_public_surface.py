@@ -19,7 +19,6 @@ PACKAGE = ROOT / "src" / "ewverify"
 KEPT_FOR_TESTS = {
     "su2_element": "the concrete-entry reference for the form-invariance and "
     "nilpotent-closure tests",
-    "float_config": "tests build float parameter points for the numeric oracle",
     "random_pythagorean_config": "acceptance criterion 11 draws exact points with it",
     "assignment_from_components": "tests plug explicit field values into eval_expression",
     "contraction_rules_phi": "the paper's contraction map for the doublet, "
