@@ -67,11 +67,9 @@ from .model import (
     verify_trace_identity,
 )
 from .numeric import (
-    EqualsResult,
     FieldSample,
     MissingAssignmentError,
     assignment_from_components,
-    equals,
     eval_expression,
 )
 from .parser import ParseError, parse, to_text

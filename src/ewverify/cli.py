@@ -17,7 +17,7 @@ import traceback
 from fractions import Fraction
 from pathlib import Path
 
-from .contraction import J_NILPOTENT, J_ONE, JMode
+from .contraction import DEFAULT_MODES, J_NILPOTENT, J_ONE, JMode
 from .limits import decoupling_check, mass_invariance_check, scaling_sweep
 from .matrices import verify_group
 from .model import (
@@ -118,7 +118,7 @@ def _config_from_args(args) -> tuple[ModelConfig, JMode | None]:
 # Each suite takes the selected mode, or None to run every mode.
 
 def _group_suite(cfg: ModelConfig, mode: JMode | None):
-    modes = [J_ONE, J_NILPOTENT, JMode.numeric(Fraction(1, 1000))] if mode is None else [mode]
+    modes = DEFAULT_MODES if mode is None else [mode]
     return [verify_group(m) for m in modes]
 
 

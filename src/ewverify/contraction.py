@@ -212,9 +212,10 @@ class JMode:
         if t in ("iota", "nilpotent"):
             return J_NILPOTENT
         try:
-            return cls.numeric(Fraction(t))
+            value = Fraction(t)
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"cannot parse j mode from {text!r}") from None
+        return cls.numeric(value)  # a negative value fails its range check
 
     @property
     def is_one(self) -> bool:
@@ -251,6 +252,8 @@ class JMode:
 
 J_ONE = JMode("one")
 J_NILPOTENT = JMode("nilpotent")
+# The modes a suite runs when none is selected: j = 1, iota and 0.001.
+DEFAULT_MODES = (J_ONE, J_NILPOTENT, JMode.numeric(Fraction(1, 1000)))
 
 
 class ContractionScalar:

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .contraction import J_NILPOTENT, J_ONE, ComplexRational, JMode
+from .contraction import DEFAULT_MODES, J_NILPOTENT, J_ONE, ComplexRational, JMode
 from .fields import (
     Expression,
     Term,
@@ -519,8 +519,7 @@ def verify_trace_identity() -> VerificationReport:
     h, f = symbolic_element("alpha", "beta"), symbolic_lie_element()
     rotated = h.dagger() @ f @ h
     diff = (rotated @ rotated).trace() - (f @ f).trace()
-    modes = (J_ONE, J_NILPOTENT, JMode.numeric(Fraction(1, 1000)))
-    failures = [w for mode in modes
+    failures = [w for mode in DEFAULT_MODES
                 for w in witness(group_normal_form(diff, mode), mode.label())]
     return verdict("trace-identity", "all", failures)
 

@@ -1,24 +1,23 @@
-"""Randomized numeric evaluation of field expressions.
+"""Numeric evaluation of field expressions on random field values.
 
 The scaling sweep evaluates the Lagrangian's j-grade parts on random field
-values.  No check decides an identity here any more: the canonical form
-settles them all, with s = sqrt(g^2+gp^2) carried as a symbol where it is
-irrational.  The equality oracle :func:`equals` (``TRIALS`` = 20 seeded
-trials, relative tolerance ``REL_TOL`` = 1e-9 per j-grade) stays only
-because the benchmark's tracer hooks it by name.
+values; that is this module's one use.  No check decides an identity here:
+the canonical form settles them all, with s = sqrt(g^2+gp^2) carried as a
+symbol where it is irrational.
 
 Summed index pairs expand over a 4-dimensional index range; contraction is
 plain pairing with no metric signs.  Conjugate field instances always
-receive the conjugate value of their partners.
+receive the conjugate value of their partners.  The sweep's parts are
+scalars, so an expression with a free index is rejected.
 
-Each expression is compiled once per free-index binding into a plan: per
-term a base coefficient, per index combination a tuple of slots, and the
-slots' field instances in first-access order, derivative tags sorted
-(derivatives commute).  An evaluation fetches every instance in one
-batched ``values(keys)`` lookup, in that order, then runs the products
-(unrolled, left to right, for 2 to 4 factors) and the sum in term-by-term
-float order, so a lazy :class:`FieldSample` draws, and the result rounds,
-exactly as a walk over every combination would.
+Each expression is compiled once into a plan: per term a base coefficient,
+per index combination a tuple of slots, and the slots' field instances in
+first-access order, derivative tags sorted (derivatives commute).  An
+evaluation fetches every instance in one batched ``values(keys)`` lookup,
+in that order, then runs the products (unrolled, left to right, for 2 to 4
+factors) and the sum in term-by-term float order, so a lazy
+:class:`FieldSample` draws, and the result rounds, exactly as a walk over
+every combination would.
 """
 
 from __future__ import annotations
@@ -29,21 +28,18 @@ import math
 import random
 from dataclasses import dataclass
 
-from .fields import FIELDS, Expression, j_decompose
+from .fields import FIELDS, Expression
+from .report import witness
 
 __all__ = [
     "DIMENSION",
-    "EqualsResult",
     "FieldSample",
     "MissingAssignmentError",
     "assignment_from_components",
-    "equals",
     "eval_expression",
 ]
 
 DIMENSION = 4
-TRIALS = 20
-REL_TOL = 1e-9
 
 SQRT2 = math.sqrt(2.0)
 
@@ -57,16 +53,14 @@ class FieldSample:
 
     Real fields get real Gaussian draws, complex fields complex ones, and
     the value of a conjugate-partner field is forced to the conjugate of
-    its partner's value.  :meth:`values` takes plan keys, whose derivative
-    tags are sorted, and draws unseen instances in key order.
+    its partner's value.  :meth:`values` takes plan keys
+    ``(field, indices, derivs, conj)``, whose derivative tags are sorted,
+    and draws unseen instances in key order.
     """
 
     def __init__(self, seed: int):
         self._rng = random.Random(seed)
         self._values: dict = {}
-
-    def value(self, fld: str, indices, derivs, conj: bool) -> complex:
-        return self.values(((fld, tuple(indices), tuple(sorted(derivs)), conj),))[0]
 
     def values(self, keys) -> list:
         drawn = self._values
@@ -88,9 +82,6 @@ class FieldSample:
 class _DictAssignment:
     def __init__(self, mapping):
         self.mapping = mapping
-
-    def value(self, fld, indices, derivs, conj):
-        return self.values(((fld, tuple(indices), tuple(sorted(derivs)), conj),))[0]
 
     def values(self, keys) -> list:
         try:
@@ -120,8 +111,8 @@ def assignment_from_components(components: dict) -> _DictAssignment:
 
 
 @functools.lru_cache(maxsize=64)
-def _plan(e: Expression, binding: tuple) -> tuple:
-    """Compile ``e`` with its free indices bound by ``binding``.
+def _plan(e: Expression) -> tuple:
+    """Compile ``e``, which must have no free index.
 
     Returns ``(terms, keys)``: per term its base ``complex(coeff) *
     sqrt(2)**r2``, its parameter monomial and, per summed-index
@@ -129,18 +120,17 @@ def _plan(e: Expression, binding: tuple) -> tuple:
     distinct ``(field, indices, derivs, conj)`` once, in first-access order,
     with ``derivs`` sorted.
     """
-    bound = dict(binding)
     slots: dict = {}
     terms = []
     for t in e.terms:
         counts = t.index_counts()
-        dummies = sorted(n for n, c in counts.items() if c == 2)
-        missing = [n for n, c in counts.items() if c == 1 and n not in bound]
-        if missing:
-            raise MissingAssignmentError(f"free index {missing[0]} has no value")
+        free = [n for n, c in counts.items() if c == 1]
+        if free:
+            raise MissingAssignmentError(f"free index {free[0]} has no value")
+        dummies = sorted(counts)
         combos = []
         for combo in itertools.product(range(DIMENSION), repeat=len(dummies)):
-            concrete = {**bound, **dict(zip(dummies, combo))}
+            concrete = dict(zip(dummies, combo))
             combos.append(tuple(
                 slots.setdefault((f.field,
                                   tuple(concrete[i] for i in f.indices),
@@ -152,31 +142,25 @@ def _plan(e: Expression, binding: tuple) -> tuple:
     return tuple(terms), tuple(slots)
 
 
-def eval_expression(
-    e: Expression,
-    assignment,
-    params: dict | None = None,
-    free_values: dict | None = None,
-) -> complex:
-    """Evaluate the polynomial on concrete field values at j = 1.
+def eval_expression(e: Expression, assignment, params: dict | None = None) -> complex:
+    """Evaluate the scalar polynomial on concrete field values at j = 1.
 
     ``assignment`` is a :class:`FieldSample` or an explicit dict-backed
-    assignment; ``free_values`` fixes any free indices to concrete values
-    in ``range(4)``.  Callers that need one j-grade evaluate the parts of
-    :func:`~ewverify.fields.j_decompose`.
+    assignment; an expression with a free index raises
+    :class:`MissingAssignmentError`.  Callers that need one j-grade
+    evaluate the parts of :func:`~ewverify.fields.j_decompose`.
 
-    The expression is compiled once per free-index binding into a plan,
-    kept in a bounded memo.  Each call fetches every distinct field
-    instance in one ``assignment.values(keys)`` lookup, in first-access
-    order, so a lazy :class:`FieldSample` draws as a term-by-term walk
-    would; the products (unrolled for 2, 3 and 4 factors, left to right)
-    and the sum then run in the walk's float order, so the result is
-    bit-identical to it.
+    The expression is compiled once into a plan, kept in a bounded memo.
+    Each call fetches every distinct field instance in one
+    ``assignment.values(keys)`` lookup, in first-access order, so a lazy
+    :class:`FieldSample` draws as a term-by-term walk would; the products
+    (unrolled for 2, 3 and 4 factors, left to right) and the sum then run
+    in the walk's float order, so the result is bit-identical to it.
     """
     if isinstance(assignment, dict):
         assignment = _DictAssignment(assignment)
     params = params or {}
-    terms, keys = _plan(e, tuple(sorted((free_values or {}).items())))
+    terms, keys = _plan(e)
     values = assignment.values(keys)
     total = 0j
     for base, monomial, combos in terms:
@@ -203,57 +187,22 @@ def eval_expression(
     return total
 
 
+# ``equals``, its result and the ``model.equals`` re-import stay only because
+# the benchmark's tracer hooks ``numeric.equals`` by name and reads
+# ``decision_path``; they go with the benchmark change of ROADMAP item 1.
+
 @dataclass(frozen=True)
 class EqualsResult:
     equal: bool
-    decision_path: str  # "exact-symbolic" | "numeric-oracle"
-    max_rel_error: float
+    decision_path: str  # always "exact-symbolic"
     witness: str | None = None
 
     def __bool__(self) -> bool:
         return self.equal
 
 
-def _trial_params(rng: random.Random, names) -> dict:
-    return {n: rng.uniform(0.5, 2.0) for n in names}
-
-
-def equals(a: Expression, b: Expression, seed: int) -> EqualsResult:
-    """Decide a == b: canonical difference first, numeric oracle as fallback.
-
-    The numeric path compares each j-grade separately over ``TRIALS`` seeded
-    draws, so agreement is grading-aware rather than incidental at one j value.
-    """
-    diff = a - b
-    if diff.is_zero():
-        return EqualsResult(True, "exact-symbolic", 0.0)
-
-    parts_diff = j_decompose(diff)
-    parts_a = j_decompose(a)
-    parts_b = j_decompose(b)
-    param_names = {n for t in diff.terms for n, _ in t.params}
-    param_names |= {n for e in (a, b) for t in e.terms for n, _ in t.params}
-    frees = diff.free_indices()
-    worst = 0.0
-    witness = None
-    for trial in range(TRIALS):
-        rng = random.Random(f"{seed}:{trial}")
-        sample = FieldSample(rng.randrange(2**32))
-        params = _trial_params(rng, sorted(param_names))
-        free_values = {n: rng.randrange(DIMENSION) for n in sorted(frees)}
-        for grade, part in parts_diff.items():
-            va = eval_expression(parts_a.get(grade, Expression.zero()),
-                                 sample, params, free_values)
-            vb = eval_expression(parts_b.get(grade, Expression.zero()),
-                                 sample, params, free_values)
-            vd = eval_expression(part, sample, params, free_values)
-            scale = max(abs(va), abs(vb), 1e-30)
-            rel = abs(vd) / scale
-            if rel > worst:
-                worst = rel
-                witness = (
-                    f"grade {grade}, trial {trial}: |diff|={abs(vd):.3e}, "
-                    f"scale={scale:.3e}"
-                )
-    equal = worst <= REL_TOL
-    return EqualsResult(equal, "numeric-oracle", worst, None if equal else witness)
+def equals(a: Expression, b: Expression) -> EqualsResult:
+    """Decide a == b by their canonical difference; a mismatch's witness is
+    the text of ``a - b``, cut as a report's witness is."""
+    found = witness(a - b)
+    return EqualsResult(not found, "exact-symbolic", found[0] if found else None)

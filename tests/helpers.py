@@ -2,7 +2,7 @@
 normalization property tests, the rename-then-sort reference of the
 canonical form, the build-every-product references of substitution,
 variation and the group normal form, exact points of the group SU(2;j),
-and the term-by-term reference evaluator of the numeric oracle."""
+and the term-by-term reference of numeric evaluation."""
 
 from __future__ import annotations
 
@@ -191,14 +191,14 @@ def exact_group_point(rng: random.Random, mode) -> tuple[ComplexRational, Comple
             ComplexRational(s) * random_unit_complex(rng))
 
 
-def reference_eval(e: Expression, assignment, params=None, free_values=None) -> complex:
-    """Term-by-term evaluation of ``e``: per index combination a fresh index
-    binding and one ``assignment.value`` call per factor.  The reference that
-    ``eval_expression`` must match bit for bit."""
+def reference_eval(e: Expression, assignment, params=None) -> complex:
+    """Term-by-term evaluation of a scalar ``e``: per index combination a
+    fresh index binding and one ``assignment.values((key,))`` lookup per
+    factor, in walk order.  The reference that ``eval_expression`` must match
+    bit for bit."""
     if isinstance(assignment, dict):
         assignment = _DictAssignment(assignment)
     params = params or {}
-    free_values = free_values or {}
     total = 0j
     for t in e.terms:
         base = complex(t.coeff) * (SQRT2**t.r2)
@@ -209,19 +209,17 @@ def reference_eval(e: Expression, assignment, params=None, free_values=None) -> 
         counts = t.index_counts()
         dummies = sorted(n for n, c in counts.items() if c == 2)
         frees = [n for n, c in counts.items() if c == 1]
-        missing = [n for n in frees if n not in free_values]
-        if missing:
-            raise MissingAssignmentError(f"free index {missing[0]} has no value")
+        if frees:
+            raise MissingAssignmentError(f"free index {frees[0]} has no value")
         for combo in itertools.product(range(DIMENSION), repeat=len(dummies)):
-            concrete = dict(free_values)
-            concrete.update(zip(dummies, combo))
+            concrete = dict(zip(dummies, combo))
             prod = base
             for f in t.factors:
-                prod *= assignment.value(
+                prod *= assignment.values(((
                     f.field,
                     tuple(concrete[i] for i in f.indices),
-                    tuple(concrete[i] for i in f.derivs),
+                    tuple(sorted(concrete[i] for i in f.derivs)),
                     f.conj,
-                )
+                ),))[0]
             total += prod
     return total

@@ -187,6 +187,10 @@ PINNED_JSON = [
      "28dad148b323f6b1ebff7ee163bd34c12eb0283e92aa16ebfc7a4e1ff331e8db"),
     (("sweep", "--samples", "50", "--seed", "3"),
      "24f3af637638fba1b1dfd01eb2531812445084f3c531137908f162bb68cdbcd6"),
+    # an irrational s: the sweep evaluates with params={"s": float}
+    (("sweep", "--samples", "50", "--no-exact", "--g", "1.234", "--gp", "0.567",
+      "--R", "2.1", "--seed", "5"),
+     "65e058b401f72510d2dbe5df997fda00eb90a8357bc302a6706715ffa5010f6d"),
 ]
 
 
@@ -328,7 +332,17 @@ def test_unused_seed_flag_is_a_usage_error(capsys, suite):
     assert "--seed is not used by verify " + suite in err
 
 
-@pytest.mark.parametrize("flag, key, value", [("--j", "jmode", "xyz"), ("--g", "g", "abc")])
+# what the message says is wrong with each bad value
+BAD_VALUE_REASONS = {
+    "xyz": "cannot parse j mode from 'xyz'",
+    "abc": "'abc'",
+    "-0.5": "numeric j value must be finite and >= 0",
+}
+
+
+@pytest.mark.parametrize(
+    "flag, key, value", [("--j", "jmode", "xyz"), ("--g", "g", "abc"), ("--j", "jmode", "-0.5")]
+)
 def test_flag_and_config_value_give_one_message(tmp_path, capsys, flag, key, value):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({key: value}))
@@ -336,7 +350,7 @@ def test_flag_and_config_value_give_one_message(tmp_path, capsys, flag, key, val
         code, out, err = run_cli(capsys, "masses", *argv)
         assert code == 2
         assert out == ""
-        assert f"invalid value for {key!r}" in err
+        assert f"invalid value for {key!r}: {BAD_VALUE_REASONS[value]}" in err
 
 
 @pytest.mark.parametrize(
