@@ -6,7 +6,8 @@ contraction grading), a monomial in the parameters {g, gp, R, s}, an
 optional factor sqrt(2) (exponent 0 or 1; pairs fold into the coefficient),
 and a commuting multiset of field factors.  A field factor is a field
 symbol with its Lorentz indices, outer-derivative tags, and a conjugation
-flag.
+flag.  :func:`contract` substitutes X -> j X for every field of grade 1 by
+adding a term's grades to its j-degree, so the model is written at j = 1.
 
 Index discipline: within one term an index name occurs exactly once (free)
 or exactly twice (summed).  Summed indices are renamed canonically by
@@ -23,7 +24,7 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .contraction import CR_I, CR_ONE, ComplexRational, JMode
@@ -38,6 +39,7 @@ __all__ = [
     "UnknownFieldError",
     "conjugate",
     "const",
+    "contract",
     "derive",
     "euler_lagrange",
     "field",
@@ -74,6 +76,7 @@ class FieldDef:
     partner: str | None = None  # conjugate partner field, if distinct
     display: str | None = None
     primary: bool = True  # False: numeric draws derive from the partner's value
+    grade: int = 0  # the power of j the field picks up in the contraction
 
     @property
     def shown(self) -> str:
@@ -99,6 +102,10 @@ for _s in ("rho", "omega", "eps1", "eps2", "eps3"):
 # the matter doublet, and the complex parameters of two symbolic group elements
 for _s in ("phi1", "phi2", "alpha", "beta", "alpha2", "beta2"):
     declare_field(_s, 0, real=False)
+# Grade 1: the off-diagonal directions of SU(2;j) in each basis (gauge
+# fields, gauge and group parameters) and the doublet's fiber component.
+for _s in ("A1", "A2", "W1", "W2", "Wp", "Wm", "phi2", "eps1", "eps2", "beta", "beta2"):
+    FIELDS[_s] = replace(FIELDS[_s], grade=1)
 
 PARAM_NAMES = ("g", "gp", "R", "s")
 
@@ -524,6 +531,13 @@ def first_order_variation(e: Expression, rules: dict[str, Expression]) -> Expres
             rest = Term(t.coeff, t.jdeg, t.params, t.r2, t.factors[:p] + t.factors[p + 1:])
             raw.extend(_product((rest,), _prepare_replacement(rule, f).terms))
     return Expression.build(raw)
+
+
+def contract(e: Expression) -> Expression:
+    """X -> j X for every field X of grade 1: each term's j-degree gains
+    the grades of its factors."""
+    return Expression.build([Term(t.coeff, t.jdeg + sum(FIELDS[f.field].grade for f in t.factors),
+                                  t.params, t.r2, t.factors) for t in e.terms])
 
 
 def j_decompose(e: Expression) -> dict[int, Expression]:

@@ -1,8 +1,9 @@
 """2x2 matrices of :class:`~ewverify.fields.Expression` entries: SU(2;j)
 and its Lie algebra.
 
-The group element and the Lie algebra element are each written once, over
-the complex symbols alpha and beta and the real symbols eps1, eps2, eps3.
+The group element and the Lie algebra element are each written once at
+j = 1, over the complex symbols alpha and beta and the real symbols eps1,
+eps2, eps3, and contracted: beta, eps1 and eps2 are of grade 1.
 The group axioms are decided in every mode, for every group element, by
 :func:`~ewverify.fields.group_normal_form`.  A concrete matrix is the
 symbolic one with numbers substituted (:meth:`Mat2.at`); a numeric j is
@@ -14,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .contraction import ComplexRational, JMode
-from .fields import (Expression, _product, const, field, group_normal_form, jpow,
+from .fields import (Expression, _product, const, contract, field, group_normal_form,
                      reduce_mode, substitute)
 from .report import VerificationReport, timed, verdict, witness
 
@@ -65,6 +66,9 @@ class Mat2:
     def trace(self):
         return self.rows[0][0] + self.rows[1][1]
 
+    def contract(self) -> "Mat2":
+        return Mat2([[contract(e) for e in r] for r in self.rows])
+
     def reduce(self, mode: JMode) -> "Mat2":
         return Mat2([[reduce_mode(e, mode) for e in r] for r in self.rows])
 
@@ -81,15 +85,15 @@ class Mat2:
         return f"Mat2({self.rows!r})"
 
 
-def _omega(alpha, beta, j) -> Mat2:
-    """[[alpha, j beta], [-j conj(beta), conj(alpha)]] over any ring."""
-    return Mat2(((alpha, j * beta), (-(j * beta.conjugate()), alpha.conjugate())))
+def _omega(alpha, beta) -> Mat2:
+    """[[alpha, beta], [-conj(beta), conj(alpha)]]: the group element at j = 1."""
+    return Mat2(((alpha, beta), (-beta.conjugate(), alpha.conjugate())))
 
 
-def _lie(a1, a2, a3, j, one) -> Mat2:
-    """sum_k a_k T_k, with T1 = j(i/2)tau1, T2 = j(i/2)tau2, T3 = (i/2)tau3."""
+def _lie(a1, a2, a3) -> Mat2:
+    """sum_k a_k T_k at j = 1, with T_k = (i/2) tau_k."""
     x, y, z = a1 * _I_HALF, a2 * Fraction(1, 2), a3 * _I_HALF
-    return Mat2(((one * z, j * (x + y)), (j * (x - y), one * -z)))
+    return Mat2(((z, x + y), (x - y, -z)))
 
 
 def su2_element(alpha, beta, mode: JMode) -> Mat2:
@@ -110,13 +114,13 @@ def su2_element(alpha, beta, mode: JMode) -> Mat2:
 
 
 def symbolic_element(alpha: str, beta: str) -> Mat2:
-    """The group element over the complex symbols ``alpha`` and ``beta``."""
-    return _omega(field(alpha), field(beta), jpow())
+    """[[alpha, j beta], [-j conj(beta), conj(alpha)]] over the named symbols."""
+    return _omega(field(alpha), field(beta)).contract()
 
 
 def symbolic_lie_element() -> Mat2:
-    """sum_k eps_k T_k over the real symbols eps1, eps2, eps3."""
-    return _lie(field("eps1"), field("eps2"), field("eps3"), jpow(), const(1))
+    """sum_k eps_k T_k, T1,2 = j(i/2)tau1,2 and T3 = (i/2)tau3, over eps1..eps3."""
+    return _lie(field("eps1"), field("eps2"), field("eps3")).contract()
 
 
 # --- group axiom verification --------------------------------------------
@@ -127,7 +131,7 @@ def _group_failures(mode: JMode) -> list[str]:
     omega = symbolic_element("alpha", "beta")
     unit = omega @ omega.dagger()
     zero = const(0)  # the doublet is the column (phi1, j phi2)
-    doublet = Mat2(((field("phi1"), zero), (jpow() * field("phi2"), zero)))
+    doublet = Mat2(((field("phi1"), zero), (field("phi2"), zero))).contract()
     moved = omega @ doublet
     lie = symbolic_lie_element()
     axioms = {

@@ -1,13 +1,14 @@
 """Bosonic Lagrangian of the contracted-gauge-group electroweak model.
 
 Constructs the gauge-field and matter Lagrangians over the SU(2;j) x U(1)
-field content, always weighted by powers of j (the model without j is their
-j = 1 reduction), the radial (sphere-coordinate) form of the matter sector,
+field content, the radial (sphere-coordinate) form of the matter sector,
 the change to the physical field basis (Z, photon, W+/W-), and the
-Lagrangian L = L_base + j^2 L_fiber + j^4 L_quartic.  Verification
-operations check the grading identity, gauge invariance at first order,
-the conjugation-invariance of the gauge kinetic trace, and extract the
-vector boson mass spectrum.
+Lagrangian L = L_base + j^2 L_fiber + j^4 L_quartic.  The builders are
+written at j = 1 and contracted (every field of grade 1 picks up a j); the
+references the checks compare against write their powers of j out, so a
+wrong grade turns a check red.  Verification operations check the grading
+identity, gauge invariance at first order, the conjugation-invariance of
+the gauge kinetic trace, and extract the vector boson mass spectrum.
 
 Every identity is decided by the canonical form with zero tolerance, at
 every parameter point.  Each 1/s, s = sqrt(g^2+gp^2), is written as
@@ -30,6 +31,7 @@ from .fields import (
     Term,
     conjugate,
     const,
+    contract,
     field,
     first_order_variation,
     group_normal_form,
@@ -118,41 +120,33 @@ def _wedge(n1: str, n2: str) -> Expression:
 
 
 def su2_stress_tensors(names=("A1", "A2", "A3")) -> dict:
-    """Nonabelian field strengths for the gauge triplet.
-
-    The quadratic parts follow from the commutator table of the contracted
-    algebra; the third component's nonlinear part carries j^2.
-    """
+    """Nonabelian field strengths for the gauge triplet at j = 1; the
+    quadratic parts follow from the commutator table of the algebra."""
     a1, a2, a3 = names
     g = param("g")
     f1 = curl(a1) - g * _wedge(a2, a3)
     f2 = curl(a2) - g * _wedge(a3, a1)
-    f3 = curl(a3) - jpow(2) * g * _wedge(a1, a2)
+    f3 = curl(a3) - g * _wedge(a1, a2)
     return {a1: f1, a2: f2, a3: f3}
 
 
 def build_LA(names=("A1", "A2", "A3", "B")) -> Expression:
-    """Gauge kinetic Lagrangian -1/4 [j^2 F1^2 + j^2 F2^2 + F3^2] - 1/4 B^2."""
+    """Gauge kinetic Lagrangian -1/4 [F1^2 + F2^2 + F3^2] - 1/4 B^2, contracted."""
     a1, a2, a3, b = names
     f = su2_stress_tensors((a1, a2, a3))
-    quarter = Fraction(-1, 4)
-    w = jpow(2)
     bt = curl(b)
-    return (
-        quarter * (w * f[a1] * f[a1] + w * f[a2] * f[a2] + f[a3] * f[a3])
-        + quarter * bt * bt
-    )
+    return contract(Fraction(-1, 4) * (f[a1] * f[a1] + f[a2] * f[a2] + f[a3] * f[a3]
+                                       + bt * bt))
 
 
 def covariant_phi_derivatives():
-    """Component covariant derivatives (D phi1, D phi2) of the doublet."""
+    """Component covariant derivatives (D phi1, D phi2) of the doublet at j = 1."""
     ih = const(ComplexRational(0, Fraction(1, 2)))  # i/2
     g, gp = param("g"), param("gp")
     d1 = (
         field("phi1", derivs=("mu",))
         + ih * (g * field("A3", "mu") + gp * field("B", "mu")) * field("phi1")
-        + jpow(2) * ih * g * (field("A1", "mu") - imag() * field("A2", "mu"))
-        * field("phi2")
+        + ih * g * (field("A1", "mu") - imag() * field("A2", "mu")) * field("phi2")
     )
     d2 = (
         field("phi2", derivs=("mu",))
@@ -163,10 +157,9 @@ def covariant_phi_derivatives():
 
 
 def build_Lphi() -> Expression:
-    """Free matter Lagrangian 1/2 |D phi1|^2 + j^2/2 |D phi2|^2 (no potential)."""
+    """Free matter Lagrangian 1/2 |D phi1|^2 + 1/2 |D phi2|^2, contracted."""
     d1, d2 = covariant_phi_derivatives()
-    half = Fraction(1, 2)
-    return half * conjugate(d1) * d1 + half * jpow(2) * conjugate(d2) * d2
+    return contract(Fraction(1, 2) * (conjugate(d1) * d1 + conjugate(d2) * d2))
 
 
 def build_matter_radial() -> Expression:
@@ -174,7 +167,7 @@ def build_matter_radial() -> Expression:
 
     The doublet is rho times a group column; unitarity removes the group
     factor and leaves 1/2 |d rho + (i/2) rho (g W3 + gp B)|^2 plus the
-    j^2-weighted charged part (g^2/8) rho^2 [(W1)^2 + (W2)^2].
+    charged part (g^2/8) rho^2 [(W1)^2 + (W2)^2]; contracted.
     """
     ih = const(ComplexRational(0, Fraction(1, 2)))
     g, gp = param("g"), param("gp")
@@ -183,8 +176,7 @@ def build_matter_radial() -> Expression:
         g * field("W3", "mu") + gp * field("B", "mu")
     )
     down = ih * g * rho * (field("W1", "mu") + imag() * field("W2", "mu"))
-    half = Fraction(1, 2)
-    return half * conjugate(up) * up + half * jpow(2) * conjugate(down) * down
+    return contract(Fraction(1, 2) * (conjugate(up) * up + conjugate(down) * down))
 
 
 def matter_radial_display(cfg: ModelConfig) -> Expression:
@@ -202,24 +194,7 @@ def matter_radial_display(cfg: ModelConfig) -> Expression:
     )
 
 
-# --- substitution rules -----------------------------------------------------
-
-def contraction_rules_a() -> dict[str, Expression]:
-    """Grading injection for the gauge triplet: A1 -> j A1, A2 -> j A2."""
-    return {"A1": jpow() * field("A1", "_"), "A2": jpow() * field("A2", "_")}
-
-
-def contraction_rules_w() -> dict[str, Expression]:
-    """Same injection in radial variables (equivalently W+- -> j W+-)."""
-    return {"W1": jpow() * field("W1", "_"), "W2": jpow() * field("W2", "_")}
-
-
-def contraction_rules_phi() -> dict[str, Expression]:
-    """Doublet grading: fiber component and charged gauge fields pick up j."""
-    rules = contraction_rules_a()
-    rules["phi2"] = jpow() * field("phi2")
-    return rules
-
+# --- physical basis ---------------------------------------------------------
 
 def _fold_s(e: Expression, g: Fraction, gp: Fraction) -> Expression:
     """Reduce each s^k, s = sqrt(g^2+gp^2), to (g^2+gp^2)^(k//2) s^(k%2),
@@ -308,11 +283,9 @@ def _build_L27(g: Fraction, gp: Fraction) -> Expression:
 
 
 def transformed_lagrangian(cfg: ModelConfig) -> Expression:
-    """Route via substitution: L in radial variables at j = 1, then j
-    injected by W1/W2 -> j W1/W2, then the physical basis change."""
-    at_one = reduce_mode(build_LA(("W1", "W2", "W3", "B")) + build_matter_radial(),
-                         J_ONE)
-    return physical_basis(substitute(at_one, contraction_rules_w()), cfg)
+    """Route via contraction: L in radial variables, contracted (W1, W2 of
+    grade 1), then the physical basis change."""
+    return physical_basis(build_LA(("W1", "W2", "W3", "B")) + build_matter_radial(), cfg)
 
 
 def _identity_verdict(check_name: str, cfg: ModelConfig, lhs: Expression,
@@ -401,13 +374,20 @@ def _pair_coefficient(e: Expression, f1: str, f2: str) -> Fraction:
         a, b = t.factors
         if a.derivs or b.derivs or a.conj or b.conj:
             continue
-        if {a.field, b.field} != {f1, f2} and (a.field, b.field) != (f1, f2):
+        if {a.field, b.field} != {f1, f2}:
             continue
         if a.indices == b.indices:
             total = total + t.coeff
     if total.im != 0:
         raise ValueError(f"complex mass coefficient for {f1}{f2}: {total}")
     return total.re
+
+
+def _at_radius(lagrangian: Expression, R: Fraction):
+    """``lagrangian`` at rho = R, with its base (j^0) and fiber (j^2) parts."""
+    frozen = substitute(lagrangian, {"rho": const(R)})
+    parts = j_decompose(frozen)
+    return frozen, parts.get(0, Expression.zero()), parts.get(2, Expression.zero())
 
 
 def _sqrt_or_float(q: Fraction):
@@ -424,19 +404,12 @@ def extract_masses(cfg: ModelConfig) -> MassSpectrum:
     Lagrangian) carries the W mass, so the spectra can be compared across
     modes.
     """
-    frozen = substitute(build_L27(cfg), {"rho": const(cfg.R)})
-    parts = j_decompose(frozen)
-    base = parts.get(0, Expression.zero())
-    fiber = parts.get(2, Expression.zero())
+    frozen, base, fiber = _at_radius(build_L27(cfg), cfg.R)
     if cfg.jmode.is_one:
-        total = reduce_mode(frozen, J_ONE)
-        z_part = a_part = w_part = total
-    else:
-        z_part = a_part = base
-        w_part = fiber
-    m_z_sq = 2 * _pair_coefficient(z_part, "Z", "Z")
-    m_a_sq = 2 * _pair_coefficient(a_part, "Aem", "Aem")
-    m_w_sq = _pair_coefficient(w_part, "Wp", "Wm")
+        base = fiber = reduce_mode(frozen, J_ONE)
+    m_z_sq = 2 * _pair_coefficient(base, "Z", "Z")
+    m_a_sq = 2 * _pair_coefficient(base, "Aem", "Aem")
+    m_w_sq = _pair_coefficient(fiber, "Wp", "Wm")
     if m_a_sq != 0:
         raise ValueError(f"unexpected photon mass term: {m_a_sq}")
     e_charge = cfg.e_charge()

@@ -37,7 +37,7 @@ from ewverify.fields import (
     inv_sqrt2,
 )
 
-from ewverify.model import DEFAULT_CONFIG, build_L27, contraction_rules_phi
+from ewverify.model import DEFAULT_CONFIG, build_L27
 
 from helpers import (
     exact_group_point,
@@ -124,10 +124,12 @@ def test_built_factors_are_valid_factors(rng):
     """Factors renamed or resolved without validation still pass it, with
     their derivative tags sorted."""
     lagrangian = build_L27(DEFAULT_CONFIG)
+    doublet_grading = {"A1": jpow() * field("A1", "_"), "A2": jpow() * field("A2", "_"),
+                       "phi2": jpow() * field("phi2")}
     built = [random_expression(rng) for _ in range(200)] + [
         lagrangian,
         conjugate(lagrangian),
-        substitute(lagrangian, contraction_rules_phi()),
+        substitute(lagrangian, doublet_grading),
         derive(parse("d[nu]W+[mu] conj(phi1) B[mu]"), "al"),
         euler_lagrange(lagrangian, "Z", "mu"),
     ]

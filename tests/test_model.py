@@ -37,20 +37,23 @@ from ewverify import (
     verify_matter_radial,
     verify_trace_identity,
 )
-from ewverify.fields import Expression, inv_sqrt2
+from ewverify.fields import FIELDS, Expression, contract, inv_sqrt2
 from ewverify.model import (
     PYTHAGOREAN_TRIPLES,
-    contraction_rules_a,
-    contraction_rules_phi,
-    contraction_rules_w,
     covariant_phi_derivatives,
     curl,
     exact_sqrt,
     matter_radial_display,
     physical_basis_rules,
     su2_stress_tensors,
+    su2_variation_rules,
+    u1_variation_rules,
 )
+from helpers import random_expression
+
 CFG = ModelConfig()
+FLOAT_POINT = ModelConfig(g=Fraction("1.234"), gp=Fraction("0.567"), R=Fraction("2.1"),
+                          exact=False)
 
 
 def triple_config(t, R=Fraction(2)):
@@ -60,8 +63,12 @@ def triple_config(t, R=Fraction(2)):
 # --- stress tensors -----------------------------------------------------------
 
 
+def contracted_stress_tensors():
+    return {name: contract(f) for name, f in su2_stress_tensors().items()}
+
+
 def test_stress_tensor_linear_parts():
-    f = su2_stress_tensors()
+    f = contracted_stress_tensors()
     assert j_decompose(f["A3"])[0] == parse("d[mu]A3[nu] - d[nu]A3[mu]")
     assert curl("B") == parse("d[mu]B[nu] - d[nu]B[mu]")
 
@@ -80,19 +87,19 @@ def test_stress_tensor_nonlinear_parts():
     f = su2_stress_tensors()
     nl1 = f["A1"] - parse("d[mu]A1[nu] - d[nu]A1[mu]")
     assert nl1 == parse("g A3[mu] A2[nu] - g A2[mu] A3[nu]")
-    nl3 = j_decompose(f["A3"]).get(2, Expression.zero())
+    nl3 = j_decompose(contract(f["A3"])).get(2, Expression.zero())
     assert nl3 == parse("g A2[mu] A1[nu] - g A1[mu] A2[nu]")
 
 
 def test_stress_tensor_grading():
-    f = su2_stress_tensors()
+    f = contracted_stress_tensors()
     assert f["A3"].j_degrees() == (0, 2)
-    assert f["A1"].j_degrees() == (0,)
+    assert f["A1"].j_degrees() == (1,)
 
 
 def test_f3_square_matches_hand_expansion():
     """(F3)^2 against a by-hand expansion of (curl - j^2 g wedge)^2."""
-    f3 = su2_stress_tensors()["A3"]
+    f3 = contracted_stress_tensors()["A3"]
     square = f3 * f3
     curl_sq = parse(
         "2 d[mu]A3[nu] d[mu]A3[nu] - 2 d[mu]A3[nu] d[nu]A3[mu]"
@@ -141,7 +148,7 @@ def test_build_la_quadratic_base_part():
 
 def test_covariant_derivative_fiber_coefficient():
     d1, _ = covariant_phi_derivatives()
-    fiber = j_decompose(d1)[2]
+    fiber = j_decompose(contract(d1))[2]
     expected = (
         const(ComplexRational(0, Fraction(1, 2)))
         * parse("g A1[mu] phi2 - i g A2[mu] phi2")
@@ -176,13 +183,35 @@ def test_lphi_free_limit():
     assert free == expected
 
 
-def test_grading_enters_via_substitution():
-    for build, rules in (
-        (build_LA, contraction_rules_a()),
-        (build_Lphi, contraction_rules_phi()),
-        (build_matter_radial, contraction_rules_w()),
-    ):
-        assert substitute(reduce_mode(build(), J_ONE), rules) == build()
+def test_grading_enters_via_substitution(rng):
+    """contract is the substitution X -> j X of every field of grade 1, and
+    the builders are the contraction of their j = 1 form."""
+    rules = {name: jpow() * field(name, *("_",) * fdef.arity)
+             for name, fdef in FIELDS.items() if fdef.grade}
+    at_one = [reduce_mode(build(), J_ONE)
+              for build in (build_LA, build_Lphi, build_matter_radial)]
+    for e in at_one + [random_expression(rng) for _ in range(200)]:
+        assert contract(e) == substitute(e, rules)
+    for build, e in zip((build_LA, build_Lphi, build_matter_radial), at_one):
+        assert contract(e) == build()
+
+
+def _assert_graded(e, shift=0):
+    """Every term's j-degree is its factors' grade sum plus ``shift``."""
+    for t in e.terms:
+        assert t.jdeg == sum(FIELDS[f.field].grade for f in t.factors) + shift, t
+
+
+def test_references_are_homogeneous_in_the_grade():
+    """The references the checks compare against write their powers of j
+    out; each term's must match the grades of its fields."""
+    for cfg in [triple_config(t) for t in PYTHAGOREAN_TRIPLES] + [FLOAT_POINT]:
+        _assert_graded(build_L27(cfg))
+        _assert_graded(matter_radial_display(cfg))
+        for name, body in u1_variation_rules(cfg).items():
+            _assert_graded(body, -FIELDS[name].grade)
+    for name, body in su2_variation_rules().items():
+        _assert_graded(body, -FIELDS[name].grade)
 
 
 def test_su2_stress_tensors_field_renaming():

@@ -9,6 +9,8 @@ text, and exit code 1.
 import dataclasses
 from fractions import Fraction
 
+import pytest
+
 from ewverify import (
     J_NILPOTENT,
     J_ONE,
@@ -18,6 +20,7 @@ from ewverify import (
     ModelConfig,
     check_su2_invariance,
     check_u1_invariance,
+    const,
     decoupling_check,
     field,
     j_decompose,
@@ -28,7 +31,7 @@ from ewverify import (
     verify_matter_radial,
     verify_trace_identity,
 )
-from ewverify import limits, matrices, model
+from ewverify import fields, limits, matrices, model
 from ewverify.cli import run
 
 CFG = ModelConfig()
@@ -60,12 +63,18 @@ def assert_exact_fail(report, witness):
     assert report.witness == witness
 
 
+def ungrade(monkeypatch, name):
+    """Declare the grade-1 field ``name`` at grade 0: the contraction no
+    longer scales it."""
+    monkeypatch.setitem(fields.FIELDS, name, dataclasses.replace(fields.FIELDS[name], grade=0))
+
+
 # --- matrices.verify_group ---------------------------------------------------
 
 
 def test_group_fails_with_a_flipped_sign_in_the_group_element(monkeypatch, capsys):
-    def flipped(alpha, beta, j):
-        return Mat2(((alpha, j * beta), (j * beta.conjugate(), alpha.conjugate())))
+    def flipped(alpha, beta):
+        return Mat2(((alpha, beta), (beta.conjugate(), alpha.conjugate())))
 
     monkeypatch.setattr(matrices, "_omega", flipped)
     report = verify_group(J_ONE)
@@ -99,14 +108,32 @@ def test_group_fails_with_a_flipped_sign_in_the_group_element(monkeypatch, capsy
 def test_group_fails_with_a_lie_element_shifted_by_the_identity(monkeypatch, capsys):
     original = matrices._lie
 
-    def shifted(a1, a2, a3, j, one):
-        return original(a1, a2, a3, j, one) + Mat2(((one, 0), (0, one)))
+    def shifted(a1, a2, a3):
+        return original(a1, a2, a3) + Mat2(((const(1), 0), (0, const(1))))
 
     monkeypatch.setattr(matrices, "_lie", shifted)
     for mode in (J_ONE, J_NILPOTENT, NUMERIC):
         report = verify_group(mode)
         assert_exact_fail(report, "anti-hermiticity: 2")
         assert report.mode == mode.label()
+    assert_exit_1(capsys, "verify", "group", "--j", "0.001")
+
+
+def test_group_fails_with_beta_at_grade_zero(monkeypatch, capsys):
+    ungrade(monkeypatch, "beta")
+    # at j=1 the relation alpha conj(alpha) = 1 - beta conj(beta) still holds
+    assert verify_group(J_ONE).passed
+    assert_exact_fail(verify_group(J_NILPOTENT), (
+        "unitarity: beta conj(beta); closure: beta conj(beta); "
+        "form invariance: beta conj(beta) phi1 conj(phi1)"
+    ))
+    assert_exact_fail(verify_group(NUMERIC), (
+        "unitarity: 999999/1000000 beta conj(beta); "
+        "closure: 999999/1000000 beta conj(beta); "
+        "form invariance: 999999/1000000 beta conj(beta) phi1 conj(phi1)"
+        " + 999999/1000000000000 beta conj(beta) phi2 conj(phi2)"
+    ))
+    assert_exit_1(capsys, "verify", "group", "--j", "iota")
     assert_exit_1(capsys, "verify", "group", "--j", "0.001")
 
 
@@ -132,6 +159,18 @@ def test_grading_fails_without_the_quartic_weight(monkeypatch, capsys):
         )
     assert_exit_1(capsys, "verify", "lagrangian")
     assert_exit_1(capsys, "verify", "lagrangian", "--no-exact", "--g", "1.3", "--gp", "0.7")
+
+
+def test_grading_fails_with_w1_at_grade_zero(monkeypatch, capsys):
+    ungrade(monkeypatch, "W1")
+    report = verify_grading(CFG)
+    assert_exact_fail(report, (
+        "-36/25 Aem[mu]^2 W-[nu]^2 - 72/25 Aem[mu]^2 W-[nu] W+[nu]"
+        " - 36/25 Aem[mu]^2 W+[nu]^2 + 36/25 Aem[mu] Aem[nu] W-[mu] W-[nu]"
+        " + 72/25 Aem[mu] Aem[nu] W-[mu] W+[nu] + 36/25 Aem[mu] Aem[nu] W+[mu] W+[nu] +"
+    ))
+    assert report.check_name == "grading-identity"
+    assert_exit_1(capsys, "verify", "lagrangian")
 
 
 def test_matter_radial_fails_with_a_wrong_charged_weight(monkeypatch, capsys):
@@ -184,6 +223,23 @@ def test_su2_fails_with_a_flipped_a3_variation(monkeypatch, capsys):
     assert_exact_fail(report, SU2_WITNESS)
     assert report.mode == "j=1"
     assert_exit_1(capsys, "verify", "gauge", "--j", "1")
+
+
+@pytest.mark.parametrize("name, witness", [
+    ("phi2", "1/4 i g eps1 d[mu]phi1 conj(d[mu]phi2) - 1/4 i g eps1 conj(d[mu]phi1)"
+     " d[mu]phi2 + 1/4 i g d[mu]eps1 phi1 conj(d[mu]phi2) - 1/4 i g d[mu]eps1"
+     " conj(phi1) d[mu]phi2 - 1/4 g eps2 d[mu]phi1 conj(d[mu]phi2)"),
+    ("A1", "-g d[nu]A1[mu] A2[mu] d[nu]eps3 - g d[nu]A1[mu] d[nu]A2[mu] eps3"
+     " + g d[nu]A1[mu] A2[nu] d[mu]eps3 + g d[nu]A1[mu] d[mu]A2[nu] eps3"
+     " + g d[nu]A1[mu] A3[mu] d[nu]eps2 + g d[nu]A1[mu] d[nu]A3[mu] eps2 - g"),
+])
+def test_su2_fails_with_a_field_at_grade_zero(monkeypatch, capsys, name, witness):
+    ungrade(monkeypatch, name)
+    assert check_su2_invariance(J_ONE).passed  # j = 1 ignores the grades
+    report = check_su2_invariance(J_NILPOTENT)
+    assert_exact_fail(report, witness)
+    assert report.mode == "j=iota"
+    assert_exit_1(capsys, "verify", "gauge", "--j", "iota")
 
 
 # --- model.verify_trace_identity ---------------------------------------------

@@ -21,8 +21,6 @@ KEPT_FOR_TESTS = {
     "nilpotent-closure tests",
     "random_pythagorean_config": "acceptance criterion 11 draws exact points with it",
     "assignment_from_components": "tests plug explicit field values into eval_expression",
-    "contraction_rules_phi": "the paper's contraction map for the doublet, "
-    "checked by test_grading_enters_via_substitution",
     "parse": "the text grammar the README documents",
     "load_config": "tests read a config file alone with it; the CLI merges "
     "the file's values with the flags before building one ModelConfig",
@@ -93,6 +91,26 @@ def test_only_the_contraction_layer_refers_to_contraction_scalar():
         and "ContractionScalar" in p.read_text()
     )
     assert not users, f"modules that use ContractionScalar: {users}"
+
+
+def _jpow_callers(path):
+    """The top-level definitions of a module (``<module>`` for the other
+    statements) that call ``jpow``."""
+    return {
+        getattr(node, "name", "<module>")
+        for node in ast.parse(path.read_text()).body
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Call) and getattr(sub.func, "id", None) == "jpow"
+    }
+
+
+def test_only_the_references_write_powers_of_j():
+    """The builders and matrices are written at j = 1 and contracted by the
+    fields' grades; only the references the checks compare against write
+    their powers of j out, so that a wrong grade turns a check red."""
+    assert _jpow_callers(PACKAGE / "model.py") == {
+        "_build_L27", "matter_radial_display", "su2_variation_rules"}
+    assert _jpow_callers(PACKAGE / "matrices.py") == set()
 
 
 def test_every_memo_is_cleared_between_tests():
