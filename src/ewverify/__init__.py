@@ -8,9 +8,7 @@ and the contraction-limit analyses, wired to a CLI harness.
 from .contraction import (
     CR_I,
     CR_ONE,
-    CR_ZERO,
     ComplexRational,
-    ContractionScalar,
     DivisionUndefinedError,
     J_NILPOTENT,
     J_ONE,
@@ -24,6 +22,7 @@ from .fields import (
     conjugate,
     const,
     derive,
+    divide_by_j,
     euler_lagrange,
     field,
     first_order_variation,

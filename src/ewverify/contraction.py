@@ -5,16 +5,14 @@ integer triple ``(a, b, d)`` meaning ``(a + b*i) / d``, with ``d > 0`` and
 ``gcd(a, b, d) == 1``.  Every operation is integer arithmetic followed by
 one three-way gcd, and equal values have equal triples.
 
-A :class:`ContractionScalar` is a polynomial ``a0 + a1*j + a2*j^2 + ...``
-with :class:`ComplexRational` coefficients.  The parameter j can later be
-interpreted three ways (:class:`JMode`): as 1, as the nilpotent unit
-``iota`` with ``iota^2 = 0``, or as a small real number.  Multiplication
-never truncates; truncation happens only in :meth:`ContractionScalar.reduce`,
-so the full j-grading of any product stays readable.
-
-Division by j is a partial operation: ``a/j`` exists only when the
-degree-0 part of ``a`` vanishes (identical units cancel, but a plain
-number divided by the nilpotent unit is undefined).
+The parameter j can be interpreted three ways (:class:`JMode`): as 1, as
+the nilpotent unit ``iota`` with ``iota^2 = 0``, or as a small real number.
+Polynomials in j are :class:`~ewverify.fields.Expression` terms, which
+carry a j-degree; the reduction in a mode and the division rules live in
+``fields`` (``reduce_mode``, ``divide_by_j``).  Division by j is a partial
+operation: ``a/j`` exists only when every term of ``a`` carries j (a plain
+number divided by the nilpotent unit is undefined), and it raises
+:class:`DivisionUndefinedError` otherwise.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ _new = object.__new__
 
 
 class DivisionUndefinedError(ZeroDivisionError):
-    """Raised when dividing by j a scalar with a nonzero degree-0 part."""
+    """Raised when dividing by j an expression with a term of j-degree 0."""
 
 
 class ComplexRational:
@@ -175,7 +173,6 @@ def _make(a: int, b: int, d: int) -> ComplexRational:
     return z
 
 
-CR_ZERO = ComplexRational(0)
 CR_ONE = ComplexRational(1)
 CR_I = ComplexRational(0, 1)
 
@@ -257,164 +254,12 @@ DEFAULT_MODES = (J_ONE, J_NILPOTENT, JMode.numeric(Fraction(1, 1000)))
 
 
 class ContractionScalar:
-    """Polynomial in j with :class:`ComplexRational` coefficients.
+    """Retired: polynomials in j are :class:`~ewverify.fields.Expression`
+    terms.  Only the two methods the benchmark tracer wraps by name are
+    left, and the class goes once the tracer stops hooking them."""
 
-    Immutable; zero coefficients are never stored.  Negative j-degrees are
-    not representable, which keeps :meth:`divide_by_j` an explicit partial
-    operation instead of silently extending the ring.
-    """
+    def __mul__(self, other):
+        raise TypeError("ContractionScalar is retired; use fields.Expression")
 
-    __slots__ = ("_coeffs",)
-
-    def __new__(cls, coeffs=()):
-        return _scalar({_degree(degree): ComplexRational.of(value)
-                        for degree, value in dict(coeffs).items()})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ContractionScalar is immutable")
-
-    @classmethod
-    def term(cls, value, degree: int = 0) -> "ContractionScalar":
-        return _scalar({_degree(degree): ComplexRational.of(value)})
-
-    @classmethod
-    def zero(cls) -> "ContractionScalar":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "ContractionScalar":
-        return cls.term(1)
-
-    @classmethod
-    def j(cls, power: int = 1) -> "ContractionScalar":
-        return cls.term(1, power)
-
-    @property
-    def coeffs(self):
-        return self._coeffs
-
-    def coeff(self, degree: int) -> ComplexRational:
-        for d, v in self._coeffs:
-            if d == degree:
-                return v
-        return CR_ZERO
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def __bool__(self) -> bool:
-        return bool(self._coeffs)
-
-    @staticmethod
-    def _coerce(value) -> "ContractionScalar":
-        if isinstance(value, ContractionScalar):
-            return value
-        return _scalar({0: ComplexRational.of(value)})
-
-    def __add__(self, other) -> "ContractionScalar":
-        out = dict(self._coeffs)
-        for d, v in self._coerce(other)._coeffs:
-            out[d] = out[d] + v if d in out else v
-        return _scalar(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "ContractionScalar":
-        out = dict(self._coeffs)
-        for d, v in self._coerce(other)._coeffs:
-            out[d] = out[d] - v if d in out else -v
-        return _scalar(out)
-
-    def __rsub__(self, other) -> "ContractionScalar":
-        return self._coerce(other) - self
-
-    def __neg__(self) -> "ContractionScalar":
-        return _scalar({d: -v for d, v in self._coeffs})
-
-    def __mul__(self, other) -> "ContractionScalar":
-        right = self._coerce(other)._coeffs
-        out: dict[int, ComplexRational] = {}
-        for d1, v1 in self._coeffs:
-            for d2, v2 in right:
-                d = d1 + d2
-                p = v1 * v2
-                out[d] = out[d] + p if d in out else p
-        return _scalar(out)
-
-    __rmul__ = __mul__
-
-    def conjugate(self) -> "ContractionScalar":
-        """Complex-conjugate the coefficients; j itself is real."""
-        return _scalar({d: v.conjugate() for d, v in self._coeffs})
-
-    def divide_by_j(self) -> "ContractionScalar":
-        """Cancel one power of j.  Defined only when the degree-0 part is zero."""
-        if not self.coeff(0).is_zero():
-            raise DivisionUndefinedError(
-                "cannot divide by j: scalar has a nonzero degree-0 part"
-            )
-        return _scalar({d - 1: v for d, v in self._coeffs})
-
-    def reduce(self, mode: JMode):
-        """Interpret j according to ``mode``.
-
-        j=1 sums all coefficients; j=iota drops degrees >= 2; a numeric j
-        evaluates the polynomial and returns a complex float.
-        """
-        if mode.is_one:
-            return _scalar({0: sum((v for _, v in self._coeffs), CR_ZERO)})
-        if mode.is_nilpotent:
-            return _scalar({d: v for d, v in self._coeffs if d < 2})
-        return complex(self.evaluate_exact(mode.value))
-
-    def evaluate_exact(self, jvalue) -> ComplexRational:
-        """Exact evaluation at a rational j value."""
-        jv = Fraction(jvalue)
-        total = CR_ZERO
-        for d, v in self._coeffs:
-            total = total + v * ComplexRational(jv**d)
-        return total
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, ComplexRational)):
-            other = self._coerce(other)
-        if not isinstance(other, ContractionScalar):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __hash__(self):
-        return hash(self._coeffs)
-
-    def __repr__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        parts = []
-        for d, v in self._coeffs:
-            if d == 0:
-                parts.append(repr(v))
-            else:
-                jpart = "j" if d == 1 else f"j^{d}"
-                parts.append(jpart if v == CR_ONE else f"{v!r}*{jpart}")
-        return " + ".join(parts)
-
-
-_set_coeffs = ContractionScalar._coeffs.__set__
-
-
-def _degree(degree) -> int:
-    """Validate a j-degree given to a public constructor."""
-    d = int(degree)
-    if d != degree:
-        raise ValueError(f"j-degree must be an integer, not {degree!r}")
-    if d < 0:
-        raise ValueError("j-degree must be non-negative")
-    return d
-
-
-def _scalar(coeffs: dict[int, ComplexRational]) -> ContractionScalar:
-    """Build a result from valid ``{degree: coefficient}``: drop zeros, sort."""
-    kept = [(d, v) for d, v in coeffs.items() if v._abd != _ZERO_ABD]
-    kept.sort()
-    s = _new(ContractionScalar)
-    _set_coeffs(s, tuple(kept))
-    return s
+    def reduce(self, mode):
+        raise TypeError("ContractionScalar is retired; use fields.reduce_mode")

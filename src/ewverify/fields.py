@@ -7,7 +7,9 @@ optional factor sqrt(2) (exponent 0 or 1; pairs fold into the coefficient),
 and a commuting multiset of field factors.  A field factor is a field
 symbol with its Lorentz indices, outer-derivative tags, and a conjugation
 flag.  :func:`contract` substitutes X -> j X for every field of grade 1 by
-adding a term's grades to its j-degree, so the model is written at j = 1.
+adding a term's grades to its j-degree, so the model is written at j = 1;
+:func:`divide_by_j` is the partial division by j, defined only when every
+term carries j.
 
 Index discipline: within one term an index name occurs exactly once (free)
 or exactly twice (summed).  Summed indices are renamed canonically by
@@ -27,7 +29,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .contraction import CR_I, CR_ONE, ComplexRational, JMode
+from .contraction import CR_I, CR_ONE, ComplexRational, DivisionUndefinedError, JMode
 
 __all__ = [
     "ArityError",
@@ -41,6 +43,7 @@ __all__ = [
     "const",
     "contract",
     "derive",
+    "divide_by_j",
     "euler_lagrange",
     "field",
     "first_order_variation",
@@ -416,7 +419,13 @@ def param(name, power: int = 1) -> Expression:
 
 
 def jpow(power: int = 1) -> Expression:
-    return Expression.build([Term(CR_ONE, jdeg=power)])
+    """j^power; a j-degree is a non-negative integer."""
+    degree = int(power)
+    if degree != power:
+        raise ValueError(f"j-degree must be an integer, not {power!r}")
+    if degree < 0:
+        raise ValueError("j-degree must be non-negative")
+    return Expression.build([Term(CR_ONE, jdeg=degree)])
 
 
 def inv_sqrt2() -> Expression:
@@ -538,6 +547,21 @@ def contract(e: Expression) -> Expression:
     the grades of its factors."""
     return Expression.build([Term(t.coeff, t.jdeg + sum(FIELDS[f.field].grade for f in t.factors),
                                   t.params, t.r2, t.factors) for t in e.terms])
+
+
+def divide_by_j(e: Expression) -> Expression:
+    """The partial division by j: every term's j-degree lowered by one.
+
+    Defined only when every term carries j.  A term of j-degree 0 raises
+    :class:`~ewverify.contraction.DivisionUndefinedError`: a plain number
+    divided by the nilpotent unit is undefined, and negative degrees are
+    not representable.  Lowering every degree keeps the canonical order,
+    so the result needs no build.
+    """
+    if any(t.jdeg == 0 for t in e.terms):
+        raise DivisionUndefinedError("cannot divide by j: a term has j-degree 0")
+    return Expression(tuple(Term(t.coeff, t.jdeg - 1, t.params, t.r2, t.factors)
+                            for t in e.terms))
 
 
 def j_decompose(e: Expression) -> dict[int, Expression]:

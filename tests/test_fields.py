@@ -8,6 +8,7 @@ import pytest
 from ewverify import (
     ArityError,
     ComplexRational,
+    DivisionUndefinedError,
     Expression,
     IndexConflictError,
     J_NILPOTENT,
@@ -16,6 +17,7 @@ from ewverify import (
     conjugate,
     const,
     derive,
+    divide_by_j,
     field,
     instantiate_params,
     j_decompose,
@@ -278,6 +280,19 @@ def test_j_decompose_partition(rng):
         for d, part in parts.items():
             rebuilt = rebuilt + jpow(d) * part
         assert rebuilt == e
+
+
+def test_divide_by_j_on_random_expressions(rng):
+    """divide_by_j inverts multiplication by j, and raises exactly when a
+    term has j-degree 0."""
+    for _ in range(200):
+        e = random_expression(rng)
+        assert divide_by_j(jpow() * e) == e
+        if 0 in e.j_degrees():
+            with pytest.raises(DivisionUndefinedError):
+                divide_by_j(e)
+        else:
+            assert jpow() * divide_by_j(e) == e
 
 
 def test_reduce_mode():

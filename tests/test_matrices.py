@@ -6,18 +6,20 @@ import pytest
 
 from ewverify import (
     ComplexRational,
+    DivisionUndefinedError,
     J_NILPOTENT,
     J_ONE,
     JMode,
     Mat2,
     NotUnimodularError,
     const,
+    divide_by_j,
     jpow,
     reduce_mode,
     su2_element,
     verify_group,
 )
-from ewverify.matrices import symbolic_lie_element
+from ewverify.matrices import symbolic_element, symbolic_lie_element
 
 from helpers import exact_group_point
 
@@ -108,6 +110,18 @@ def test_lie_element_examples():
         (cst(-half, half), cst(0, -half)),
     )
     assert lie(1, 1, 1, J_NILPOTENT)[0, 1] == cst(half, half, 1)
+
+
+@pytest.mark.parametrize("element", ["lie", "group"])
+def test_off_diagonal_entries_divide_by_j(element):
+    """The grade-1 directions sit off the diagonal: those entries carry j in
+    every term and divide by it, and the diagonal entries do not."""
+    m = symbolic_lie_element() if element == "lie" else symbolic_element("alpha", "beta")
+    for r, c in ((0, 1), (1, 0)):
+        assert jpow() * divide_by_j(m[r, c]) == m[r, c]
+    for k in (0, 1):
+        with pytest.raises(DivisionUndefinedError):
+            divide_by_j(m[k, k])
 
 
 def test_lie_elements_antihermitian(rng):

@@ -27,6 +27,12 @@ KEPT_FOR_TESTS = {
     "equals": "no check calls it; it decides by the canonical difference alone "
     "and stays because the benchmark tracer hooks numeric.equals and its test "
     "looks up model.equals, so it goes with the next benchmark change",
+    "ContractionScalar": "a retired stub whose two methods raise; it stays "
+    "because the benchmark tracer hooks its __mul__ and reduce by name, so it "
+    "goes with the next benchmark change, like equals",
+    "divide_by_j": "the paper's partial division by j: acceptance criterion 03 "
+    "decides the division rules with it, and the sphere-coordinates check "
+    "(ROADMAP item 7) will divide the off-diagonal entries by j",
 }
 
 
@@ -82,15 +88,30 @@ def test_kept_for_tests_names_are_still_unused_public_definitions():
 
 
 def test_only_the_contraction_layer_refers_to_contraction_scalar():
-    """Every other layer works over Expression entries: ContractionScalar
-    serves only its own tests, criterion 03 and the benchmark tracer.  The
-    re-export in ``__init__.py`` does not count."""
+    """Every layer works over Expression entries: ContractionScalar is a
+    retired stub that only the benchmark tracer still names, and no other
+    module, ``__init__.py`` included, refers to it."""
     users = sorted(
         p.name for p in PACKAGE.glob("*.py")
-        if p.name not in ("contraction.py", "__init__.py")
-        and "ContractionScalar" in p.read_text()
+        if p.name != "contraction.py" and "ContractionScalar" in p.read_text()
     )
     assert not users, f"modules that use ContractionScalar: {users}"
+
+
+def test_contraction_scalar_is_only_the_stub_the_tracer_hooks():
+    """The retired class defines its docstring, ``__mul__`` and ``reduce``
+    and nothing else, and the package does not export it, so that a second
+    j-graded scalar type does not grow back beside Expression."""
+    import ewverify
+
+    tree = ast.parse((PACKAGE / "contraction.py").read_text())
+    (stub,) = [n for n in tree.body
+               if isinstance(n, ast.ClassDef) and n.name == "ContractionScalar"]
+    docstring, *methods = stub.body
+    assert isinstance(docstring, ast.Expr) and isinstance(docstring.value, ast.Constant)
+    assert all(isinstance(m, ast.FunctionDef) for m in methods)
+    assert sorted(m.name for m in methods) == ["__mul__", "reduce"]
+    assert not hasattr(ewverify, "ContractionScalar")
 
 
 def _jpow_callers(path):
@@ -155,10 +176,10 @@ tracer.uninstall()
 
 
 def test_benchmark_tracer_installs_and_uninstalls():
-    """The tracer wraps ContractionScalar, Mat2, numeric.equals, build_L27
-    and each check by name; removing one from src/, or hiding it from the
-    tracer (which wraps plain functions only, not an ``lru_cache``), must
-    fail here."""
+    """The tracer wraps Mat2, numeric.equals, build_L27, each check, and the
+    two methods of the retired ContractionScalar stub by name; removing one
+    from src/, or hiding it from the tracer (which wraps plain functions
+    only, not an ``lru_cache``), must fail here."""
     result = subprocess.run(
         [sys.executable, "-c", TRACER_SCRIPT, str(ROOT / "perfbench"), str(ROOT / "src")],
         capture_output=True, text=True, cwd=ROOT, timeout=120,
