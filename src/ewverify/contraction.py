@@ -96,15 +96,6 @@ class ComplexRational:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "ComplexRational":
-        a, b, d = self._abd
-        oa, ob, od = _triple(other)
-        n = oa * oa + ob * ob
-        if n == 0:
-            raise ZeroDivisionError("division by zero complex rational")
-        # (a + b i)(oa - ob i) od / (d |oa + ob i|^2)
-        return _make((a * oa + b * ob) * od, (b * oa - a * ob) * od, d * n)
-
     def __neg__(self) -> "ComplexRational":
         a, b, d = self._abd
         return _make(-a, -b, d)
@@ -112,11 +103,6 @@ class ComplexRational:
     def conjugate(self) -> "ComplexRational":
         a, b, d = self._abd
         return _make(a, -b, d)
-
-    def abs2(self) -> Fraction:
-        """Exact squared modulus."""
-        a, b, d = self._abd
-        return Fraction(a * a + b * b, d * d)
 
     def is_zero(self) -> bool:
         return self._abd == _ZERO_ABD

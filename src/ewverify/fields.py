@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -157,8 +156,8 @@ class FieldFactor:
     def sort_key(self):
         return (self.field, self.conj, self.indices, self.derivs)
 
-    def names(self):
-        return itertools.chain(self.indices, self.derivs)
+    def names(self) -> tuple[str, ...]:
+        return self.indices + self.derivs
 
 
 def _factor(field, indices, derivs, conj) -> FieldFactor:
@@ -180,14 +179,20 @@ class Term:
     r2: int = 0
     factors: tuple[FieldFactor, ...] = ()
 
-    def index_counts(self) -> Counter:
-        counts: Counter = Counter()
-        for f in self.factors:
-            counts.update(f.names())
-        return counts
+    def index_counts(self) -> dict[str, int]:
+        return _index_counts(self.factors)
 
     def free_indices(self) -> frozenset[str]:
         return frozenset(n for n, c in self.index_counts().items() if c == 1)
+
+
+def _index_counts(factors) -> dict[str, int]:
+    """How often each index name occurs among the factors, in first-use order."""
+    counts: dict[str, int] = {}
+    for f in factors:
+        for n in f.names():
+            counts[n] = counts.get(n, 0) + 1
+    return counts
 
 
 @functools.lru_cache(maxsize=128)
@@ -211,37 +216,42 @@ def _canonical_factors(factors: tuple[FieldFactor, ...]) -> tuple:
     The canonical form is the lexicographic minimum over every bijection
     from the term's summed indices to the canonical alphabet, which makes
     structural equality complete for relabeling symmetry.  Each relabeling
-    is compared as a tuple of sort keys, and only the least one is turned
-    into factors.  Terms here stay small (at most two summed indices in the
-    model's Lagrangians), so the factorial sweep is cheap; the memo saves
-    the per-call cost on the factor tuples that recur, and a raised error
-    is not kept.
+    is compared as a tuple of sort keys, built once, and only the least one
+    is turned into factors.  One summed index has one relabeling and two
+    have two, compared directly; only three or more sweep the
+    permutations.  The memo saves the per-call cost on the factor tuples
+    that recur, and a raised error is not kept.
     """
     factors = tuple(f.canonical_conj() for f in factors)
-    counts: Counter = Counter()
-    for f in factors:
-        counts.update(f.names())
-    over = [n for n, c in counts.items() if c > 2]
-    if over:
-        raise IndexConflictError(f"index used more than twice: {over[0]}")
-    free = frozenset(n for n, c in counts.items() if c == 1)
-    dummies = sorted(n for n, c in counts.items() if c == 2)
+    frees, dummies = [], []
+    for n, c in _index_counts(factors).items():
+        if c > 2:
+            raise IndexConflictError(f"index used more than twice: {n}")
+        (frees if c == 1 else dummies).append(n)
+    free = frozenset(frees)
     if not dummies:
         ordered = sorted(factors, key=FieldFactor.sort_key)
         return tuple(ordered), free, tuple(f.sort_key() for f in ordered)
     if len(dummies) > 7:
         raise IndexConflictError("too many summed indices in one term")
+    dummies.sort()
     pool = [n for n in DUMMY_NAMES if n not in free]
     pool += [f"x{k}" for k in range(len(dummies)) if f"x{k}" not in free]
-    canon = pool[: len(dummies)]
-    best = min(
-        tuple(sorted(
-            (f.field, f.conj, tuple(m.get(i, i) for i in f.indices),
-             tuple(sorted(m.get(i, i) for i in f.derivs)))
+
+    def relabeled(perm):
+        m = dict(zip(perm, pool))
+        return tuple(sorted([
+            (f.field, f.conj, tuple([m.get(i, i) for i in f.indices]),
+             tuple(sorted([m.get(i, i) for i in f.derivs])))
             for f in factors
-        ))
-        for m in (dict(zip(perm, canon)) for perm in itertools.permutations(dummies))
-    )
+        ]))
+
+    if len(dummies) == 1:
+        best = relabeled(dummies)
+    elif len(dummies) == 2:
+        best = min(relabeled(dummies), relabeled(dummies[::-1]))
+    else:
+        best = min(map(relabeled, itertools.permutations(dummies)))
     return tuple(_factor(fd, ix, dv, cj) for fd, cj, ix, dv in best), free, best
 
 
@@ -372,11 +382,12 @@ _EMPTY = Expression(())
 
 
 def _refresh_dummies(t: Term, tag: str) -> Term:
-    """Rename a term's summed indices to ``_<tag>0``, ``_<tag>1``, ..."""
-    names = [n for f in t.factors for n in f.names()]
-    if len(names) == len(set(names)):
+    """Rename a term's summed indices to ``_<tag>0``, ``_<tag>1``, ... in
+    sorted-name order; a name used three times is kept for the build to
+    report."""
+    dummies = sorted(n for n, c in t.index_counts().items() if c == 2)
+    if not dummies:
         return t
-    dummies = sorted({n for n in names if names.count(n) == 2})
     mapping = {n: f"_{tag}{k}" for k, n in enumerate(dummies)}
     return Term(t.coeff, t.jdeg, t.params, t.r2,
                 tuple(f.rename(mapping) for f in t.factors))
@@ -460,7 +471,7 @@ def derive(e: Expression, idx: str) -> Expression:
 def _leibniz(terms, idx: str) -> list[Term]:
     raw = []
     for t in terms:
-        if t.index_counts()[idx] >= 2:
+        if t.index_counts().get(idx, 0) >= 2:
             raise IndexConflictError(f"index {idx} is already summed in {t}")
         for p, f in enumerate(t.factors):
             new_factor = FieldFactor(f.field, f.indices, f.derivs + (idx,), f.conj)
@@ -477,7 +488,7 @@ def _prepare_replacement(rep: Expression, f: FieldFactor) -> Expression:
     kept."""
     arity = FIELDS[f.field].arity
     for t in rep.terms:
-        hole_count = t.index_counts()[HOLE]
+        hole_count = t.index_counts().get(HOLE, 0)
         if hole_count != arity:
             raise ArityError(
                 f"replacement for {f.field} must use the hole index "

@@ -143,15 +143,6 @@ def test_conjugation_is_involutive_automorphism(x, y):
     assert conjugate(x + y) == conjugate(x) + conjugate(y)
 
 
-def test_complex_rational_field_ops():
-    a = ComplexRational(Fraction(3, 5), Fraction(4, 5))
-    assert a.abs2() == 1
-    assert (a / a) == ComplexRational(1)
-    assert a * a.conjugate() == ComplexRational(a.abs2())
-    with pytest.raises(ZeroDivisionError):
-        a / ComplexRational(0)
-
-
 def test_non_integral_degree_is_rejected():
     for bad in (1.5, Fraction(1, 2), "1"):
         with pytest.raises(ValueError, match="integer"):
@@ -201,13 +192,6 @@ def test_complex_rational_matches_fraction_pair_model(x, y):
     assert_matches(zx * zy, a * c - b * d, a * d + b * c)
     assert_matches(-zx, -a, -b)
     assert_matches(zx.conjugate(), a, -b)
-    assert zx.abs2() == a * a + b * b
-    n = c * c + d * d
-    if n:
-        assert_matches(zx / zy, (a * c + b * d) / n, (b * c - a * d) / n)
-    else:
-        with pytest.raises(ZeroDivisionError):
-            zx / zy
     # plain rational operands on either side
     assert_matches(zx + c, a + c, b)
     assert_matches(c - zx, c - a, -b)
@@ -225,7 +209,7 @@ def test_complex_rational_from_floats_is_exact(x, y):
 
 def test_equal_values_built_by_different_routes_hash_alike():
     a = ComplexRational(Fraction(2, 4), Fraction(3, 6))
-    b = ComplexRational(1, 1) / 2
+    b = ComplexRational(1, 1) * ComplexRational(Fraction(1, 2))
     assert a == b and hash(a) == hash(b)
 
 
@@ -235,7 +219,6 @@ def test_normal_form_is_route_independent(x, k):
     a, b = x
     direct = ComplexRational(a, b)
     routes = (
-        ComplexRational(a * k, b * k) / k,
         ComplexRational(a * k, b * k) * ComplexRational(Fraction(1, k)),
         ComplexRational(a) + ComplexRational(0, b),
         (direct + ComplexRational(k, -k)) - ComplexRational(k, -k),

@@ -28,10 +28,14 @@ from ewverify import (
     substitute,
 )
 from ewverify.fields import (
+    DUMMY_NAMES,
+    FIELDS,
     FieldFactor,
+    Term,
     UnknownFieldError,
     _canonical_factors,
     _prepare_replacement,
+    _refresh_dummies,
     euler_lagrange,
     first_order_variation,
     group_normal_form,
@@ -42,6 +46,8 @@ from ewverify.fields import (
 from ewverify.model import DEFAULT_CONFIG, build_L27
 
 from helpers import (
+    SCALAR_FIELDS,
+    VECTOR_FIELDS,
     exact_group_point,
     random_expression,
     random_term,
@@ -83,8 +89,6 @@ def test_commuting_pair_relabel():
 
 
 def test_index_rule_enforced():
-    from ewverify.fields import Term
-
     triple = Term(
         ComplexRational(1),
         factors=tuple(FieldFactor("A1", ("mu",)) for _ in range(3)),
@@ -120,6 +124,94 @@ def test_canonical_memo_matches_the_unmemoized_form(rng):
             ordered, free, keys = canonical
             assert (ordered, free) == reference_canonical_factors(factors)
             assert keys == tuple(f.sort_key() for f in ordered)
+
+
+CONJUGABLE = ("Wp", "Wm", "phi1", "phi2")
+
+
+def _wide_factors(rng, npairs, nfree):
+    """Factors with ``npairs`` summed pairs and ``nfree`` free indices, whose
+    names are drawn from a set that includes the first canonical names and
+    ``x0``, spread over index slots and derivative tags."""
+    names = rng.sample(("mu", "nu", "al", "x0", "q", "zz", "b1", "x1"), npairs + nfree)
+    slots = names[:nfree] + 2 * names[nfree:]
+    rng.shuffle(slots)
+    factors = []
+    while slots or not factors or rng.random() < 0.3:
+        name = rng.choice(VECTOR_FIELDS + SCALAR_FIELDS)
+        arity = FIELDS[name].arity
+        if arity > len(slots):
+            continue
+        take = min(len(slots), arity + rng.randint(0, 2))
+        factors.append(FieldFactor(name, tuple(slots[:arity]), tuple(slots[arity:take]),
+                                   name in CONJUGABLE and rng.random() < 0.5))
+        del slots[:take]
+    return tuple(factors)
+
+
+def test_canonical_form_matches_the_reference_on_every_path(rng):
+    """Terms with 0, 1, 2 and 3 or more summed pairs, free indices that take
+    canonical names, and conjugated complex factors: the canonical form equals
+    the rename-then-sort reference, unmemoized and memoized."""
+    seen = set()
+    for _ in range(600):
+        npairs, nfree = rng.choice((0, 1, 1, 2, 2, 3, 4)), rng.randint(0, 3)
+        factors = _wide_factors(rng, npairs, nfree)
+        seen.add(min(npairs, 3))
+        seen.update(n for n in ("mu", "nu", "al", "x0")
+                    if n in reference_canonical_factors(factors)[1])
+        seen.update(f.field for f in factors if f.conj)
+        for memoized in (False, True):
+            canonical = (_canonical_factors if memoized else _canonical_factors.__wrapped__)(factors)
+            ordered, free, keys = canonical
+            assert (ordered, free) == reference_canonical_factors(factors)
+            assert keys == tuple(f.sort_key() for f in ordered)
+    assert seen >= {0, 1, 2, 3, "mu", "nu", "al", "x0", *CONJUGABLE}
+    # free names use up the canonical alphabet, so x0 is skipped for x1
+    crowded = tuple(FieldFactor("B", (n,)) for n in DUMMY_NAMES[1:] + ("x0",)) + tuple(
+        FieldFactor("W1", (n,), (n,)) for n in ("zz", "q", "mu"))
+    ordered, free, _ = _canonical_factors(crowded)
+    assert (ordered, free) == reference_canonical_factors(crowded)
+    assert {i for f in ordered for i in f.derivs} == {"mu", "x1", "x2"}
+
+
+def test_canonical_form_errors_are_unchanged():
+    def raised(factors):
+        for _ in range(2):  # the memo keeps no error
+            with pytest.raises(IndexConflictError) as info:
+                _canonical_factors(factors)
+        return str(info.value)
+
+    thrice = tuple(FieldFactor("B", (n,)) for n in ("nu", "mu", "mu", "nu", "mu", "nu"))
+    assert raised(thrice) == "index used more than twice: nu"
+    eight_pairs = tuple(FieldFactor("B", (f"q{k}",), (f"q{k}",)) for k in range(8))
+    assert raised(eight_pairs) == "too many summed indices in one term"
+    assert raised(eight_pairs + thrice) == "index used more than twice: nu"
+    seven_pairs = eight_pairs[1:]
+    assert len(_canonical_factors(seven_pairs)[0]) == 7
+    assert _canonical_factors.cache_info().currsize == 1
+
+
+def test_refresh_dummies_renames_summed_pairs_only():
+    plain = parse("A1[mu] d[nu]rho").terms[0]
+    assert _refresh_dummies(plain, "L") is plain
+    raw = Term(ComplexRational(1), factors=(
+        FieldFactor("B", ("zz",)), FieldFactor("rho", derivs=("aa", "mu")),
+        FieldFactor("W1", ("zz",), ("aa",)),
+    ))
+    assert _refresh_dummies(raw, "R").factors == (
+        FieldFactor("B", ("_R1",)), FieldFactor("rho", derivs=("_R0", "mu")),
+        FieldFactor("W1", ("_R1",), ("_R0",)),
+    )
+    # a name used three times is kept, so the build still names it
+    triple = Term(ComplexRational(1), factors=(
+        FieldFactor("A1", ("mu",)), FieldFactor("A1", ("mu",)), FieldFactor("A1", ("mu",)),
+        FieldFactor("B", ("nu",)), FieldFactor("B", ("nu",)),
+    ))
+    refreshed = _refresh_dummies(triple, "L")
+    assert [f.indices for f in refreshed.factors] == [("mu",)] * 3 + [("_L0",)] * 2
+    with pytest.raises(IndexConflictError, match="more than twice: mu$"):
+        Expression.build([refreshed])
 
 
 def test_built_factors_are_valid_factors(rng):
