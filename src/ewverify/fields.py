@@ -215,12 +215,11 @@ def _canonical_factors(factors: tuple[FieldFactor, ...]) -> tuple:
 
     The canonical form is the lexicographic minimum over every bijection
     from the term's summed indices to the canonical alphabet, which makes
-    structural equality complete for relabeling symmetry.  Each relabeling
-    is compared as a tuple of sort keys, built once, and only the least one
-    is turned into factors.  One summed index has one relabeling and two
-    have two, compared directly; only three or more sweep the
-    permutations.  The memo saves the per-call cost on the factor tuples
-    that recur, and a raised error is not kept.
+    structural equality complete for relabeling symmetry.  A term without
+    summed indices is only sorted; otherwise every permutation of its
+    summed names is compared as a tuple of sort keys, built once, and only
+    the least one is turned into factors.  The memo saves the per-call cost
+    on the factor tuples that recur, and a raised error is not kept.
     """
     factors = tuple(f.canonical_conj() for f in factors)
     frees, dummies = [], []
@@ -246,12 +245,7 @@ def _canonical_factors(factors: tuple[FieldFactor, ...]) -> tuple:
             for f in factors
         ]))
 
-    if len(dummies) == 1:
-        best = relabeled(dummies)
-    elif len(dummies) == 2:
-        best = min(relabeled(dummies), relabeled(dummies[::-1]))
-    else:
-        best = min(map(relabeled, itertools.permutations(dummies)))
+    best = min(map(relabeled, itertools.permutations(dummies)))
     return tuple(_factor(fd, ix, dv, cj) for fd, cj, ix, dv in best), free, best
 
 
