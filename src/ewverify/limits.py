@@ -11,6 +11,7 @@ the base fields as external ones.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import statistics
@@ -21,12 +22,13 @@ from .contraction import J_NILPOTENT, J_ONE
 from .fields import Expression, euler_lagrange, j_decompose, reduce_mode
 from .fields import substitute  # noqa: F401  perfbench's tracer test looks up limits.substitute
 from .model import ModelConfig, _at_radius, build_L27, extract_masses
-from .numeric import FieldSample, eval_expression
+from .numeric import FieldSample, compile_layout, eval_expression
 from .report import VerificationReport, timed, verdict
 
 
 class DegenerateSampleError(RuntimeError):
-    """Too many consecutive draws with a vanishing base Lagrangian."""
+    """More than 1000 draws in one sweep, counted in total rather than in a
+    row, had a vanishing base Lagrangian."""
 
 
 @dataclass(frozen=True)
@@ -52,24 +54,35 @@ def _fit(xs, ys):
     return fit.slope, r2
 
 
+@functools.lru_cache(maxsize=4)
+def _graded_parts(lagrangian: Expression) -> tuple[Expression, Expression, Expression]:
+    """The j^0, j^2 and j^4 parts of ``lagrangian``, split once, so that
+    every sweep at a config hands the evaluator's plan memo the same
+    objects, found by identity rather than compared term by term."""
+    parts = j_decompose(lagrangian)
+    return tuple(parts.get(k, Expression.zero()) for k in (0, 2, 4))
+
+
 def scaling_sweep(
     j_values, samples: int, cfg: ModelConfig, seed: int
 ) -> ScalingReport:
     """Evaluate the j-grade parts on random field draws and fit the exponents.
 
     The parts themselves are j-independent, so each draw is evaluated once
-    and scaled by the appropriate power of every j in the sweep; draws with
-    |L_base| below 1e-12 are discarded and redrawn (counted).
+    and scaled by the appropriate power of every j in the sweep.  Each
+    sample draws the field instances of all three parts in one pass
+    (:meth:`FieldSample.draw`), and each part reads its values from that one
+    draw.  Draws with |L_base| below 1e-12 are discarded and redrawn
+    (counted); more than 1000 redraws in one sweep raise
+    :class:`DegenerateSampleError`.
     """
     js = sorted((float(j) for j in j_values), reverse=True)
     if not js or any(not (0.0 < j < 1.0) for j in js):
         raise ValueError("j values must lie in (0, 1)")
     if samples < 10:
         raise ValueError("samples must be >= 10")
-    parts = j_decompose(build_L27(cfg))
-    base = parts.get(0, Expression.zero())
-    fiber = parts.get(2, Expression.zero())
-    quartic = parts.get(4, Expression.zero())
+    base, fiber, quartic = parts = _graded_parts(build_L27(cfg))
+    layout = compile_layout(parts)
 
     params = {"s": float(cfg.s_value())}
     rng = random.Random(seed)
@@ -78,15 +91,15 @@ def scaling_sweep(
     redraws = 0
     collected = 0
     while collected < samples:
-        sample = FieldSample(rng.randrange(2**32))
-        vb = abs(eval_expression(base, sample, params))
+        at_base, at_fiber, at_quartic = FieldSample(rng.randrange(2**32)).draw(layout)
+        vb = abs(eval_expression(base, at_base, params))
         if vb < 1e-12:
             redraws += 1
             if redraws > 1000:
                 raise DegenerateSampleError("base Lagrangian keeps vanishing")
             continue
-        ratio_f_sum += abs(eval_expression(fiber, sample, params)) / vb
-        ratio_h_sum += abs(eval_expression(quartic, sample, params)) / vb
+        ratio_f_sum += abs(eval_expression(fiber, at_fiber, params)) / vb
+        ratio_h_sum += abs(eval_expression(quartic, at_quartic, params)) / vb
         collected += 1
     mean_f = ratio_f_sum / samples
     mean_h = ratio_h_sum / samples

@@ -18,6 +18,12 @@ in that order, then runs the products (unrolled, left to right, for 2 to 4
 factors) and the sum in term-by-term float order, so a lazy
 :class:`FieldSample` draws, and the result rounds, exactly as a walk over
 every combination would.
+
+The sweep evaluates three parts on every sample.  :func:`compile_layout`
+resolves their plans' instances once, into one list in first-access order
+with each part's positions in it, so :meth:`FieldSample.draw` draws a
+sample's instances in one pass, in the order the parts' lazy lookups
+would, and each part reads its values by position.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ __all__ = [
     "FieldSample",
     "MissingAssignmentError",
     "assignment_from_components",
+    "compile_layout",
     "eval_expression",
 ]
 
@@ -77,6 +84,32 @@ class FieldSample:
                 drawn[key] = got
             out.append(got.conjugate() if conj else got)
         return out
+
+    def draw(self, layout) -> list:
+        """Draw every instance of a :func:`compile_layout` layout in one
+        pass, on a sample with nothing drawn yet; returns one assignment per
+        compiled expression, which reads that expression's values by
+        position.  The Gaussian draws come in the order :meth:`values`
+        would take them for the expressions evaluated one after another."""
+        reals, slots = layout
+        gauss = self._rng.gauss
+        drawn = []
+        for real in reals:
+            got = complex(gauss(0.0, 1.0), 0.0 if real else gauss(0.0, 1.0))
+            drawn += got, got.conjugate()
+        return [_Drawn(drawn, pick) for pick in slots]
+
+
+class _Drawn:
+    """One expression's view of a shared draw."""
+
+    __slots__ = ("drawn", "pick")
+
+    def __init__(self, drawn, pick):
+        self.drawn, self.pick = drawn, pick
+
+    def values(self, keys) -> list:
+        return [self.drawn[i] for i in self.pick]
 
 
 class _DictAssignment:
@@ -142,6 +175,28 @@ def _plan(e: Expression) -> tuple:
     return tuple(terms), tuple(slots)
 
 
+def compile_layout(exprs) -> tuple:
+    """Compile one shared draw for the scalar expressions ``exprs``.
+
+    Returns ``(reals, slots)``: ``reals`` tells, per distinct field instance
+    of their plans in first-access order, a mirror field resolved to its
+    partner, whether the field is real; ``slots`` holds per expression the
+    positions of its plan's keys in :meth:`FieldSample.draw`'s list, where
+    instance ``n`` sits at ``2n`` and its conjugate at ``2n + 1``.
+    """
+    union: dict = {}
+    slots = []
+    for e in exprs:
+        pick = []
+        for fld, indices, derivs, conj in _plan(e)[1]:
+            fdef = FIELDS[fld]
+            if not fdef.primary:
+                fld, conj = fdef.partner, not conj
+            pick.append(2 * union.setdefault((fld, indices, derivs), len(union)) + conj)
+        slots.append(tuple(pick))
+    return tuple(FIELDS[fld].real for fld, _, _ in union), tuple(slots)
+
+
 def eval_expression(e: Expression, assignment, params: dict | None = None) -> complex:
     """Evaluate the scalar polynomial on concrete field values at j = 1.
 
@@ -153,7 +208,9 @@ def eval_expression(e: Expression, assignment, params: dict | None = None) -> co
     The expression is compiled once into a plan, kept in a bounded memo.
     Each call fetches every distinct field instance in one
     ``assignment.values(keys)`` lookup, in first-access order, so a lazy
-    :class:`FieldSample` draws as a term-by-term walk would; the products
+    :class:`FieldSample` draws as a term-by-term walk would; an assignment
+    from :meth:`FieldSample.draw` reads the same values from a draw shared
+    with other expressions, by position.  The products
     (unrolled for 2, 3 and 4 factors, left to right) and the sum then run
     in the walk's float order, so the result is bit-identical to it.
     """

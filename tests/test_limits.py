@@ -1,6 +1,8 @@
 """Contraction-limit analysis: scaling exponents and decoupling."""
 
+import math
 import random
+import statistics
 from dataclasses import replace
 from fractions import Fraction
 
@@ -9,6 +11,7 @@ import pytest
 from ewverify import (
     J_NILPOTENT,
     J_ONE,
+    Expression,
     ModelConfig,
     build_L27,
     const,
@@ -21,7 +24,12 @@ from ewverify import (
     scaling_sweep,
     substitute,
 )
+from ewverify import limits
+from ewverify.cli import SWEEP_JS
+from ewverify.limits import DegenerateSampleError, ScalingReport
 from ewverify.numeric import FieldSample, eval_expression
+
+from helpers import reference_eval
 
 CFG = ModelConfig()
 
@@ -47,6 +55,117 @@ def test_sweep_validation():
         scaling_sweep((1.5,), 50, CFG, seed=0)
     with pytest.raises(ValueError):
         scaling_sweep((0.1,), 5, CFG, seed=0)
+
+
+def _reference_sweep(j_values, samples, cfg, seed) -> ScalingReport:
+    """The scaling sweep written out plainly: one lazy FieldSample per draw,
+    and each part evaluated term by term with ``reference_eval``."""
+    parts = j_decompose(build_L27(cfg))
+    base, fiber, quartic = (parts.get(k, Expression.zero()) for k in (0, 2, 4))
+    params = {"s": float(cfg.s_value())}
+    rng = random.Random(seed)
+    sum_f = sum_h = 0.0
+    redraws = collected = 0
+    while collected < samples:
+        sample = FieldSample(rng.randrange(2**32))
+        vb = abs(reference_eval(base, sample, params))
+        if vb < 1e-12:
+            redraws += 1
+            continue
+        sum_f += abs(reference_eval(fiber, sample, params)) / vb
+        sum_h += abs(reference_eval(quartic, sample, params)) / vb
+        collected += 1
+    js = sorted(j_values, reverse=True)
+    ratios_f = tuple(j**2 * (sum_f / samples) for j in js)
+    ratios_h = tuple(j**4 * (sum_h / samples) for j in js)
+    logs = [math.log(j) for j in js]
+    log_f = [math.log(r) for r in ratios_f]
+    log_h = [math.log(r) for r in ratios_h]
+    return ScalingReport(
+        j_values=tuple(js),
+        ratios_f=ratios_f,
+        ratios_h=ratios_h,
+        slope_f=statistics.linear_regression(logs, log_f).slope,
+        slope_h=statistics.linear_regression(logs, log_h).slope,
+        fit_r2=min(statistics.correlation(logs, log_f) ** 2,
+                   statistics.correlation(logs, log_h) ** 2),
+        samples=samples,
+        degenerate_redraws=redraws,
+    )
+
+
+IRRATIONAL_S = ModelConfig(g=Fraction("1.234"), gp=Fraction("0.567"), R=Fraction("2.1"),
+                           exact=False)
+
+
+@pytest.mark.parametrize("cfg", [CFG, IRRATIONAL_S], ids=["default", "irrational-s"])
+def test_sweep_matches_the_reference_sweep(cfg):
+    """Every field of the report, floats included, equals the plain sweep's."""
+    for seed in range(5):
+        want = _reference_sweep(SWEEP_JS, 10, cfg, seed)
+        assert scaling_sweep(SWEEP_JS, 10, cfg, seed) == want
+
+
+def test_sweep_evaluates_each_part_through_eval_expression(monkeypatch):
+    """The benchmark's tracer counts evaluations from the first argument of
+    ``eval_expression`` as ``limits`` calls it: an Expression, three calls
+    per kept sample and one per redraw.  Every fourth base evaluation is
+    made to vanish here, to force redraws."""
+    base = j_decompose(build_L27(CFG))[0]
+    calls = []
+
+    def counting(e, assignment, params=None):
+        calls.append(e)
+        value = eval_expression(e, assignment, params)
+        return 0j if e == base and calls.count(base) % 4 == 0 else value
+
+    monkeypatch.setattr(limits, "eval_expression", counting)
+    report = scaling_sweep(SWEEP_JS, 12, CFG, seed=3)
+    assert report.degenerate_redraws == calls.count(base) // 4 > 0
+    assert len(calls) == 3 * report.samples + report.degenerate_redraws
+    assert all(type(e) is Expression for e in calls)
+
+
+def test_degenerate_redraws_are_counted_over_the_whole_sweep(monkeypatch):
+    """More than 1000 redraws in one sweep raise, even when no two come in
+    a row; 1000 are allowed."""
+    base = j_decompose(build_L27(CFG))[0]
+    base_calls = 0
+
+    def vanishing_every_other_base(e, assignment, params=None):
+        nonlocal base_calls
+        if e != base:
+            return 1.0
+        base_calls += 1
+        return 0j if base_calls % 2 else 1.0
+
+    monkeypatch.setattr(limits, "eval_expression", vanishing_every_other_base)
+    assert scaling_sweep(SWEEP_JS, 1000, CFG, seed=0).degenerate_redraws == 1000
+    base_calls = 0
+    with pytest.raises(DegenerateSampleError):
+        scaling_sweep(SWEEP_JS, 1001, CFG, seed=0)
+
+
+def test_a_repeated_sweep_compares_no_expressions(monkeypatch):
+    """A second sweep at a config finds its parts, and their compiled plans,
+    by identity: its count of ``Expression.__eq__`` calls does not grow
+    with the number of samples."""
+    scaling_sweep(SWEEP_JS, 10, CFG, seed=1)
+    eq = Expression.__eq__
+    count = 0
+
+    def counting_eq(self, other):
+        nonlocal count
+        count += 1
+        return eq(self, other)
+
+    monkeypatch.setattr(Expression, "__eq__", counting_eq)
+    counts = []
+    for samples in (10, 40):
+        count = 0
+        scaling_sweep(SWEEP_JS, samples, CFG, seed=1)
+        counts.append(count)
+    assert counts[0] == counts[1]
 
 
 def test_grade2_homogeneity():

@@ -13,7 +13,7 @@ from ewverify import (
     j_decompose,
     parse,
 )
-from ewverify.numeric import _plan, equals
+from ewverify.numeric import _plan, compile_layout, equals
 
 from helpers import random_expression, reference_eval
 
@@ -87,6 +87,26 @@ def test_batched_values_draw_as_single_lookups():
     _, keys = _plan(parse("d[mu]d[nu]eps2 B[mu] B[nu]"))
     derivs = [d for f, _, d, _ in keys if f == "eps2"]
     assert len(derivs) == 10 and all(d == tuple(sorted(d)) for d in derivs)
+
+
+def test_shared_draw_matches_lazy_lookups(rng):
+    """``draw`` over a layout of several expressions hands each one the
+    values that one lazy sample of the same seed returns for it, looked up
+    expression after expression, and draws nothing that sample does not."""
+    params = {"g": 1.3, "gp": 0.7, "R": 2.1}
+    exprs = _scalar_expressions(rng, 60, random_expression, params)
+    # W- mirrors W+: both name one drawn instance
+    exprs.append(parse("W-[mu] W+[mu] d[nu]W+[nu] + W-[mu] d[nu]W+[mu] W-[nu] + phi1 rho"))
+    for start in range(0, len(exprs), 3):
+        group = exprs[start:start + 3]
+        layout = compile_layout(group)
+        seed = rng.randrange(2**32)
+        lazy, walked = FieldSample(seed), FieldSample(seed)
+        for e, drawn in zip(group, FieldSample(seed).draw(layout)):
+            keys = _plan(e)[1]
+            assert drawn.values(keys) == lazy.values(keys)
+            assert eval_expression(e, drawn, params) == reference_eval(e, walked, params)
+        assert len(layout[0]) == len(lazy._values)
 
 
 def test_equals_exact_path():
