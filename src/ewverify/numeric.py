@@ -19,11 +19,10 @@ factors) and the sum in term-by-term float order, so a lazy
 :class:`FieldSample` draws, and the result rounds, exactly as a walk over
 every combination would.
 
-The sweep evaluates three parts on every sample.  :func:`compile_layout`
-resolves their plans' instances once, into one list in first-access order
-with each part's positions in it, so :meth:`FieldSample.draw` draws a
-sample's instances in one pass, in the order the parts' lazy lookups
-would, and each part reads its values by position.
+The sweep evaluates three parts on one sample: :func:`compile_layout`
+lists their instances once, so :meth:`FieldSample.draw` draws a sample in
+one pass, in the order the parts' lazy lookups would, and each part reads
+its values by position.
 """
 
 from __future__ import annotations
@@ -86,11 +85,9 @@ class FieldSample:
         return out
 
     def draw(self, layout) -> list:
-        """Draw every instance of a :func:`compile_layout` layout in one
-        pass, on a sample with nothing drawn yet; returns one assignment per
-        compiled expression, which reads that expression's values by
-        position.  The Gaussian draws come in the order :meth:`values`
-        would take them for the expressions evaluated one after another."""
+        """Draw a :func:`compile_layout` layout on a fresh sample, in the
+        order :meth:`values` would for its expressions one after another;
+        returns one assignment per expression."""
         reals, slots = layout
         gauss = self._rng.gauss
         drawn = []
@@ -178,11 +175,11 @@ def _plan(e: Expression) -> tuple:
 def compile_layout(exprs) -> tuple:
     """Compile one shared draw for the scalar expressions ``exprs``.
 
-    Returns ``(reals, slots)``: ``reals`` tells, per distinct field instance
-    of their plans in first-access order, a mirror field resolved to its
-    partner, whether the field is real; ``slots`` holds per expression the
-    positions of its plan's keys in :meth:`FieldSample.draw`'s list, where
-    instance ``n`` sits at ``2n`` and its conjugate at ``2n + 1``.
+    Returns ``(reals, slots)``: per distinct field instance of their plans,
+    in first-access order and with mirror fields resolved, whether it is
+    real; and per expression the positions of its plan's keys in
+    :meth:`FieldSample.draw`'s list, which holds instance ``n`` at ``2n``
+    and its conjugate at ``2n + 1``.
     """
     union: dict = {}
     slots = []
