@@ -37,18 +37,13 @@ from .limits import (
     ScalingReport,
     decoupling_check,
     mass_invariance_check,
-    random_pythagorean_config,
     scaling_sweep,
 )
 from .matrices import (
     Mat2,
-    NotUnimodularError,
-    su2_element,
     verify_group,
 )
 from .model import (
-    DEFAULT_CONFIG,
-    PYTHAGOREAN_TRIPLES,
     MassSpectrum,
     ModelConfig,
     ParameterError,
@@ -66,9 +61,7 @@ from .model import (
     verify_trace_identity,
 )
 from .numeric import (
-    FieldSample,
     MissingAssignmentError,
-    assignment_from_components,
     eval_expression,
 )
 from .parser import ParseError, parse, to_text

@@ -55,8 +55,8 @@ class ConfigError(ValueError):
 
 
 def _setting(key: str, value):
-    """The value ModelConfig takes for config key ``key``, from the config
-    file or from the key's flag: both are read by these rules."""
+    """The value of config key ``key``, from the config file or from the
+    key's flag: both are read by these rules."""
     if key == "jmode":
         try:
             return JMode.from_text(str(value))
@@ -74,13 +74,9 @@ def _setting(key: str, value):
     raise ConfigError(f"invalid value for {key!r}: {value!r}")
 
 
-def load_config(path: str | Path) -> ModelConfig:
-    """Read a JSON config; an empty file means all defaults."""
-    return _model_config(_config_values(path))
-
-
 def _config_values(path: str | Path) -> dict:
-    """The validated values a JSON config file sets, by ModelConfig field."""
+    """The validated values a JSON config file sets, by config key; an
+    empty file sets none."""
     try:
         text = Path(path).read_text(encoding="utf-8").strip()
         data = json.loads(text) if text else {}
@@ -111,8 +107,8 @@ def _config_from_args(args) -> tuple[ModelConfig, JMode | None]:
     # a value the command never reads is not checked against the others
     ignored = IGNORED_FLAGS[_command(args)]
     kwargs = {k: v for k, v in kwargs.items() if FLAGS[k] not in ignored}
-    cfg = _model_config(kwargs)
-    return cfg, cfg.jmode if "jmode" in kwargs else None
+    mode = kwargs.pop("jmode", None)
+    return _model_config(kwargs), mode
 
 
 # Each suite takes the selected mode, or None to run every mode.
@@ -256,7 +252,7 @@ def _dispatch(args, cfg: ModelConfig, mode: JMode | None) -> int:
         return _emit_reports(SUITES[args.suite](cfg, mode), args)
 
     if args.command == "masses":
-        spectrum = extract_masses(cfg)
+        spectrum = extract_masses(cfg, J_NILPOTENT if mode is None else mode)
         if args.format == "text":
             lines = [f"{k} = {v}" for k, v in spectrum.as_dict().items() if k != "exact"]
             _emit("\n".join(lines) + "\n", args.out)

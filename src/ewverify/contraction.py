@@ -208,10 +208,6 @@ class JMode:
     def is_nilpotent(self) -> bool:
         return self.kind == "nilpotent"
 
-    @property
-    def is_numeric(self) -> bool:
-        return self.kind == "numeric"
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, JMode):
             return NotImplemented

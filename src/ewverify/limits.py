@@ -2,27 +2,27 @@
 
 As j shrinks, the j^2-weighted (charged W) part of the Lagrangian is
 suppressed quadratically and the j^4 remainder quartically; the sweep
-measures both exponents from random field configurations.  The decoupling
-check formalizes "the base does not feel the fiber" as symbol absence in
-the Euler-Lagrange equations: at the contracted value of j the Z and
-photon equations contain no W factors, while the W equation still carries
-the base fields as external ones.
+measures both exponents from random field configurations, splitting the
+Lagrangian into its grade parts once per sweep and drawing each sample's
+field values once for all three parts (:func:`~ewverify.numeric.draw`).
+The decoupling check formalizes "the base does not feel the fiber" as
+symbol absence in the Euler-Lagrange equations: at the contracted value of
+j the Z and photon equations contain no W factors, while the W equation
+still carries the base fields as external ones.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 import statistics
-from dataclasses import dataclass, replace
-from fractions import Fraction
+from dataclasses import dataclass
 
 from .contraction import J_NILPOTENT, J_ONE
 from .fields import Expression, euler_lagrange, j_decompose, reduce_mode
 from .fields import substitute  # noqa: F401  perfbench's tracer test looks up limits.substitute
 from .model import ModelConfig, _at_radius, build_L27, extract_masses
-from .numeric import FieldSample, compile_layout, eval_expression
+from .numeric import compile_layout, draw, eval_expression
 from .report import VerificationReport, timed, verdict
 
 
@@ -54,15 +54,6 @@ def _fit(xs, ys):
     return fit.slope, r2
 
 
-@functools.lru_cache(maxsize=4)
-def _graded_parts(lagrangian: Expression) -> tuple[Expression, Expression, Expression]:
-    """The j^0, j^2 and j^4 parts of ``lagrangian``, split once, so that
-    every sweep at a config hands the evaluator's plan memo the same
-    objects, found by identity rather than compared term by term."""
-    parts = j_decompose(lagrangian)
-    return tuple(parts.get(k, Expression.zero()) for k in (0, 2, 4))
-
-
 def scaling_sweep(
     j_values, samples: int, cfg: ModelConfig, seed: int
 ) -> ScalingReport:
@@ -71,8 +62,8 @@ def scaling_sweep(
     The parts themselves are j-independent, so each draw is evaluated once
     and scaled by the appropriate power of every j in the sweep.  Each
     sample draws the field instances of all three parts in one pass
-    (:meth:`FieldSample.draw`), and each part reads its values from that one
-    draw.  Draws with |L_base| below 1e-12 are discarded and redrawn
+    (:func:`~ewverify.numeric.draw`), and each part reads its values from
+    that one draw.  Draws with |L_base| below 1e-12 are discarded and redrawn
     (counted); more than 1000 redraws in one sweep raise
     :class:`DegenerateSampleError`.
     """
@@ -81,7 +72,8 @@ def scaling_sweep(
         raise ValueError("j values must lie in (0, 1)")
     if samples < 10:
         raise ValueError("samples must be >= 10")
-    base, fiber, quartic = parts = _graded_parts(build_L27(cfg))
+    graded = j_decompose(build_L27(cfg))
+    base, fiber, quartic = parts = [graded.get(k, Expression.zero()) for k in (0, 2, 4)]
     layout = compile_layout(parts)
 
     params = {"s": float(cfg.s_value())}
@@ -91,7 +83,7 @@ def scaling_sweep(
     redraws = 0
     collected = 0
     while collected < samples:
-        at_base, at_fiber, at_quartic = FieldSample(rng.randrange(2**32)).draw(layout)
+        at_base, at_fiber, at_quartic = draw(layout, rng.randrange(2**32))
         vb = abs(eval_expression(base, at_base, params))
         if vb < 1e-12:
             redraws += 1
@@ -157,28 +149,8 @@ def decoupling_check(cfg: ModelConfig) -> VerificationReport:
 @timed
 def mass_invariance_check(cfg: ModelConfig) -> VerificationReport:
     """The mass spectrum must be identical at j=1 and j=iota, exactly."""
-    spec_one = extract_masses(replace(cfg, jmode=J_ONE))
-    spec_nil = extract_masses(replace(cfg, jmode=J_NILPOTENT))
+    spec_one = extract_masses(cfg, J_ONE)
+    spec_nil = extract_masses(cfg, J_NILPOTENT)
     same = spec_one == spec_nil
     failures = [] if same else [f"{spec_one.as_dict()} != {spec_nil.as_dict()}"]
     return verdict("mass-invariance", "j=1 vs j=iota", failures)
-
-
-def random_pythagorean_config(rng: random.Random, **overrides) -> ModelConfig:
-    """Random exact-mode configuration: (g, gp, sqrt(g^2+gp^2)) all rational."""
-    while True:
-        m = rng.randint(2, 7)
-        n = rng.randint(1, m - 1)
-        if (m - n) % 2 == 1 and math.gcd(m, n) == 1:
-            break
-    scale = Fraction(rng.randint(1, 8), rng.randint(1, 8))
-    legs = [m * m - n * n, 2 * m * n]
-    rng.shuffle(legs)
-    params = dict(
-        g=scale * legs[0],
-        gp=scale * legs[1],
-        R=Fraction(rng.randint(1, 9), rng.randint(1, 4)),
-        seed=rng.randrange(2**31),
-    )
-    params.update(overrides)
-    return ModelConfig(**params)

@@ -5,9 +5,8 @@ The group element and the Lie algebra element are each written once at
 j = 1, over the complex symbols alpha and beta and the real symbols eps1,
 eps2, eps3, and contracted: beta, eps1 and eps2 are of grade 1.
 The group axioms are decided in every mode, for every group element, by
-:func:`~ewverify.fields.group_normal_form`.  A concrete matrix is the
-symbolic one with numbers substituted (:meth:`Mat2.at`); a numeric j is
-folded in exactly, so every entry stays exact.
+:func:`~ewverify.fields.group_normal_form`; a numeric j is folded in
+exactly, so every entry stays exact.
 """
 
 from __future__ import annotations
@@ -15,15 +14,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .contraction import ComplexRational, JMode
-from .fields import (Expression, _product, const, contract, field, group_normal_form,
-                     reduce_mode, substitute)
+from .fields import Expression, _product, const, contract, field, group_normal_form
 from .report import VerificationReport, timed, verdict, witness
 
 _I_HALF = ComplexRational(0, Fraction(1, 2))
-
-
-class NotUnimodularError(ValueError):
-    """Raised when |alpha|^2 + j^2 |beta|^2 does not reduce to 1."""
 
 
 class Mat2:
@@ -52,9 +46,6 @@ class Mat2:
     def __add__(self, other: "Mat2") -> "Mat2":
         return Mat2([[x + y for x, y in zip(r, s)] for r, s in zip(self.rows, other.rows)])
 
-    def __sub__(self, other: "Mat2") -> "Mat2":
-        return Mat2([[x - y for x, y in zip(r, s)] for r, s in zip(self.rows, other.rows)])
-
     def dagger(self) -> "Mat2":
         (a, b), (c, d) = self.rows
         return Mat2(((a.conjugate(), c.conjugate()), (b.conjugate(), d.conjugate())))
@@ -69,18 +60,6 @@ class Mat2:
     def contract(self) -> "Mat2":
         return Mat2([[contract(e) for e in r] for r in self.rows])
 
-    def reduce(self, mode: JMode) -> "Mat2":
-        return Mat2([[reduce_mode(e, mode) for e in r] for r in self.rows])
-
-    def at(self, values: dict, mode: JMode) -> "Mat2":
-        """Each named symbol replaced by the constant it maps to, every
-        entry reduced in ``mode``."""
-        rules = {name: const(v) for name, v in values.items()}
-        return Mat2([[reduce_mode(substitute(e, rules), mode) for e in r] for r in self.rows])
-
-    def is_zero(self) -> bool:
-        return not any(x for r in self.rows for x in r)
-
     def __repr__(self) -> str:
         return f"Mat2({self.rows!r})"
 
@@ -94,23 +73,6 @@ def _lie(a1, a2, a3) -> Mat2:
     """sum_k a_k T_k at j = 1, with T_k = (i/2) tau_k."""
     x, y, z = a1 * _I_HALF, a2 * Fraction(1, 2), a3 * _I_HALF
     return Mat2(((z, x + y), (x - y, -z)))
-
-
-def su2_element(alpha, beta, mode: JMode) -> Mat2:
-    """Group element [[alpha, j beta], [-j conj(beta), conj(alpha)]] at the
-    numbers ``alpha`` and ``beta``.
-
-    Exact modes only (j = 1 or j = iota): validates the determinant
-    condition |alpha|^2 + j^2 |beta|^2 = 1 exactly and raises
-    ``ValueError`` for a numeric mode.
-    """
-    if mode.is_numeric:
-        raise ValueError("su2_element takes an exact mode, not a numeric j")
-    omega = symbolic_element("alpha", "beta").at({"alpha": alpha, "beta": beta}, mode)
-    det = reduce_mode(omega.det(), mode)
-    if det != const(1):
-        raise NotUnimodularError(f"determinant condition fails: {det} != 1")
-    return omega
 
 
 def symbolic_element(alpha: str, beta: str) -> Mat2:

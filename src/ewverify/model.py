@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .contraction import DEFAULT_MODES, J_NILPOTENT, J_ONE, ComplexRational, JMode
+from .contraction import DEFAULT_MODES, J_ONE, ComplexRational, JMode
 from .fields import (
     Expression,
     Term,
@@ -70,7 +70,6 @@ class ModelConfig:
     g: Fraction = Fraction(3)
     gp: Fraction = Fraction(4)
     R: Fraction = Fraction(2)
-    jmode: JMode = J_NILPOTENT
     seed: int = 42
     samples: int = 100
     exact: bool = True
@@ -95,11 +94,6 @@ class ModelConfig:
 
     def e_charge(self) -> Fraction:
         return self.g * self.gp / self.s_value()
-
-
-DEFAULT_CONFIG = ModelConfig()
-
-PYTHAGOREAN_TRIPLES = ((3, 4, 5), (5, 12, 13), (8, 15, 17))
 
 
 def _param_label(cfg: ModelConfig) -> str:
@@ -395,17 +389,17 @@ def _sqrt_or_float(q: Fraction):
     return root if root is not None else math.sqrt(float(q))
 
 
-def extract_masses(cfg: ModelConfig) -> MassSpectrum:
+def extract_masses(cfg: ModelConfig, mode: JMode) -> MassSpectrum:
     """Read the vector masses from quadratic derivative-free Lagrangian terms.
 
     Convention: (1/2) m^2 V V for a real vector, m^2 W+ W- for the charged
-    pair.  At j=1 the reading uses the collapsed Lagrangian; at j=iota the
-    base part carries Z and the photon while the j^2 coefficient (the fiber
-    Lagrangian) carries the W mass, so the spectra can be compared across
-    modes.
+    pair.  With ``mode`` j=1 the reading uses the collapsed Lagrangian; in
+    any other mode (j=iota, or a numeric j) the base part carries Z and the
+    photon while the j^2 coefficient (the fiber Lagrangian) carries the W
+    mass, so the spectra can be compared across modes.
     """
     frozen, base, fiber = _at_radius(build_L27(cfg), cfg.R)
-    if cfg.jmode.is_one:
+    if mode.is_one:
         base = fiber = reduce_mode(frozen, J_ONE)
     m_z_sq = 2 * _pair_coefficient(base, "Z", "Z")
     m_a_sq = 2 * _pair_coefficient(base, "Aem", "Aem")
@@ -436,9 +430,8 @@ def u1_variation_rules(cfg: ModelConfig) -> dict[str, Expression]:
 
 
 @timed
-def check_u1_invariance(cfg: ModelConfig | None = None) -> VerificationReport:
+def check_u1_invariance(cfg: ModelConfig) -> VerificationReport:
     """delta L = 0 for the infinitesimal U(1) laws on the physical Lagrangian."""
-    cfg = cfg or DEFAULT_CONFIG
     delta = _fold_s(first_order_variation(build_L27(cfg), u1_variation_rules(cfg)),
                     cfg.g, cfg.gp)
     return verdict("u1-invariance", _param_label(cfg), witness(delta))

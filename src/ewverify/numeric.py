@@ -14,15 +14,14 @@ Each expression is compiled once into a plan: per term a base coefficient,
 per index combination a tuple of slots, and the slots' field instances in
 first-access order, derivative tags sorted (derivatives commute).  An
 evaluation fetches every instance in one batched ``values(keys)`` lookup,
-in that order, then runs the products (unrolled, left to right, for 2 to 4
-factors) and the sum in term-by-term float order, so a lazy
-:class:`FieldSample` draws, and the result rounds, exactly as a walk over
-every combination would.
+then runs the products (unrolled, left to right, for 2 to 4 factors) and
+the sum in term-by-term float order, so the result rounds exactly as a
+walk over every combination would.
 
 The sweep evaluates three parts on one sample: :func:`compile_layout`
-lists their instances once, so :meth:`FieldSample.draw` draws a sample in
-one pass, in the order the parts' lazy lookups would, and each part reads
-its values by position.
+lists their instances once, in first-access order, part after part;
+:func:`draw` draws a sample in one pass, in that order, and each part
+reads its values by position.
 """
 
 from __future__ import annotations
@@ -38,10 +37,9 @@ from .report import witness
 
 __all__ = [
     "DIMENSION",
-    "FieldSample",
     "MissingAssignmentError",
-    "assignment_from_components",
     "compile_layout",
+    "draw",
     "eval_expression",
 ]
 
@@ -51,93 +49,7 @@ SQRT2 = math.sqrt(2.0)
 
 
 class MissingAssignmentError(KeyError):
-    """An explicit assignment lacks a required field instance."""
-
-
-class FieldSample:
-    """Deterministic random field values, drawn lazily per instance key.
-
-    Real fields get real Gaussian draws, complex fields complex ones, and
-    the value of a conjugate-partner field is forced to the conjugate of
-    its partner's value.  :meth:`values` takes plan keys
-    ``(field, indices, derivs, conj)``, whose derivative tags are sorted,
-    and draws unseen instances in key order.
-    """
-
-    def __init__(self, seed: int):
-        self._rng = random.Random(seed)
-        self._values: dict = {}
-
-    def values(self, keys) -> list:
-        drawn = self._values
-        gauss = self._rng.gauss
-        out = []
-        for fld, indices, derivs, conj in keys:
-            fdef = FIELDS[fld]
-            if not fdef.primary:  # mirrors its partner; a conjugate pair is complex
-                fld, conj = fdef.partner, not conj
-            key = (fld, indices, derivs)
-            got = drawn.get(key)
-            if got is None:
-                got = complex(gauss(0.0, 1.0), 0.0 if fdef.real else gauss(0.0, 1.0))
-                drawn[key] = got
-            out.append(got.conjugate() if conj else got)
-        return out
-
-    def draw(self, layout) -> list:
-        """Draw a :func:`compile_layout` layout on a fresh sample, in the
-        order :meth:`values` would for its expressions one after another;
-        returns one assignment per expression."""
-        reals, slots = layout
-        gauss = self._rng.gauss
-        drawn = []
-        for real in reals:
-            got = complex(gauss(0.0, 1.0), 0.0 if real else gauss(0.0, 1.0))
-            drawn += got, got.conjugate()
-        return [_Drawn(drawn, pick) for pick in slots]
-
-
-class _Drawn:
-    """One expression's view of a shared draw."""
-
-    __slots__ = ("drawn", "pick")
-
-    def __init__(self, drawn, pick):
-        self.drawn, self.pick = drawn, pick
-
-    def values(self, keys) -> list:
-        return [self.drawn[i] for i in self.pick]
-
-
-class _DictAssignment:
-    def __init__(self, mapping):
-        self.mapping = mapping
-
-    def values(self, keys) -> list:
-        try:
-            return [complex(self.mapping[key]) for key in keys]
-        except KeyError as missing:
-            raise MissingAssignmentError(f"no value assigned for {missing.args[0]}") from None
-
-
-def assignment_from_components(components: dict) -> _DictAssignment:
-    """Build an explicit assignment from per-field component vectors.
-
-    ``components`` maps a field name to a scalar (arity 0) or a length-4
-    sequence of component values (arity 1); derivative instances are not
-    covered and must be added by hand if needed.
-    """
-    mapping = {}
-    for fld, values in components.items():
-        fdef = FIELDS[fld]
-        if fdef.arity == 0:
-            mapping[(fld, (), (), False)] = complex(values)
-            mapping[(fld, (), (), True)] = complex(values).conjugate()
-        else:
-            for mu, v in enumerate(values):
-                mapping[(fld, (mu,), (), False)] = complex(v)
-                mapping[(fld, (mu,), (), True)] = complex(v).conjugate()
-    return _DictAssignment(mapping)
+    """The expression has a free index, or a parameter it names has no value."""
 
 
 @functools.lru_cache(maxsize=64)
@@ -178,8 +90,8 @@ def compile_layout(exprs) -> tuple:
     Returns ``(reals, slots)``: per distinct field instance of their plans,
     in first-access order and with mirror fields resolved, whether it is
     real; and per expression the positions of its plan's keys in
-    :meth:`FieldSample.draw`'s list, which holds instance ``n`` at ``2n``
-    and its conjugate at ``2n + 1``.
+    :func:`draw`'s list, which holds instance ``n`` at ``2n`` and its
+    conjugate at ``2n + 1``.
     """
     union: dict = {}
     slots = []
@@ -194,25 +106,50 @@ def compile_layout(exprs) -> tuple:
     return tuple(FIELDS[fld].real for fld, _, _ in union), tuple(slots)
 
 
+def draw(layout, seed: int) -> list:
+    """Draw each instance of a :func:`compile_layout` layout once, in its
+    order, from ``random.Random(seed)``: a real Gaussian for a real field,
+    a complex one otherwise.  Returns one assignment per expression, whose
+    ``values(keys)`` reads that expression's values by position."""
+    reals, slots = layout
+    gauss = random.Random(seed).gauss
+    drawn = []
+    for real in reals:
+        got = complex(gauss(0.0, 1.0), 0.0 if real else gauss(0.0, 1.0))
+        drawn += got, got.conjugate()
+    return [_Drawn(drawn, pick) for pick in slots]
+
+
+class _Drawn:
+    """One expression's view of a shared draw."""
+
+    __slots__ = ("drawn", "pick")
+
+    def __init__(self, drawn, pick):
+        self.drawn, self.pick = drawn, pick
+
+    def values(self, keys) -> list:
+        return [self.drawn[i] for i in self.pick]
+
+
 def eval_expression(e: Expression, assignment, params: dict | None = None) -> complex:
     """Evaluate the scalar polynomial on concrete field values at j = 1.
 
-    ``assignment`` is a :class:`FieldSample` or an explicit dict-backed
-    assignment; an expression with a free index raises
+    ``assignment`` is any object whose ``values(keys)`` returns the value
+    of each plan key ``(field, indices, derivs, conj)``, in order, such as
+    a view from :func:`draw`; an expression with a free index, or a
+    parameter missing from ``params``, raises
     :class:`MissingAssignmentError`.  Callers that need one j-grade
     evaluate the parts of :func:`~ewverify.fields.j_decompose`.
 
     The expression is compiled once into a plan, kept in a bounded memo.
     Each call fetches every distinct field instance in one
     ``assignment.values(keys)`` lookup, in first-access order, so a lazy
-    :class:`FieldSample` draws as a term-by-term walk would; an assignment
-    from :meth:`FieldSample.draw` reads the same values from a draw shared
-    with other expressions, by position.  The products
-    (unrolled for 2, 3 and 4 factors, left to right) and the sum then run
-    in the walk's float order, so the result is bit-identical to it.
+    per-instance assignment draws as a term-by-term walk would.  The
+    products (unrolled for 2, 3 and 4 factors, left to right) and the sum
+    then run in the walk's float order, so the result is bit-identical to
+    it.
     """
-    if isinstance(assignment, dict):
-        assignment = _DictAssignment(assignment)
     params = params or {}
     terms, keys = _plan(e)
     values = assignment.values(keys)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ewverify import fields, limits, model, numeric
+from ewverify import fields, model, numeric
 
 # Every process-wide memo of deterministic work.  A test that patches a
 # function they call must not see, or leave behind, a result built without
@@ -11,7 +11,6 @@ MEMOS = (
     fields._canonical_factors,
     fields._fold_params,
     fields._prepare_replacement,
-    limits._graded_parts,
     model._build_L27,
     model._su2_delta,
     numeric._plan,

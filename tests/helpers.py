@@ -1,22 +1,28 @@
 """Shared test utilities: random canonical expressions for round-trip and
 normalization property tests, the rename-then-sort reference of the
 canonical form, the build-every-product references of substitution,
-variation and the group normal form, exact points of the group SU(2;j),
-and the term-by-term reference of numeric evaluation."""
+variation and the group normal form, exact points and concrete elements of
+the group SU(2;j), entrywise matrix operations, model configs and a config
+file read alone, the lazy and explicit field assignments, and the
+term-by-term reference of numeric evaluation."""
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
 
-from ewverify import ComplexRational, Expression, MissingAssignmentError
+from ewverify import ComplexRational, Expression, Mat2, MissingAssignmentError, ModelConfig
+from ewverify.cli import _config_values, _model_config
 from ewverify.contraction import CR_ONE
 from ewverify.fields import (
-    DUMMY_NAMES, FIELDS, FieldFactor, Term, _prepare_replacement, field, jpow, reduce_mode,
+    DUMMY_NAMES, FIELDS, FieldFactor, Term, _prepare_replacement, const, field, jpow,
+    reduce_mode, substitute,
 )
-from ewverify.numeric import DIMENSION, SQRT2, _DictAssignment
+from ewverify.matrices import symbolic_element
+from ewverify.numeric import DIMENSION, SQRT2
 
 VECTOR_FIELDS = ("A1", "A2", "A3", "B", "W1", "W2", "W3", "Z", "Aem", "Wp", "Wm")
 SCALAR_FIELDS = ("rho", "omega", "eps1", "eps2", "eps3", "phi1", "phi2")
@@ -191,13 +197,148 @@ def exact_group_point(rng: random.Random, mode) -> tuple[ComplexRational, Comple
             ComplexRational(s) * random_unit_complex(rng))
 
 
+class NotUnimodularError(ValueError):
+    """Raised when |alpha|^2 + j^2 |beta|^2 does not reduce to 1."""
+
+
+def mat_at(m: Mat2, values: dict, mode) -> Mat2:
+    """Each named symbol of ``m`` replaced by the constant it maps to, every
+    entry reduced in ``mode``."""
+    rules = {name: const(v) for name, v in values.items()}
+    return Mat2([[reduce_mode(substitute(e, rules), mode) for e in r] for r in m.rows])
+
+
+def mat_reduce(m: Mat2, mode) -> Mat2:
+    return Mat2([[reduce_mode(e, mode) for e in r] for r in m.rows])
+
+
+def mat_sub(a: Mat2, b: Mat2) -> Mat2:
+    return Mat2([[x - y for x, y in zip(r, s)] for r, s in zip(a.rows, b.rows)])
+
+
+def mat_is_zero(m: Mat2) -> bool:
+    return not any(x for r in m.rows for x in r)
+
+
+def su2_element(alpha, beta, mode) -> Mat2:
+    """Group element [[alpha, j beta], [-j conj(beta), conj(alpha)]] at the
+    numbers ``alpha`` and ``beta``.
+
+    Exact modes only (j = 1 or j = iota): validates the determinant
+    condition |alpha|^2 + j^2 |beta|^2 = 1 exactly and raises
+    ``ValueError`` for a numeric mode.
+    """
+    if mode.kind == "numeric":
+        raise ValueError("su2_element takes an exact mode, not a numeric j")
+    omega = mat_at(symbolic_element("alpha", "beta"), {"alpha": alpha, "beta": beta}, mode)
+    det = reduce_mode(omega.det(), mode)
+    if det != const(1):
+        raise NotUnimodularError(f"determinant condition fails: {det} != 1")
+    return omega
+
+
+PYTHAGOREAN_TRIPLES = ((3, 4, 5), (5, 12, 13), (8, 15, 17))
+
+
+def random_pythagorean_config(rng: random.Random, **overrides) -> ModelConfig:
+    """Random exact-mode configuration: (g, gp, sqrt(g^2+gp^2)) all rational."""
+    while True:
+        m = rng.randint(2, 7)
+        n = rng.randint(1, m - 1)
+        if (m - n) % 2 == 1 and math.gcd(m, n) == 1:
+            break
+    scale = Fraction(rng.randint(1, 8), rng.randint(1, 8))
+    legs = [m * m - n * n, 2 * m * n]
+    rng.shuffle(legs)
+    params = dict(
+        g=scale * legs[0],
+        gp=scale * legs[1],
+        R=Fraction(rng.randint(1, 9), rng.randint(1, 4)),
+        seed=rng.randrange(2**31),
+    )
+    params.update(overrides)
+    return ModelConfig(**params)
+
+
+def load_config(path):
+    """A JSON config file read alone, by the CLI's rules: the ModelConfig it
+    sets, and the mode its ``jmode`` selects (None without one)."""
+    values = _config_values(path)
+    mode = values.pop("jmode", None)
+    return _model_config(values), mode
+
+
+class FieldSample:
+    """Deterministic random field values, drawn lazily per instance key.
+
+    Real fields get real Gaussian draws, complex fields complex ones, and
+    the value of a conjugate-partner field is forced to the conjugate of
+    its partner's value.  :meth:`values` takes plan keys
+    ``(field, indices, derivs, conj)``, whose derivative tags are sorted,
+    and draws unseen instances in key order: the order that
+    ``numeric.draw`` must reproduce for a layout.
+    """
+
+    def __init__(self, seed: int):
+        self._rng = random.Random(seed)
+        self._values: dict = {}
+
+    def values(self, keys) -> list:
+        drawn = self._values
+        gauss = self._rng.gauss
+        out = []
+        for fld, indices, derivs, conj in keys:
+            fdef = FIELDS[fld]
+            if not fdef.primary:  # mirrors its partner; a conjugate pair is complex
+                fld, conj = fdef.partner, not conj
+            key = (fld, indices, derivs)
+            got = drawn.get(key)
+            if got is None:
+                got = complex(gauss(0.0, 1.0), 0.0 if fdef.real else gauss(0.0, 1.0))
+                drawn[key] = got
+            out.append(got.conjugate() if conj else got)
+        return out
+
+
+class DictAssignment:
+    """Explicit field values, keyed by plan key ``(field, indices, derivs,
+    conj)``; a missing key raises ``MissingAssignmentError``."""
+
+    def __init__(self, mapping):
+        self.mapping = mapping
+
+    def values(self, keys) -> list:
+        try:
+            return [complex(self.mapping[key]) for key in keys]
+        except KeyError as missing:
+            raise MissingAssignmentError(f"no value assigned for {missing.args[0]}") from None
+
+
+def assignment_from_components(components: dict) -> DictAssignment:
+    """Build an explicit assignment from per-field component vectors.
+
+    ``components`` maps a field name to a scalar (arity 0) or a length-4
+    sequence of component values (arity 1); derivative instances are not
+    covered and must be added by hand if needed.
+    """
+    mapping = {}
+    for fld, values in components.items():
+        fdef = FIELDS[fld]
+        if fdef.arity == 0:
+            mapping[(fld, (), (), False)] = complex(values)
+            mapping[(fld, (), (), True)] = complex(values).conjugate()
+        else:
+            for mu, v in enumerate(values):
+                mapping[(fld, (mu,), (), False)] = complex(v)
+                mapping[(fld, (mu,), (), True)] = complex(v).conjugate()
+    return DictAssignment(mapping)
+
+
 def reference_eval(e: Expression, assignment, params=None) -> complex:
     """Term-by-term evaluation of a scalar ``e``: per index combination a
     fresh index binding and one ``assignment.values((key,))`` lookup per
     factor, in walk order.  The reference that ``eval_expression`` must match
     bit for bit."""
-    if isinstance(assignment, dict):
-        assignment = _DictAssignment(assignment)
     params = params or {}
     total = 0j
     for t in e.terms:

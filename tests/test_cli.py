@@ -6,7 +6,9 @@ import re
 
 import pytest
 
-from ewverify.cli import ConfigError, load_config, run
+from ewverify.cli import ConfigError, run
+
+from helpers import load_config
 
 
 def run_cli(capsys, *argv):
@@ -243,9 +245,9 @@ def test_malformed_config_exit_code(tmp_path, capsys):
 def test_load_config_defaults_and_overrides(tmp_path):
     empty = tmp_path / "empty.json"
     empty.write_text("")
-    cfg = load_config(empty)
+    cfg, mode = load_config(empty)
     assert (cfg.g, cfg.gp, cfg.R) == (3, 4, 2)
-    assert cfg.jmode.is_nilpotent
+    assert mode is None
     assert (cfg.seed, cfg.samples, cfg.exact) == (42, 100, True)
 
     full = tmp_path / "full.json"
@@ -255,9 +257,9 @@ def test_load_config_defaults_and_overrides(tmp_path):
              "samples": 50, "exact": True}
         )
     )
-    cfg = load_config(full)
+    cfg, mode = load_config(full)
     assert cfg.g == 5 and cfg.gp == 12
-    assert cfg.jmode.is_numeric and float(cfg.jmode.value) == 0.01
+    assert mode.kind == "numeric" and float(mode.value) == 0.01
 
 
 @pytest.mark.parametrize(

@@ -43,7 +43,7 @@ from ewverify.fields import (
     inv_sqrt2,
 )
 
-from ewverify.model import DEFAULT_CONFIG, build_L27
+from ewverify.model import ModelConfig, build_L27
 
 from helpers import (
     SCALAR_FIELDS,
@@ -216,7 +216,7 @@ def test_refresh_dummies_renames_summed_pairs_only():
 def test_built_factors_are_valid_factors(rng):
     """Factors renamed or resolved without validation still pass it, with
     their derivative tags sorted."""
-    lagrangian = build_L27(DEFAULT_CONFIG)
+    lagrangian = build_L27(ModelConfig())
     doublet_grading = {"A1": jpow() * field("A1", "_"), "A2": jpow() * field("A2", "_"),
                        "phi2": jpow() * field("phi2")}
     built = [random_expression(rng) for _ in range(200)] + [

@@ -4,18 +4,17 @@ import pytest
 
 from ewverify import (
     Expression,
-    FieldSample,
     MissingAssignmentError,
     ModelConfig,
-    assignment_from_components,
     build_L27,
     eval_expression,
     j_decompose,
     parse,
 )
-from ewverify.numeric import _plan, compile_layout, equals
+from ewverify.numeric import _plan, compile_layout, draw, equals
 
-from helpers import random_expression, reference_eval
+from helpers import (FieldSample, assignment_from_components, random_expression,
+                     reference_eval)
 
 
 def test_eval_contracted_square():
@@ -102,7 +101,7 @@ def test_shared_draw_matches_lazy_lookups(rng):
         layout = compile_layout(group)
         seed = rng.randrange(2**32)
         lazy, walked = FieldSample(seed), FieldSample(seed)
-        for e, drawn in zip(group, FieldSample(seed).draw(layout)):
+        for e, drawn in zip(group, draw(layout, seed)):
             keys = _plan(e)[1]
             assert drawn.values(keys) == lazy.values(keys)
             assert eval_expression(e, drawn, params) == reference_eval(e, walked, params)

@@ -286,9 +286,9 @@ def test_decoupling_fails_with_w_factors_in_the_base(monkeypatch, capsys):
 def test_mass_invariance_fails_when_one_mode_moves_the_w_mass(monkeypatch, capsys):
     original = limits.extract_masses
 
-    def moved(cfg):
-        spectrum = original(cfg)
-        if not cfg.jmode.is_nilpotent:
+    def moved(cfg, mode):
+        spectrum = original(cfg, mode)
+        if not mode.is_nilpotent:
             return spectrum
         return dataclasses.replace(spectrum, m_W_sq=Fraction(16))
 

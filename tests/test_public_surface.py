@@ -1,8 +1,12 @@
-"""Every public function and class in the package has a caller in the package.
+"""Every public function, class and method in the package has a caller in
+the package.
 
-A public top-level name that no module of ``src/ewverify`` refers to (the
-re-exports in ``__init__.py`` do not count) is either dead code or a helper
-kept only for tests.  The second kind is listed here with its reason.
+A public top-level name, or a public method of a public class, that no
+module of ``src/ewverify`` refers to (the re-exports in ``__init__.py`` do
+not count) is either dead code or a helper kept only for tests.  The second
+kind is listed here with its reason; helpers that only tests use live in
+``tests/helpers.py``.  A method counts as called when any module refers to
+an attribute of its name, so the check is by name, not by type.
 
 The names the benchmark tracer (``perfbench/tracer.py``) looks up must also
 stay: it is installed here in a fresh interpreter.
@@ -17,13 +21,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "ewverify"
 
 KEPT_FOR_TESTS = {
-    "su2_element": "the concrete-entry reference for the form-invariance and "
-    "nilpotent-closure tests",
-    "random_pythagorean_config": "acceptance criterion 11 draws exact points with it",
-    "assignment_from_components": "tests plug explicit field values into eval_expression",
     "parse": "the text grammar the README documents",
-    "load_config": "tests read a config file alone with it; the CLI merges "
-    "the file's values with the flags before building one ModelConfig",
     "equals": "no check calls it; it decides by the canonical difference alone "
     "and stays because the benchmark tracer hooks numeric.equals and its test "
     "looks up model.equals, so it goes with the next benchmark change",
@@ -34,6 +32,10 @@ KEPT_FOR_TESTS = {
     "decides the division rules with it, and the sphere-coordinates check "
     "(ROADMAP item 7) will divide the off-diagonal entries by j",
 }
+
+# Public methods that no module of the package calls, as "Class.method".
+# A class in KEPT_FOR_TESTS keeps its methods for the class's reason.
+METHODS_KEPT_FOR_TESTS: dict[str, str] = {}
 
 
 def _public_definitions(modules):
@@ -85,6 +87,32 @@ def test_kept_for_tests_names_are_still_unused_public_definitions():
         name for name in KEPT_FOR_TESTS if name not in defined or name in referenced
     )
     assert not stale, f"KEPT_FOR_TESTS entries that no longer apply: {stale}"
+
+
+def _public_methods(modules):
+    """``Class.method`` for every public, non-dunder method (properties
+    included) of a public top-level class."""
+    return {
+        f"{node.name}.{item.name}"
+        for tree in modules.values()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+    }
+
+
+def test_every_public_method_has_a_caller_in_the_package():
+    """The methods no module of the package calls are exactly the entries
+    of METHODS_KEPT_FOR_TESTS: one that gained a caller, or was deleted,
+    leaves the list."""
+    modules = _modules()
+    referenced = _referenced_names(modules)
+    unused = {
+        name for name in _public_methods(modules)
+        if name.split(".")[1] not in referenced and name.split(".")[0] not in KEPT_FOR_TESTS
+    }
+    assert unused == set(METHODS_KEPT_FOR_TESTS)
 
 
 def test_only_the_contraction_layer_refers_to_contraction_scalar():
