@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import sys
 import traceback
@@ -216,6 +217,10 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # What the imports built lives until the process exits, so the collector
+    # should not walk it, in this run's full collections or at shutdown; the
+    # operating system frees it.  Exit still flushes and runs atexit handlers.
+    gc.freeze()
     try:
         _reject_ignored_flags(args)
         cfg, mode = _config_from_args(args)
@@ -252,6 +257,9 @@ def _dispatch(args, cfg: ModelConfig, mode: JMode | None) -> int:
         return _emit_reports(SUITES[args.suite](cfg, mode), args)
 
     if args.command == "masses":
+        if mode is not None and mode.kind == "numeric":
+            raise ConfigError("invalid value for 'jmode': masses reads the spectrum "
+                              "at j=1 or j=iota, not at a numeric j")
         spectrum = extract_masses(cfg, J_NILPOTENT if mode is None else mode)
         if args.format == "text":
             lines = [f"{k} = {v}" for k, v in spectrum.as_dict().items() if k != "exact"]

@@ -393,10 +393,11 @@ def extract_masses(cfg: ModelConfig, mode: JMode) -> MassSpectrum:
     """Read the vector masses from quadratic derivative-free Lagrangian terms.
 
     Convention: (1/2) m^2 V V for a real vector, m^2 W+ W- for the charged
-    pair.  With ``mode`` j=1 the reading uses the collapsed Lagrangian; in
-    any other mode (j=iota, or a numeric j) the base part carries Z and the
-    photon while the j^2 coefficient (the fiber Lagrangian) carries the W
-    mass, so the spectra can be compared across modes.
+    pair.  ``mode`` is j=1 or j=iota.  At j=1 the reading uses the collapsed
+    Lagrangian; at j=iota the base part carries Z and the photon while the
+    j^2 coefficient (the fiber Lagrangian) carries the W mass, so the spectra
+    can be compared across modes.  A numeric j would be read as iota, so the
+    ``masses`` command rejects one.
     """
     frozen, base, fiber = _at_radius(build_L27(cfg), cfg.R)
     if mode.is_one:

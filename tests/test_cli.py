@@ -1,8 +1,13 @@
 """CLI surface: exit codes, report formats, config handling, determinism."""
 
+import gc
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -339,11 +344,14 @@ BAD_VALUE_REASONS = {
     "xyz": "cannot parse j mode from 'xyz'",
     "abc": "'abc'",
     "-0.5": "numeric j value must be finite and >= 0",
+    "0.25": "masses reads the spectrum at j=1 or j=iota, not at a numeric j",
 }
 
 
 @pytest.mark.parametrize(
-    "flag, key, value", [("--j", "jmode", "xyz"), ("--g", "g", "abc"), ("--j", "jmode", "-0.5")]
+    "flag, key, value",
+    [("--j", "jmode", "xyz"), ("--g", "g", "abc"), ("--j", "jmode", "-0.5"),
+     ("--j", "jmode", "0.25")],
 )
 def test_flag_and_config_value_give_one_message(tmp_path, capsys, flag, key, value):
     path = tmp_path / "cfg.json"
@@ -412,3 +420,53 @@ def test_text_output_shows_each_check_duration(capsys):
     for line in lines[:3]:
         assert line.startswith("[PASS] group-axioms")
         assert re.search(r" \d+ ms", line)
+
+
+def test_masses_reads_the_selected_mode(capsys):
+    """j=1 and j=iota read the same spectrum; the mode only picks the reading."""
+    _, plain, _ = run_cli(capsys, "masses")
+    for j in ("1", "iota"):
+        code, out, err = run_cli(capsys, "masses", "--j", j)
+        assert (code, err) == (0, "")
+        assert out == plain
+
+
+def test_run_freezes_the_imported_heap_and_keeps_the_collector_on(capsys):
+    gc.unfreeze()
+    try:
+        assert run(["verify", "group"]) == 0
+        assert gc.get_freeze_count() > 0
+        assert gc.isenabled()
+    finally:
+        gc.unfreeze()
+    capsys.readouterr()
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def ewverify_process(*argv):
+    """Run ``python -m ewverify ARGV`` in a fresh interpreter, through
+    ``main`` and the interpreter's exit."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "ewverify", *argv],
+        capture_output=True, env=dict(os.environ, PYTHONPATH=path), timeout=120,
+    )
+
+
+def test_cli_process_prints_the_pinned_json_and_exits_0(tmp_path):
+    argv = ("verify", "all", "--seed", "42")
+    result = ewverify_process(*argv)
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert hashlib.sha256(result.stdout).hexdigest() == dict(PINNED_JSON)[argv]
+    out = tmp_path / "all.json"
+    written = ewverify_process(*argv, "--out", str(out))
+    assert (written.returncode, written.stdout, written.stderr) == (0, b"", b"")
+    assert out.read_bytes() == result.stdout
+
+
+def test_cli_process_exits_2_with_the_usage_message():
+    result = ewverify_process("verify", "group", "--seed", "3")
+    assert (result.returncode, result.stdout) == (2, b"")
+    assert result.stderr == b"ewverify: --seed is not used by verify group\n"
