@@ -432,6 +432,8 @@ def test_masses_reads_the_selected_mode(capsys):
 
 
 def test_run_freezes_the_imported_heap_and_keeps_the_collector_on(capsys):
+    """The freeze spares the collector the heap alive before the checks; the
+    garbage the checks make must still be collected."""
     gc.unfreeze()
     try:
         assert run(["verify", "group"]) == 0
