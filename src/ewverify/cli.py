@@ -10,11 +10,9 @@ Identical (config, seed) inputs produce byte-identical JSON output.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import gc
 import json
 import sys
-import traceback
 from fractions import Fraction
 from pathlib import Path
 
@@ -231,6 +229,8 @@ def run(argv) -> int:
         print(f"ewverify: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # an engine fault is a failed run, not bad input
+        import traceback
+
         traceback.print_exc(file=sys.stderr)
         print(f"ewverify: internal error: {exc}", file=sys.stderr)
         return 1
@@ -281,7 +281,7 @@ def _dispatch(args, cfg: ModelConfig, mode: JMode | None) -> int:
                 args.out,
             )
         else:
-            _emit(json.dumps(dataclasses.asdict(report), indent=2) + "\n", args.out)
+            _emit(json.dumps(report._asdict(), indent=2) + "\n", args.out)
         ok = abs(report.slope_f - 2) <= 0.01 and abs(report.slope_h - 4) <= 0.02
         return 0 if ok else 1
 

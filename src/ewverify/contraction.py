@@ -188,16 +188,17 @@ class JMode:
 
     @classmethod
     def from_text(cls, text: str) -> "JMode":
-        """Parse '1', 'iota', or a number (e.g. '0.01', '1/100')."""
+        """Parse 'iota' or a number (e.g. '0.01', '1/100'); any spelling of
+        1 ('1', '1.0', '1/1') is j=1."""
         t = text.strip().lower()
-        if t == "1":
-            return J_ONE
         if t in ("iota", "nilpotent"):
             return J_NILPOTENT
         try:
             value = Fraction(t)
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"cannot parse j mode from {text!r}") from None
+        if value == 1:
+            return J_ONE
         return cls.numeric(value)  # a negative value fails its range check
 
     @property

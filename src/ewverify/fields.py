@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
 
 from .contraction import CR_I, CR_ONE, ComplexRational, DivisionUndefinedError, JMode
@@ -70,15 +70,13 @@ class UnknownFieldError(KeyError):
     """Reference to a field symbol that was never declared."""
 
 
-@dataclass(frozen=True)
-class FieldDef:
-    name: str
-    arity: int
-    real: bool = True
-    partner: str | None = None  # conjugate partner field, if distinct
-    display: str | None = None
-    primary: bool = True  # False: numeric draws derive from the partner's value
-    grade: int = 0  # the power of j the field picks up in the contraction
+class FieldDef(namedtuple("FieldDef", "name arity real partner display primary grade",
+                          defaults=(True, None, None, True, 0))):
+    """A declared field symbol.  ``partner``: the conjugate partner field, if
+    distinct; ``primary``: False when numeric draws derive from the partner's
+    value; ``grade``: the power of j the field picks up in the contraction."""
+
+    __slots__ = ()
 
     @property
     def shown(self) -> str:
@@ -107,7 +105,7 @@ for _s in ("phi1", "phi2", "alpha", "beta", "alpha2", "beta2"):
 # Grade 1: the off-diagonal directions of SU(2;j) in each basis (gauge
 # fields, gauge and group parameters) and the doublet's fiber component.
 for _s in ("A1", "A2", "W1", "W2", "Wp", "Wm", "phi2", "eps1", "eps2", "beta", "beta2"):
-    FIELDS[_s] = replace(FIELDS[_s], grade=1)
+    FIELDS[_s] = FIELDS[_s]._replace(grade=1)
 
 PARAM_NAMES = ("g", "gp", "R", "s")
 
@@ -116,23 +114,16 @@ DUMMY_NAMES = ("mu", "nu", "al", "be", "ga", "de", "ze", "et", "ka", "la", "si",
 HOLE = "_"  # placeholder index in substitution rules
 
 
-@dataclass(frozen=True, slots=True)
-class FieldFactor:
-    field: str
-    indices: tuple[str, ...] = ()
-    derivs: tuple[str, ...] = ()
-    conj: bool = False
+class FieldFactor(namedtuple("FieldFactor", "field indices derivs conj")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        fdef = FIELDS.get(self.field)
+    def __new__(cls, field, indices=(), derivs=(), conj=False):
+        fdef = FIELDS.get(field)
         if fdef is None:
-            raise UnknownFieldError(self.field)
-        if len(self.indices) != fdef.arity:
-            raise ArityError(
-                f"{self.field} takes {fdef.arity} index(es), got {len(self.indices)}"
-            )
-        object.__setattr__(self, "indices", tuple(self.indices))
-        object.__setattr__(self, "derivs", tuple(sorted(self.derivs)))
+            raise UnknownFieldError(field)
+        if len(indices) != fdef.arity:
+            raise ArityError(f"{field} takes {fdef.arity} index(es), got {len(indices)}")
+        return tuple.__new__(cls, (field, tuple(indices), tuple(sorted(derivs)), conj))
 
     def rename(self, mapping: dict[str, str]) -> "FieldFactor":
         return _factor(
@@ -163,21 +154,11 @@ class FieldFactor:
 def _factor(field, indices, derivs, conj) -> FieldFactor:
     """A factor built without validation, for a field and arity already
     checked; ``derivs`` must be sorted."""
-    f, set_ = object.__new__(FieldFactor), object.__setattr__
-    set_(f, "field", field)
-    set_(f, "indices", indices)
-    set_(f, "derivs", derivs)
-    set_(f, "conj", conj)
-    return f
+    return tuple.__new__(FieldFactor, (field, indices, derivs, conj))
 
 
-@dataclass(frozen=True, slots=True)
-class Term:
-    coeff: ComplexRational
-    jdeg: int = 0
-    params: tuple[tuple[str, int], ...] = ()
-    r2: int = 0
-    factors: tuple[FieldFactor, ...] = ()
+class Term(namedtuple("Term", "coeff jdeg params r2 factors", defaults=(0, (), 0, ()))):
+    __slots__ = ()
 
     def index_counts(self) -> dict[str, int]:
         return _index_counts(self.factors)

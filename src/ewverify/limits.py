@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import random
 import statistics
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .contraction import J_NILPOTENT, J_ONE
 from .fields import Expression, euler_lagrange, j_decompose, reduce_mode
@@ -31,18 +31,16 @@ class DegenerateSampleError(RuntimeError):
     row, had a vanishing base Lagrangian."""
 
 
-@dataclass(frozen=True)
-class ScalingReport:
-    """Log-log scaling of the Lagrangian's j-grade parts against j."""
+class ScalingReport(namedtuple("ScalingReport", "j_values ratios_f ratios_h slope_f slope_h "
+                                             "fit_r2 samples degenerate_redraws")):
+    """Log-log scaling of the Lagrangian's j-grade parts against j.
 
-    j_values: tuple[float, ...]  # strictly decreasing
-    ratios_f: tuple[float, ...]  # mean |j^2 L_fiber| / |L_base|
-    ratios_h: tuple[float, ...]  # mean |j^4 L_quartic| / |L_base|
-    slope_f: float
-    slope_h: float
-    fit_r2: float
-    samples: int
-    degenerate_redraws: int
+    ``j_values`` are strictly decreasing; ``ratios_f`` holds the mean
+    |j^2 L_fiber| / |L_base| at each, and ``ratios_h`` the mean
+    |j^4 L_quartic| / |L_base|.
+    """
+
+    __slots__ = ()
 
     def rows(self):
         return list(zip(self.j_values, self.ratios_f, self.ratios_h))

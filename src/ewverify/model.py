@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .contraction import DEFAULT_MODES, J_ONE, ComplexRational, JMode
@@ -65,26 +65,21 @@ def exact_sqrt(value: Fraction) -> Fraction | None:
     return None
 
 
-@dataclass(frozen=True)
-class ModelConfig:
-    g: Fraction = Fraction(3)
-    gp: Fraction = Fraction(4)
-    R: Fraction = Fraction(2)
-    seed: int = 42
-    samples: int = 100
-    exact: bool = True
+class ModelConfig(namedtuple("ModelConfig", "g gp R seed samples exact")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("g", "gp", "R"):
-            value = Fraction(getattr(self, name))
+    def __new__(cls, g=3, gp=4, R=2, seed=42, samples=100, exact=True):
+        couplings = []
+        for name, value in (("g", g), ("gp", gp), ("R", R)):
+            value = Fraction(value)
             if value <= 0:
                 raise ValueError(f"{name} must be positive")
-            object.__setattr__(self, name, value)
-        if self.exact and exact_sqrt(self.g**2 + self.gp**2) is None:
+            couplings.append(value)
+        g, gp, R = couplings
+        if exact and exact_sqrt(g**2 + gp**2) is None:
             raise ParameterError(
-                "exact mode needs rational sqrt(g^2+gp^2); "
-                f"got g={self.g}, gp={self.gp}"
-            )
+                f"exact mode needs rational sqrt(g^2+gp^2); got g={g}, gp={gp}")
+        return tuple.__new__(cls, (g, gp, R, seed, samples, exact))
 
     def s_value(self) -> Fraction:
         """sqrt(g^2 + gp^2), float-rounded if irrational (never in exact mode)."""
@@ -310,8 +305,7 @@ def verify_matter_radial(cfg: ModelConfig) -> VerificationReport:
 
 # --- mass spectrum -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class MassSpectrum:
+class MassSpectrum(namedtuple("MassSpectrum", "m_Z_sq m_W_sq e_charge")):
     """Vector boson masses and couplings.
 
     Stored: the exact rational squares ``m_Z_sq`` and ``m_W_sq`` (so spectra
@@ -321,15 +315,14 @@ class MassSpectrum:
     identically 0.
     """
 
-    m_Z_sq: Fraction
-    m_W_sq: Fraction
-    e_charge: "Fraction | float"
+    __slots__ = ()
 
     m_A = Fraction(0)
 
-    def __post_init__(self):
-        if self.m_W_sq > self.m_Z_sq:
+    def __new__(cls, m_Z_sq, m_W_sq, e_charge):
+        if m_W_sq > m_Z_sq:
             raise ValueError("mass ordering violated: m_W > m_Z")
+        return tuple.__new__(cls, (m_Z_sq, m_W_sq, e_charge))
 
     @property
     def m_Z(self) -> "Fraction | float":

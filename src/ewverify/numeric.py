@@ -30,7 +30,7 @@ import functools
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .fields import FIELDS, Expression
 from .report import witness
@@ -182,11 +182,11 @@ def eval_expression(e: Expression, assignment, params: dict | None = None) -> co
 # the benchmark's tracer hooks ``numeric.equals`` by name and reads
 # ``decision_path``; they go with the benchmark change of ROADMAP item 1.
 
-@dataclass(frozen=True)
-class EqualsResult:
-    equal: bool
-    decision_path: str  # always "exact-symbolic"
-    witness: str | None = None
+class EqualsResult(namedtuple("EqualsResult", "equal decision_path witness",
+                              defaults=(None,))):
+    """``decision_path`` is always "exact-symbolic"."""
+
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.equal

@@ -6,11 +6,12 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(namedtuple("VerificationReport",
+                                     "check_name mode passed witness duration_ms",
+                                     defaults=(None, 0))):
     """Outcome of one named check.
 
     Stored: ``check_name``, ``mode``, ``passed``, ``witness`` and
@@ -20,11 +21,7 @@ class VerificationReport:
     0.0 for a pass and -1.0 for a mismatch (no meaningful magnitude).
     """
 
-    check_name: str
-    mode: str
-    passed: bool
-    witness: str | None = None
-    duration_ms: int = 0
+    __slots__ = ()
 
     decision_path = "exact-symbolic"
 
@@ -83,6 +80,6 @@ def timed(check):
     def run(*args, **kwargs):
         t0 = time.perf_counter()
         report = check(*args, **kwargs)
-        return replace(report, duration_ms=int((time.perf_counter() - t0) * 1000))
+        return report._replace(duration_ms=int((time.perf_counter() - t0) * 1000))
 
     return run

@@ -422,13 +422,17 @@ def test_text_output_shows_each_check_duration(capsys):
         assert re.search(r" \d+ ms", line)
 
 
-def test_masses_reads_the_selected_mode(capsys):
-    """j=1 and j=iota read the same spectrum; the mode only picks the reading."""
+def test_masses_reads_the_selected_mode(tmp_path, capsys):
+    """j=1 and j=iota read the same spectrum; the mode only picks the reading.
+    Any spelling of 1 is j=1, from the flag or from the config's ``jmode``."""
     _, plain, _ = run_cli(capsys, "masses")
-    for j in ("1", "iota"):
-        code, out, err = run_cli(capsys, "masses", "--j", j)
-        assert (code, err) == (0, "")
-        assert out == plain
+    path = tmp_path / "cfg.json"
+    for j in ("1", "iota", "1.0", "1/1"):
+        path.write_text(json.dumps({"jmode": j}))
+        for argv in (("--j", j), ("--config", str(path))):
+            code, out, err = run_cli(capsys, "masses", *argv)
+            assert (code, err) == (0, "")
+            assert out == plain
 
 
 def test_run_freezes_the_imported_heap_and_keeps_the_collector_on(capsys):

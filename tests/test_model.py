@@ -2,7 +2,6 @@
 
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -380,7 +379,7 @@ def test_masses_equal_across_modes():
 
 def test_spectrum_derives_its_roots_from_the_squares():
     spectrum = extract_masses(CFG, J_NILPOTENT)
-    moved = replace(spectrum, m_W_sq=Fraction(16))
+    moved = spectrum._replace(m_W_sq=Fraction(16))
     assert moved.m_W == 4
     assert moved.cos_theta_W == Fraction(4, 5)
     assert moved != spectrum

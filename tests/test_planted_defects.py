@@ -6,7 +6,6 @@ pin the failing output: status, the -1.0 exact-mismatch marker, the witness
 text, and exit code 1.
 """
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -66,7 +65,7 @@ def assert_exact_fail(report, witness):
 def ungrade(monkeypatch, name):
     """Declare the grade-1 field ``name`` at grade 0: the contraction no
     longer scales it."""
-    monkeypatch.setitem(fields.FIELDS, name, dataclasses.replace(fields.FIELDS[name], grade=0))
+    monkeypatch.setitem(fields.FIELDS, name, fields.FIELDS[name]._replace(grade=0))
 
 
 # --- matrices.verify_group ---------------------------------------------------
@@ -290,7 +289,7 @@ def test_mass_invariance_fails_when_one_mode_moves_the_w_mass(monkeypatch, capsy
         spectrum = original(cfg, mode)
         if not mode.is_nilpotent:
             return spectrum
-        return dataclasses.replace(spectrum, m_W_sq=Fraction(16))
+        return spectrum._replace(m_W_sq=Fraction(16))
 
     monkeypatch.setattr(limits, "extract_masses", moved)
     report = mass_invariance_check(CFG)

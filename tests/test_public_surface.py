@@ -213,3 +213,19 @@ def test_benchmark_tracer_installs_and_uninstalls():
         capture_output=True, text=True, cwd=ROOT, timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_traceback():
+    """Every CLI process pays for what ``ewverify.cli`` imports: the records
+    are named tuples, not dataclasses (which bring ``inspect``), and only the
+    engine-fault path imports ``traceback``.  ``-S`` keeps the environment's
+    own start-up hooks out of the count."""
+    script = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import ewverify.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'traceback'} & set(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", script, str(ROOT / "src")],
+        capture_output=True, text=True, cwd=ROOT, timeout=120,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
