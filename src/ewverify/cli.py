@@ -21,6 +21,8 @@ from .limits import decoupling_check, mass_invariance_check, scaling_sweep
 from .matrices import verify_group
 from .model import (
     ModelConfig,
+    ParameterError,
+    beyond_float_range,
     check_su2_invariance,
     check_u1_invariance,
     extract_masses,
@@ -225,7 +227,7 @@ def run(argv) -> int:
         if args.command == "sweep" and cfg.samples < 10:
             raise ConfigError("sweep needs samples >= 10")
         return _dispatch(args, cfg, mode)
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, ParameterError, OSError) as exc:
         print(f"ewverify: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # an engine fault is a failed run, not bad input
@@ -261,11 +263,15 @@ def _dispatch(args, cfg: ModelConfig, mode: JMode | None) -> int:
             raise ConfigError("invalid value for 'jmode': masses reads the spectrum "
                               "at j=1 or j=iota, not at a numeric j")
         spectrum = extract_masses(cfg, J_NILPOTENT if mode is None else mode)
+        try:
+            values = spectrum.as_dict()
+        except OverflowError:
+            raise beyond_float_range("masses", g=cfg.g, gp=cfg.gp, R=cfg.R) from None
         if args.format == "text":
-            lines = [f"{k} = {v}" for k, v in spectrum.as_dict().items() if k != "exact"]
+            lines = [f"{k} = {v}" for k, v in values.items() if k != "exact"]
             _emit("\n".join(lines) + "\n", args.out)
         else:
-            _emit(json.dumps(spectrum.as_dict(), indent=2) + "\n", args.out)
+            _emit(json.dumps(values, indent=2) + "\n", args.out)
         return 0
 
     if args.command == "sweep":

@@ -21,7 +21,7 @@ from collections import namedtuple
 from .contraction import J_NILPOTENT, J_ONE
 from .fields import Expression, euler_lagrange, j_decompose, reduce_mode
 from .fields import substitute  # noqa: F401  perfbench's tracer test looks up limits.substitute
-from .model import ModelConfig, _at_radius, build_L27, extract_masses
+from .model import ModelConfig, _at_radius, beyond_float_range, build_L27, extract_masses
 from .numeric import compile_layout, draw, eval_expression
 from .report import VerificationReport, timed, verdict
 
@@ -72,9 +72,11 @@ def scaling_sweep(
         raise ValueError("samples must be >= 10")
     graded = j_decompose(build_L27(cfg))
     base, fiber, quartic = parts = [graded.get(k, Expression.zero()) for k in (0, 2, 4)]
-    layout = compile_layout(parts)
-
-    params = {"s": float(cfg.s_value())}
+    try:  # the parts' coefficients and s, as floats
+        layout = compile_layout(parts)
+        params = {"s": float(cfg.s_value())}
+    except OverflowError:
+        raise beyond_float_range("sweep coefficients", g=cfg.g, gp=cfg.gp) from None
     rng = random.Random(seed)
     ratio_f_sum = 0.0
     ratio_h_sum = 0.0
@@ -96,6 +98,9 @@ def scaling_sweep(
 
     ratios_f = tuple(j**2 * mean_f for j in js)
     ratios_h = tuple(j**4 * mean_h for j in js)
+    for part, ratios in ((fiber, ratios_f), (quartic, ratios_h)):
+        if part and not all(0.0 < r < math.inf for r in ratios):  # 0, inf or nan
+            raise beyond_float_range("sweep ratios", g=cfg.g, gp=cfg.gp)
     if len(js) >= 2:
         logs = [math.log(j) for j in js]
         slope_f, r2_f = _fit(logs, [math.log(r) for r in ratios_f])

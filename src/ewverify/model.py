@@ -50,7 +50,25 @@ from .report import VerificationReport, timed, verdict, witness
 
 
 class ParameterError(ValueError):
-    """Exact mode requires sqrt(g^2 + gp^2) to be rational."""
+    """The couplings admit no answer: exact mode with an irrational s, or a float beyond range."""
+
+
+def beyond_float_range(what: str, **couplings: Fraction) -> ParameterError:
+    """The error for ``what``, a float that lies beyond float range at
+    ``couplings``, each shown to 6 significant digits at any magnitude."""
+    from decimal import Context  # only this error path needs it
+
+    shown = ", ".join(f"{name}={Context(prec=6).divide(q.numerator, q.denominator).normalize():g}"
+                      for name, q in couplings.items())
+    return ParameterError(f"{what} beyond float range at {shown}")
+
+
+def _float_sqrt(q: Fraction) -> float:
+    """``math.sqrt(float(q))``, also where ``q`` is beyond float range and its
+    root is not: ``q`` is scaled by a power of 4 into [1/2, 4), which changes
+    no bit of a root that both ways find."""
+    k = (q.numerator.bit_length() - q.denominator.bit_length()) // 2
+    return math.ldexp(math.sqrt(float(q / Fraction(4) ** k)), k)
 
 
 def exact_sqrt(value: Fraction) -> Fraction | None:
@@ -85,7 +103,7 @@ class ModelConfig(namedtuple("ModelConfig", "g gp R seed samples exact")):
         """sqrt(g^2 + gp^2), float-rounded if irrational (never in exact mode)."""
         s2 = self.g**2 + self.gp**2
         s = exact_sqrt(s2)
-        return s if s is not None else Fraction(math.sqrt(float(s2)))
+        return s if s is not None else Fraction(_float_sqrt(s2))
 
     def e_charge(self) -> Fraction:
         return self.g * self.gp / self.s_value()
@@ -379,7 +397,7 @@ def _at_radius(lagrangian: Expression, R: Fraction):
 
 def _sqrt_or_float(q: Fraction):
     root = exact_sqrt(q)
-    return root if root is not None else math.sqrt(float(q))
+    return root if root is not None else _float_sqrt(q)
 
 
 def extract_masses(cfg: ModelConfig, mode: JMode) -> MassSpectrum:

@@ -17,6 +17,7 @@ back to the identical expression.
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
 
 from .contraction import ComplexRational
@@ -42,186 +43,126 @@ class ParseError(ValueError):
         self.position = position
 
 
-class _Token:
-    __slots__ = ("kind", "value", "pos")
-
-    def __init__(self, kind, value, pos):
-        self.kind = kind
-        self.value = value
-        self.pos = pos
-
-    def __repr__(self):
-        return f"{self.kind}({self.value!r})@{self.pos}"
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    n = len(text)
-    k = 0
-    while k < n:
-        ch = text[k]
-        if ch.isspace():
-            k += 1
-            continue
-        if ch.isdigit():
-            start = k
-            while k < n and text[k].isdigit():
-                k += 1
-            if k < n and text[k] == "/" and k + 1 < n and text[k + 1].isdigit():
-                k += 1
-                while k < n and text[k].isdigit():
-                    k += 1
-            try:
-                value = Fraction(text[start:k])
-            except ZeroDivisionError:
-                raise ParseError("zero denominator in rational literal", start) from None
-            tokens.append(_Token("NUMBER", value, start))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = k
-            k += 1
-            while k < n and (text[k].isalnum() or text[k] == "_"):
-                k += 1
-            # a sign suffix is part of the name only for field applications
-            if k < n and text[k] in "+-" and k + 1 < n and text[k + 1] == "[":
-                k += 1
-            tokens.append(_Token("NAME", text[start:k], start))
-            continue
-        simple = {"[": "LBRACK", "]": "RBRACK", "(": "LPAREN", ")": "RPAREN",
-                  ",": "COMMA", "+": "PLUS", "-": "MINUS", "^": "CARET"}
-        if ch in simple:
-            tokens.append(_Token(simple[ch], ch, k))
-            k += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", k)
-    tokens.append(_Token("EOF", None, n))
-    return tokens
+# One named group per token kind, tried in order, with SPACE skipped and OTHER
+# an error.  A NAME may start with any word character but a decimal digit;
+# the scanner rejects one that is not a letter or '_' (such as '²' or '½').
+_TOKEN = (r"(?P<SPACE>\s+)|(?P<NUMBER>\d+(?:/\d+)?)|(?P<NAME>[^\W\d]\w*(?:[+-](?=\[))?)"
+          r"|(?P<LBRACK>\[)|(?P<RBRACK>\])|(?P<LPAREN>\()|(?P<RPAREN>\))|(?P<COMMA>,)"
+          r"|(?P<PLUS>\+)|(?P<MINUS>-)|(?P<CARET>\^)|(?P<OTHER>.)")
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
+        # (kind, value, position) per token, ending with EOF; ``re`` compiles
+        # the pattern on the first parse and caches it
+        self.tokens = []
+        for m in re.finditer(_TOKEN, text):
+            kind, value, pos = m.lastgroup, m.group(), m.start()
+            if kind == "NUMBER":
+                try:
+                    value = Fraction(value)
+                except ZeroDivisionError:
+                    raise ParseError("zero denominator in rational literal", pos) from None
+                except ValueError:  # more digits than int() converts
+                    raise ParseError("too many digits in rational literal", pos) from None
+            elif kind == "OTHER" or kind == "NAME" and not (value[0].isalpha() or value[0] == "_"):
+                raise ParseError(f"unexpected character {value[0]!r}", pos)
+            if kind != "SPACE":
+                self.tokens.append((kind, value, pos))
+        self.tokens.append(("EOF", None, len(text)))
         self.k = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.k]
+    def peek(self) -> str:
+        return self.tokens[self.k][0]
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.k]
+    def next(self) -> tuple:
         self.k += 1
-        return tok
+        return self.tokens[self.k - 1]
 
-    def expect(self, kind: str) -> _Token:
+    def expect(self, kind: str) -> tuple:
         tok = self.next()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind}, found {tok.kind}", tok.pos)
+        if tok[0] != kind:
+            raise ParseError(f"expected {kind}, found {tok[0]}", tok[2])
         return tok
 
     def parse_expression(self) -> Expression:
-        terms: list[Term] = []
-        sign = 1
-        tok = self.peek()
-        if tok.kind in ("PLUS", "MINUS"):
-            sign = -1 if tok.kind == "MINUS" else 1
+        sign = -1 if self.peek() == "MINUS" else 1
+        if self.peek() in ("PLUS", "MINUS"):
             self.next()
-        terms.extend(self.parse_term(sign))
-        while self.peek().kind in ("PLUS", "MINUS"):
-            sign = -1 if self.next().kind == "MINUS" else 1
-            terms.extend(self.parse_term(sign))
+        terms = [self.parse_term(sign)]
+        while self.peek() in ("PLUS", "MINUS"):
+            terms.append(self.parse_term(-1 if self.next()[0] == "MINUS" else 1))
         self.expect("EOF")
         return Expression.build(terms)
 
-    _ATOM_STARTS = ("NUMBER", "NAME")
-
-    def parse_term(self, sign: int) -> list[Term]:
+    def parse_term(self, sign: int) -> Term:
         coeff = ComplexRational(sign)
-        jdeg = 0
-        r2 = 0
+        jdeg = r2 = 0
         params: list[tuple[str, int]] = []
         factors: list[FieldFactor] = []
-        tok = self.peek()
-        if tok.kind not in self._ATOM_STARTS:
-            raise ParseError("expected a term", tok.pos)
-        while self.peek().kind in self._ATOM_STARTS:
-            tok = self.next()
-            power = 1
-            if tok.kind == "NUMBER":
-                atom = ("number", tok.value)
-            elif tok.value == "i":
-                atom = ("imag", None)
-            elif tok.value == "j":
-                atom = ("j", None)
-            elif tok.value == "sqrt2":
-                atom = ("sqrt2", None)
-            elif tok.value in PARAM_NAMES:
-                atom = ("param", tok.value)
-            elif tok.value == "d" and self.peek().kind == "LBRACK":
-                atom = ("factor", self.parse_derivfield(tok))
-            elif tok.value == "conj" and self.peek().kind == "LPAREN":
+        if self.peek() not in ("NUMBER", "NAME"):
+            raise ParseError("expected a term", self.tokens[self.k][2])
+        while self.peek() in ("NUMBER", "NAME"):
+            tok = kind, value, _ = self.next()
+            if kind == "NUMBER":
+                coeff = coeff * ComplexRational(value ** self.parse_power())
+            elif value == "i":
+                coeff = coeff * _ipow(self.parse_power())
+            elif value == "j":
+                jdeg += self.parse_power()
+            elif value == "sqrt2":
+                r2 += self.parse_power()
+            elif value in PARAM_NAMES:
+                params.append((value, self.parse_power()))
+            elif value == "conj" and self.peek() == "LPAREN":
                 self.next()
                 inner = self.next()
-                if inner.kind != "NAME":
-                    raise ParseError("conj(...) must wrap a field", inner.pos)
-                f = self.parse_derivfield(inner)
+                if inner[0] != "NAME":
+                    raise ParseError("conj(...) must wrap a field", inner[2])
+                factor = self.parse_derivfield(inner, conj=True)
                 self.expect("RPAREN")
-                atom = ("factor", FieldFactor(f.field, f.indices, f.derivs, not f.conj))
+                factors.extend([factor] * self.parse_power())
             else:
-                atom = ("factor", self.parse_derivfield(tok))
-            if self.peek().kind == "CARET":
-                self.next()
-                ptok = self.expect("NUMBER")
-                if ptok.value.denominator != 1 or not 0 < ptok.value <= 99:
-                    raise ParseError(
-                        "power must be a positive integer (at most 99)", ptok.pos
-                    )
-                power = int(ptok.value)
-            kind, value = atom
-            if kind == "number":
-                coeff = coeff * ComplexRational(value**power)
-            elif kind == "imag":
-                coeff = coeff * _ipow(power)
-            elif kind == "j":
-                jdeg += power
-            elif kind == "sqrt2":
-                r2 += power
-            elif kind == "param":
-                params.append((value, power))
-            else:
-                factors.extend([value] * power)
-        return [Term(coeff, jdeg, tuple(params), r2, tuple(factors))]
+                factors.extend([self.parse_derivfield(tok)] * self.parse_power())
+        return Term(coeff, jdeg, tuple(params), r2, tuple(factors))
 
-    def parse_derivfield(self, first: _Token) -> FieldFactor:
+    def parse_power(self) -> int:
+        if self.peek() != "CARET":
+            return 1
+        self.next()
+        _, value, pos = self.expect("NUMBER")
+        if value.denominator != 1 or not 0 < value <= 99:
+            raise ParseError("power must be a positive integer (at most 99)", pos)
+        return int(value)
+
+    def parse_derivfield(self, tok: tuple, conj: bool = False) -> FieldFactor:
         derivs: list[str] = []
-        tok = first
-        while tok.value == "d" and self.peek().kind == "LBRACK":
+        while tok[1] == "d" and self.peek() == "LBRACK":
             self.next()
             derivs.append(self.parse_index())
             self.expect("RBRACK")
             tok = self.next()
-            if tok.kind != "NAME":
-                raise ParseError("expected a field name after d[...]", tok.pos)
-        name = _DISPLAY_TO_NAME.get(tok.value)
+            if tok[0] != "NAME":
+                raise ParseError("expected a field name after d[...]", tok[2])
+        name = _DISPLAY_TO_NAME.get(tok[1])
         if name is None:
-            raise ParseError(f"unknown field {tok.value!r}", tok.pos)
+            raise ParseError(f"unknown field {tok[1]!r}", tok[2])
         indices: list[str] = []
-        if self.peek().kind == "LBRACK":
-            self.next()
-            indices.append(self.parse_index())
-            while self.peek().kind == "COMMA":
+        if self.peek() == "LBRACK":
+            while not indices or self.peek() == "COMMA":  # '[' first, then ','
                 self.next()
                 indices.append(self.parse_index())
             self.expect("RBRACK")
         try:
-            return FieldFactor(name, tuple(indices), tuple(derivs))
+            return FieldFactor(name, tuple(indices), tuple(derivs), conj)
         except ArityError as exc:
-            raise ArityError(f"{exc} (at position {tok.pos})") from None
+            raise ArityError(f"{exc} (at position {tok[2]})") from None
 
     def parse_index(self) -> str:
-        tok = self.next()
-        if tok.kind != "NAME":
-            raise ParseError("expected an index name", tok.pos)
-        return tok.value
+        kind, value, pos = self.next()
+        if kind != "NAME":
+            raise ParseError("expected an index name", pos)
+        return value
 
 
 def _ipow(power: int) -> ComplexRational:
@@ -238,10 +179,6 @@ def parse(text: str) -> Expression:
 
 # --- pretty printing --------------------------------------------------------
 
-def _rational_text(q: Fraction) -> str:
-    return str(q)
-
-
 def _factor_text(f: FieldFactor) -> str:
     body = FIELDS[f.field].shown
     if f.indices:
@@ -250,16 +187,6 @@ def _factor_text(f: FieldFactor) -> str:
     if f.conj:
         body = f"conj({body})"
     return body
-
-
-def _term_pieces(t: Term) -> list[tuple[Fraction, bool, Term]]:
-    """Split a complex coefficient into printable (rational, is_imag) pieces."""
-    pieces = []
-    if t.coeff.re:
-        pieces.append((t.coeff.re, False, t))
-    if t.coeff.im:
-        pieces.append((t.coeff.im, True, t))
-    return pieces
 
 
 def _piece_text(mag: Fraction, is_imag: bool, t: Term) -> str:
@@ -279,14 +206,12 @@ def _piece_text(mag: Fraction, is_imag: bool, t: Term) -> str:
         atoms.append("j")
     elif t.jdeg > 1:
         atoms.append(f"j^{t.jdeg}")
-    run: list[str] = []
     for f, group in itertools.groupby(t.factors):
         count = len(list(group))
         text = _factor_text(f)
-        run.append(text if count == 1 else f"{text}^{count}")
-    atoms.extend(run)
+        atoms.append(text if count == 1 else f"{text}^{count}")
     if mag != 1 or not atoms:
-        atoms.insert(0, _rational_text(mag))
+        atoms.insert(0, str(mag))
     return " ".join(atoms)
 
 
@@ -294,14 +219,8 @@ def to_text(e: Expression) -> str:
     """Deterministic canonical rendering; ``parse(to_text(e)) == e``."""
     if e.is_zero():
         return "0"
-    pieces = []
-    for t in e.terms:
-        pieces.extend(_term_pieces(t))
-    out = []
-    for k, (value, is_imag, t) in enumerate(pieces):
-        body = _piece_text(abs(value), is_imag, t)
-        if k == 0:
-            out.append(body if value > 0 else f"-{body}")
-        else:
-            out.append((" + " if value > 0 else " - ") + body)
-    return "".join(out)
+    # each term prints its real part, then its imaginary part, when nonzero
+    text = "".join(f" {'+' if value > 0 else '-'} {_piece_text(abs(value), is_imag, t)}"
+                   for t in e.terms
+                   for value, is_imag in ((t.coeff.re, False), (t.coeff.im, True)) if value)
+    return text[3:] if text[1] == "+" else "-" + text[3:]

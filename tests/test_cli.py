@@ -412,6 +412,38 @@ def test_engine_fault_exits_1(monkeypatch, capsys):
     assert "ewverify: internal error: complex mass coefficient" in err
 
 
+def test_masses_at_a_coupling_whose_square_is_beyond_float_range(capsys):
+    """s = sqrt(g^2+gp^2) is a float although g^2+gp^2 is beyond float range."""
+    code, out, _ = run_cli(capsys, "masses", "--no-exact", "--g", "1e200", "--gp", "1")
+    assert code == 0
+    data = json.loads(out)
+    assert (data["m_Z"], data["m_W"], data["e_charge"]) == (1e200, 1e200, 1.0)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("masses", "--g", "3e400", "--gp", "4e400"),
+     "masses beyond float range at g=3e+400, gp=4e+400, R=2"),
+    (("sweep", "--samples", "10", "--g", "3e200", "--gp", "4e200"),
+     "sweep coefficients beyond float range at g=3e+200, gp=4e+200"),
+    (("sweep", "--samples", "10", "--no-exact", "--g", "1e-200", "--gp", "1e-200"),
+     "sweep ratios beyond float range at g=1e-200, gp=1e-200"),
+], ids=["masses", "sweep-coefficients", "sweep-ratios"])
+def test_floats_beyond_range_are_a_usage_error(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"ewverify: {message}\n")
+
+
+def test_sweep_part_that_vanished_is_an_engine_fault(monkeypatch, capsys):
+    """A grade part that is zero as an expression reads 0 at any couplings:
+    the engine is at fault, not the couplings."""
+    from ewverify import limits
+
+    graded = limits.j_decompose
+    monkeypatch.setattr(limits, "j_decompose", lambda e: {0: graded(e)[0], 2: graded(e)[2]})
+    code, out, err = run_cli(capsys, "sweep", "--samples", "10")
+    assert (code, out) == (1, "")
+    assert "ewverify: internal error: math domain error" in err
+
+
 def test_text_output_shows_each_check_duration(capsys):
     code, out, _ = run_cli(capsys, "verify", "group", "--format", "text")
     assert code == 0

@@ -1,10 +1,12 @@
 """Grammar round-trip and error reporting."""
 
+import hashlib
 import random
 
 import pytest
 
-from ewverify import ArityError, Expression, IndexConflictError, parse
+from ewverify import ArityError, Expression, IndexConflictError, ModelConfig, parse
+from ewverify.model import build_L27, build_LA, build_Lphi, transformed_lagrangian
 from ewverify.parser import ParseError, to_text
 
 from helpers import random_expression
@@ -92,6 +94,12 @@ def test_syntax_error_positions():
     assert err.value.position == 6
     with pytest.raises(ParseError):
         parse("")
+    # a digit that is not decimal is an unexpected character, and a literal
+    # with more digits than int() converts is a syntax error too
+    for text, position in (("²", 0), ("rho^²", 4), ("1²", 1), ("rho 1/" + "7" * 5000, 4)):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.position == position
 
 
 def test_zero_denominator_is_a_parse_error():
@@ -113,6 +121,20 @@ def test_round_trip_random_corpus():
     for _ in range(2000):
         e = random_expression(rng)
         assert parse(to_text(e)) == e
+
+
+# sha256 of the renderings below: every witness prints through to_text, and
+# the round-trip tests would not see a change to the text that parses back
+PRINTED_DIGEST = "311b8c5f21c4a0dd56a94318d106f0946b78c61bbd92a7a33d6e9ca9f93df653"
+
+
+def test_printed_text_is_pinned():
+    rng = random.Random(2024)
+    corpus = [random_expression(rng) for _ in range(2000)]
+    cfg = ModelConfig()
+    corpus += [build_L27(cfg), build_LA(), build_Lphi(), transformed_lagrangian(cfg)]
+    text = "\n".join(to_text(e) for e in corpus)
+    assert hashlib.sha256(text.encode()).hexdigest() == PRINTED_DIGEST
 
 
 def test_huge_powers_rejected():
