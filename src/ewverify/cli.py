@@ -262,9 +262,8 @@ def _dispatch(args, cfg: ModelConfig, mode: JMode | None) -> int:
         if mode is not None and mode.kind == "numeric":
             raise ConfigError("invalid value for 'jmode': masses reads the spectrum "
                               "at j=1 or j=iota, not at a numeric j")
-        spectrum = extract_masses(cfg, J_NILPOTENT if mode is None else mode)
-        try:
-            values = spectrum.as_dict()
+        try:  # the spectrum is exact; its floats, s among them, may be beyond range
+            values = extract_masses(cfg, J_NILPOTENT if mode is None else mode).as_dict()
         except OverflowError:
             raise beyond_float_range("masses", g=cfg.g, gp=cfg.gp, R=cfg.R) from None
         if args.format == "text":

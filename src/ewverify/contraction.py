@@ -17,40 +17,37 @@ number divided by the nilpotent unit is undefined), and it raises
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Union
 
 RationalLike = Union[int, Fraction]
 
-_new = object.__new__
-
 
 class DivisionUndefinedError(ZeroDivisionError):
     """Raised when dividing by j an expression with a term of j-degree 0."""
 
 
-class ComplexRational:
+class ComplexRational(tuple):
     """Complex number with exact rational real and imaginary parts.
 
-    Immutable; stored as the reduced triple ``(a, b, d)`` described in the
-    module docstring.  ``re`` and ``im`` are read back as Fractions.
+    A tuple of the reduced triple ``(a, b, d)`` described in the module
+    docstring, so immutable and hashed as that triple; ``re`` and ``im`` are
+    read back as Fractions.  It equals an int or Fraction of its value.
     """
 
-    __slots__ = ("_abd",)
+    __slots__ = ()
 
-    def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
+    def __new__(cls, re: RationalLike = 0, im: RationalLike = 0):
         if not isinstance(re, (int, Fraction)):
             re = Fraction(re)
         if not isinstance(im, (int, Fraction)):
             im = Fraction(im)
         # over the lcm of two reduced denominators the triple is already reduced
         d = lcm(re.denominator, im.denominator)
-        _set_abd(self, (re.numerator * (d // re.denominator),
-                        im.numerator * (d // im.denominator), d))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ComplexRational is immutable")
+        return tuple.__new__(cls, (re.numerator * (d // re.denominator),
+                                   im.numerator * (d // im.denominator), d))
 
     @classmethod
     def of(cls, value) -> "ComplexRational":
@@ -62,16 +59,16 @@ class ComplexRational:
 
     @property
     def re(self) -> Fraction:
-        a, _, d = self._abd
+        a, _, d = self
         return Fraction(a, d)
 
     @property
     def im(self) -> Fraction:
-        _, b, d = self._abd
+        _, b, d = self
         return Fraction(b, d)
 
     def __add__(self, other) -> "ComplexRational":
-        a, b, d = self._abd
+        a, b, d = self
         oa, ob, od = _triple(other)
         if d == od:
             return _make(a + oa, b + ob, d)
@@ -80,7 +77,7 @@ class ComplexRational:
     __radd__ = __add__
 
     def __sub__(self, other) -> "ComplexRational":
-        a, b, d = self._abd
+        a, b, d = self
         oa, ob, od = _triple(other)
         if d == od:
             return _make(a - oa, b - ob, d)
@@ -90,40 +87,41 @@ class ComplexRational:
         return ComplexRational.of(other) - self
 
     def __mul__(self, other) -> "ComplexRational":
-        a, b, d = self._abd
+        a, b, d = self
         oa, ob, od = _triple(other)
         return _make(a * oa - b * ob, a * ob + b * oa, d * od)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "ComplexRational":
-        a, b, d = self._abd
+        a, b, d = self
         return _make(-a, -b, d)
 
     def conjugate(self) -> "ComplexRational":
-        a, b, d = self._abd
+        a, b, d = self
         return _make(a, -b, d)
 
     def is_zero(self) -> bool:
-        return self._abd == _ZERO_ABD
+        a, b, _ = self
+        return not (a or b)
 
     def __bool__(self) -> bool:
         return not self.is_zero()
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, ComplexRational):
-            return self._abd == other._abd
+        if type(other) is ComplexRational:
+            return tuple.__eq__(self, other)
         if isinstance(other, (int, Fraction)):
-            a, b, d = self._abd
+            a, b, d = self
             return b == 0 and a * other.denominator == other.numerator * d
         return NotImplemented
 
-    def __hash__(self):
-        return hash(self._abd)
+    __ne__ = object.__ne__  # the negation of __eq__, not the tuple's
+    __hash__ = tuple.__hash__
 
     def __complex__(self) -> complex:
         # int / int is correctly rounded, as float(Fraction) is
-        a, b, d = self._abd
+        a, b, d = self
         return complex(a / d, b / d)
 
     def __repr__(self) -> str:
@@ -136,15 +134,9 @@ class ComplexRational:
         return f"({re}{sign}{abs(im)}i)"
 
 
-_set_abd = ComplexRational._abd.__set__
-_ZERO_ABD = (0, 0, 1)  # the one triple of zero
-
-
-def _triple(value) -> tuple[int, int, int]:
-    """The triple of a ComplexRational operand, or of a plain number."""
-    if type(value) is ComplexRational:
-        return value._abd
-    return ComplexRational.of(value)._abd
+def _triple(value) -> ComplexRational:
+    """A ComplexRational operand, or a plain number as one."""
+    return value if type(value) is ComplexRational else ComplexRational.of(value)
 
 
 def _make(a: int, b: int, d: int) -> ComplexRational:
@@ -154,37 +146,30 @@ def _make(a: int, b: int, d: int) -> ComplexRational:
         a //= g
         b //= g
         d //= g
-    z = _new(ComplexRational)
-    _set_abd(z, (a, b, d))
-    return z
+    return tuple.__new__(ComplexRational, (a, b, d))
 
 
 CR_ONE = ComplexRational(1)
 CR_I = ComplexRational(0, 1)
 
 
-class JMode:
-    """Interpretation of the contraction parameter: 1, iota, or a small real."""
+class JMode(namedtuple("JMode", "value")):
+    """Interpretation of the contraction parameter j, stored as j's value:
+    a non-negative Fraction for a real j (1 among them), or None for the
+    nilpotent unit iota.  Equal values are equal modes."""
 
-    __slots__ = ("kind", "value")
+    __slots__ = ()
 
-    def __init__(self, kind: str, value: Fraction | None = None):
-        if kind not in ("one", "nilpotent", "numeric"):
-            raise ValueError(f"unknown JMode kind {kind!r}")
-        if kind == "numeric":
+    def __new__(cls, value: Fraction | None):
+        if value is not None:
             value = Fraction(value)
-            # The j->0 limit itself is admitted as the boundary value.
-            if value < 0:
+            if value < 0:  # the j -> 0 limit itself is admitted as the boundary value
                 raise ValueError("numeric j value must be finite and >= 0")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("JMode is immutable")
+        return tuple.__new__(cls, (value,))
 
     @classmethod
     def numeric(cls, value) -> "JMode":
-        return cls("numeric", Fraction(value))
+        return cls(Fraction(value))
 
     @classmethod
     def from_text(cls, text: str) -> "JMode":
@@ -197,41 +182,26 @@ class JMode:
             value = Fraction(t)
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"cannot parse j mode from {text!r}") from None
-        if value == 1:
-            return J_ONE
-        return cls.numeric(value)  # a negative value fails its range check
+        return J_ONE if value == 1 else cls(value)  # a negative value fails its range check
 
     @property
     def is_one(self) -> bool:
-        return self.kind == "one"
+        return self.value == 1
 
     @property
     def is_nilpotent(self) -> bool:
-        return self.kind == "nilpotent"
+        return self.value is None
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, JMode):
-            return NotImplemented
-        return self.kind == other.kind and self.value == other.value
-
-    def __hash__(self):
-        return hash((self.kind, self.value))
-
-    def __repr__(self) -> str:
-        if self.kind == "numeric":
-            return f"JMode.numeric({self.value})"
-        return {"one": "J_ONE", "nilpotent": "J_NILPOTENT"}[self.kind]
+    @property
+    def kind(self) -> str:
+        return "nilpotent" if self.is_nilpotent else "one" if self.is_one else "numeric"
 
     def label(self) -> str:
-        if self.kind == "one":
-            return "j=1"
-        if self.kind == "nilpotent":
-            return "j=iota"
-        return f"j={float(self.value):g}"
+        return "j=iota" if self.is_nilpotent else f"j={float(self.value):g}"
 
 
-J_ONE = JMode("one")
-J_NILPOTENT = JMode("nilpotent")
+J_ONE = JMode(1)
+J_NILPOTENT = JMode(None)
 # The modes a suite runs when none is selected: j = 1, iota and 0.001.
 DEFAULT_MODES = (J_ONE, J_NILPOTENT, JMode.numeric(Fraction(1, 1000)))
 

@@ -231,7 +231,11 @@ def _canonical_factors(factors: tuple[FieldFactor, ...]) -> tuple:
 
 
 class Expression:
-    """Canonical sum of terms; immutable, structural equality is semantic."""
+    """Canonical sum of terms; immutable, structural equality is semantic.
+
+    A class, not a tuple like the other value types, because it keeps its
+    hash once computed: the sweep's plan lookups hash the same expressions
+    for every sample, and a tuple re-hashes all of its terms each time."""
 
     __slots__ = ("terms", "_hash")
 

@@ -11,6 +11,7 @@ exactly, so every entry stays exact.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 
 from .contraction import ComplexRational, JMode
@@ -20,17 +21,14 @@ from .report import VerificationReport, timed, verdict, witness
 _I_HALF = ComplexRational(0, Fraction(1, 2))
 
 
-class Mat2:
-    """Immutable 2x2 matrix of Expression entries."""
+class Mat2(namedtuple("Mat2", "rows")):
+    """Immutable 2x2 matrix of Expression entries; ``m[r, c]`` reads one."""
 
-    __slots__ = ("rows",)
+    __slots__ = ()
 
-    def __init__(self, rows):
+    def __new__(cls, rows):
         (a, b), (c, d) = rows
-        object.__setattr__(self, "rows", ((a, b), (c, d)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Mat2 is immutable")
+        return tuple.__new__(cls, (((a, b), (c, d)),))
 
     def __getitem__(self, rc):
         r, c = rc
@@ -59,9 +57,6 @@ class Mat2:
 
     def contract(self) -> "Mat2":
         return Mat2([[contract(e) for e in r] for r in self.rows])
-
-    def __repr__(self) -> str:
-        return f"Mat2({self.rows!r})"
 
 
 def _omega(alpha, beta) -> Mat2:

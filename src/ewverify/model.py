@@ -53,22 +53,38 @@ class ParameterError(ValueError):
     """The couplings admit no answer: exact mode with an irrational s, or a float beyond range."""
 
 
-def beyond_float_range(what: str, **couplings: Fraction) -> ParameterError:
-    """The error for ``what``, a float that lies beyond float range at
-    ``couplings``, each shown to 6 significant digits at any magnitude."""
-    from decimal import Context  # only this error path needs it
+def _shown(**couplings: Fraction) -> str:
+    """``name=value`` for each coupling, to 6 significant digits at any magnitude."""
+    from decimal import Context  # only values beyond float range need it
 
-    shown = ", ".join(f"{name}={Context(prec=6).divide(q.numerator, q.denominator).normalize():g}"
-                      for name, q in couplings.items())
-    return ParameterError(f"{what} beyond float range at {shown}")
+    return ", ".join(f"{name}={Context(prec=6).divide(q.numerator, q.denominator).normalize():g}"
+                     for name, q in couplings.items())
+
+
+def beyond_float_range(what: str, **couplings: Fraction) -> ParameterError:
+    """The error for ``what``, a float that lies beyond float range at ``couplings``."""
+    return ParameterError(f"{what} beyond float range at {_shown(**couplings)}")
+
+
+def _float_in_range(q: Fraction) -> float:
+    """``float(q)``, raising OverflowError where ``q`` is beyond float range:
+    too large, or nonzero and rounded to 0.0."""
+    f = float(q)
+    if q and not f:
+        raise OverflowError("a nonzero value rounds to 0.0")
+    return f
 
 
 def _float_sqrt(q: Fraction) -> float:
-    """``math.sqrt(float(q))``, also where ``q`` is beyond float range and its
-    root is not: ``q`` is scaled by a power of 4 into [1/2, 4), which changes
-    no bit of a root that both ways find."""
+    """``math.sqrt(float(q))`` for ``q > 0``, also where ``q`` is beyond float
+    range and its root is not: ``q`` is scaled by a power of 4 into [1/2, 4),
+    which changes no bit of a root that both ways find.  Raises OverflowError
+    where the root is beyond float range, as :func:`_float_in_range` does."""
     k = (q.numerator.bit_length() - q.denominator.bit_length()) // 2
-    return math.ldexp(math.sqrt(float(q / Fraction(4) ** k)), k)
+    root = math.ldexp(math.sqrt(float(q / Fraction(4) ** k)), k)  # raises on overflow
+    if not root:
+        raise OverflowError("a nonzero root rounds to 0.0")
+    return root
 
 
 def exact_sqrt(value: Fraction) -> Fraction | None:
@@ -101,9 +117,7 @@ class ModelConfig(namedtuple("ModelConfig", "g gp R seed samples exact")):
 
     def s_value(self) -> Fraction:
         """sqrt(g^2 + gp^2), float-rounded if irrational (never in exact mode)."""
-        s2 = self.g**2 + self.gp**2
-        s = exact_sqrt(s2)
-        return s if s is not None else Fraction(_float_sqrt(s2))
+        return Fraction(_sqrt_or_float(self.g**2 + self.gp**2))
 
     def e_charge(self) -> Fraction:
         return self.g * self.gp / self.s_value()
@@ -112,7 +126,10 @@ class ModelConfig(namedtuple("ModelConfig", "g gp R seed samples exact")):
 def _param_label(cfg: ModelConfig) -> str:
     if cfg.exact:
         return f"g={cfg.g}, gp={cfg.gp}"
-    return f"g={float(cfg.g):.6g}, gp={float(cfg.gp):.6g} (float)"
+    try:
+        return f"g={_float_in_range(cfg.g):.6g}, gp={_float_in_range(cfg.gp):.6g} (float)"
+    except OverflowError:  # only the label: the checks decide exactly
+        return f"{_shown(g=cfg.g, gp=cfg.gp)} (float)"
 
 
 # --- Lagrangian builders ----------------------------------------------------
@@ -355,18 +372,11 @@ class MassSpectrum(namedtuple("MassSpectrum", "m_Z_sq m_W_sq e_charge")):
         return _sqrt_or_float(self.m_W_sq / self.m_Z_sq)
 
     def as_dict(self) -> dict:
-        out = {
-            "m_A": float(self.m_A),
-            "m_Z": float(self.m_Z),
-            "m_W": float(self.m_W),
-            "e_charge": float(self.e_charge),
-            "cos_theta_W": float(self.cos_theta_W),
-        }
-        out["exact"] = {"m_Z_sq": str(self.m_Z_sq), "m_W_sq": str(self.m_W_sq)}
-        for name in ("m_Z", "m_W", "e_charge", "cos_theta_W"):
-            value = getattr(self, name)
-            if isinstance(value, Fraction):
-                out["exact"][name] = str(value)
+        values = {"m_Z": self.m_Z, "m_W": self.m_W, "e_charge": self.e_charge,
+                  "cos_theta_W": self.cos_theta_W}
+        out = {"m_A": float(self.m_A), **{k: _float_in_range(v) for k, v in values.items()}}
+        out["exact"] = {"m_Z_sq": str(self.m_Z_sq), "m_W_sq": str(self.m_W_sq),
+                        **{k: str(v) for k, v in values.items() if isinstance(v, Fraction)}}
         return out
 
 
@@ -420,7 +430,7 @@ def extract_masses(cfg: ModelConfig, mode: JMode) -> MassSpectrum:
         raise ValueError(f"unexpected photon mass term: {m_a_sq}")
     e_charge = cfg.e_charge()
     if exact_sqrt(cfg.g**2 + cfg.gp**2) is None:  # s was rounded to a float
-        e_charge = float(e_charge)
+        e_charge = _float_in_range(e_charge)
     return MassSpectrum(m_z_sq, m_w_sq, e_charge)
 
 

@@ -427,9 +427,31 @@ def test_masses_at_a_coupling_whose_square_is_beyond_float_range(capsys):
      "sweep coefficients beyond float range at g=3e+200, gp=4e+200"),
     (("sweep", "--samples", "10", "--no-exact", "--g", "1e-200", "--gp", "1e-200"),
      "sweep ratios beyond float range at g=1e-200, gp=1e-200"),
-], ids=["masses", "sweep-coefficients", "sweep-ratios"])
+    # s = sqrt(g^2+gp^2) is itself beyond float range
+    (("masses", "--no-exact", "--g", "1e400", "--gp", "1"),
+     "masses beyond float range at g=1e+400, gp=1, R=2"),
+    # nonzero masses whose floats round to 0.0
+    (("masses", "--g", "3e-400", "--gp", "4e-400"),
+     "masses beyond float range at g=3e-400, gp=4e-400, R=2"),
+], ids=["masses", "sweep-coefficients", "sweep-ratios", "masses-s", "masses-below-range"])
 def test_floats_beyond_range_are_a_usage_error(capsys, argv, message):
     assert run_cli(capsys, *argv) == (2, "", f"ewverify: {message}\n")
+
+
+@pytest.mark.parametrize("suite, g, gp, label", [
+    ("lagrangian", "1.234", "0.567", "g=1.234, gp=0.567 (float)"),
+    ("lagrangian", "1e400", "1", "g=1e+400, gp=1 (float)"),
+    ("gauge", "1e400", "1", "g=1e+400, gp=1 (float)"),
+    ("lagrangian", "1e-400", "1", "g=1e-400, gp=1 (float)"),
+], ids=["in-range", "lagrangian-above-range", "gauge-above-range", "below-range"])
+def test_float_coupling_labels(capsys, suite, g, gp, label):
+    """The checks decide exactly at any coupling; a label beyond float range
+    shows the couplings to 6 significant digits, as the range errors do,
+    instead of failing or showing a nonzero coupling as 0."""
+    code, out, _ = run_cli(capsys, "verify", suite, "--no-exact", "--g", g, "--gp", gp)
+    assert code == 0
+    labels = {r["mode"] for r in json.loads(out)["reports"] if "(float)" in r["mode"]}
+    assert labels == {label}
 
 
 def test_sweep_part_that_vanished_is_an_engine_fault(monkeypatch, capsys):

@@ -107,6 +107,12 @@ def test_jmode_parsing_and_validation():
         JMode.from_text("bogus")
     # the j -> 0 boundary value is admitted
     assert JMode.numeric(0).value == 0
+    # a mode is j's value: every spelling of 1 is the same mode as J_ONE
+    for one in (JMode.numeric(1), JMode.numeric(Fraction(1)), JMode.numeric(1.0)):
+        assert one == J_ONE and hash(one) == hash(J_ONE) and one.label() == J_ONE.label()
+        assert one.is_one and one.kind == "one"
+    assert J_NILPOTENT.value is None and J_NILPOTENT.label() == "j=iota"
+    assert JMode.numeric(Fraction(1, 1000)).label() == "j=0.001"
 
 
 @settings(max_examples=1000, deadline=None)

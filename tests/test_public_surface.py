@@ -153,6 +153,24 @@ def _jpow_callers(path):
     }
 
 
+def test_only_expression_blocks_attribute_assignment_by_hand():
+    """The value types and records of the package are tuples, which are
+    immutable without help; only Expression, a class because it keeps its
+    hash once computed, defines ``__setattr__``.  A hand-made immutable type
+    that grows back fails here."""
+    defining = sorted(
+        f"{path.name}:{node.name}"
+        for path, tree in _modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if (isinstance(item, ast.FunctionDef) and item.name == "__setattr__")
+        or (isinstance(item, ast.Assign)
+            and any(getattr(t, "id", None) == "__setattr__" for t in item.targets))
+    )
+    assert defining == ["fields.py:Expression"]
+
+
 def test_only_the_references_write_powers_of_j():
     """The builders and matrices are written at j = 1 and contracted by the
     fields' grades; only the references the checks compare against write
