@@ -25,6 +25,23 @@ from typing import Union
 RationalLike = Union[int, Fraction]
 
 
+def _float_in_range(q: Fraction) -> float:
+    """``float(q)``, raising OverflowError where ``q`` is beyond float range:
+    too large, or nonzero and rounded to 0.0."""
+    f = float(q)
+    if q and not f:
+        raise OverflowError("a nonzero value rounds to 0.0")
+    return f
+
+
+def _shown(**values: Fraction) -> str:
+    """``name=value`` for each value, to 6 significant digits at any magnitude."""
+    from decimal import Context  # only values beyond float range need it
+
+    return ", ".join(f"{name}={Context(prec=6).divide(q.numerator, q.denominator).normalize():g}"
+                     for name, q in values.items())
+
+
 class DivisionUndefinedError(ZeroDivisionError):
     """Raised when dividing by j an expression with a term of j-degree 0."""
 
@@ -197,7 +214,12 @@ class JMode(namedtuple("JMode", "value")):
         return "nilpotent" if self.is_nilpotent else "one" if self.is_one else "numeric"
 
     def label(self) -> str:
-        return "j=iota" if self.is_nilpotent else f"j={float(self.value):g}"
+        if self.is_nilpotent:
+            return "j=iota"
+        try:
+            return f"j={_float_in_range(self.value):g}"
+        except OverflowError:  # only the label: the checks fold j exactly
+            return _shown(j=self.value)
 
 
 J_ONE = JMode(1)

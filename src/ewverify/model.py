@@ -25,7 +25,9 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .contraction import DEFAULT_MODES, J_ONE, ComplexRational, JMode
+from .contraction import (
+    DEFAULT_MODES, J_ONE, ComplexRational, JMode, _float_in_range, _shown,
+)
 from .fields import (
     Expression,
     Term,
@@ -53,26 +55,9 @@ class ParameterError(ValueError):
     """The couplings admit no answer: exact mode with an irrational s, or a float beyond range."""
 
 
-def _shown(**couplings: Fraction) -> str:
-    """``name=value`` for each coupling, to 6 significant digits at any magnitude."""
-    from decimal import Context  # only values beyond float range need it
-
-    return ", ".join(f"{name}={Context(prec=6).divide(q.numerator, q.denominator).normalize():g}"
-                     for name, q in couplings.items())
-
-
 def beyond_float_range(what: str, **couplings: Fraction) -> ParameterError:
     """The error for ``what``, a float that lies beyond float range at ``couplings``."""
     return ParameterError(f"{what} beyond float range at {_shown(**couplings)}")
-
-
-def _float_in_range(q: Fraction) -> float:
-    """``float(q)``, raising OverflowError where ``q`` is beyond float range:
-    too large, or nonzero and rounded to 0.0."""
-    f = float(q)
-    if q and not f:
-        raise OverflowError("a nonzero value rounds to 0.0")
-    return f
 
 
 def _float_sqrt(q: Fraction) -> float:

@@ -19,18 +19,21 @@ the sum in term-by-term float order, so the result rounds exactly as a
 walk over every combination would.
 
 The sweep evaluates three parts on one sample: :func:`compile_layout`
-lists their instances once, in first-access order, part after part;
-:func:`draw` draws a sample in one pass, in that order, and each part
-reads its values by position.
+lists their instances once, in first-access order, part after part, and
+:func:`draw` draws a sample in that order.  Its Gaussians are
+``Random.gauss``'s Box-Muller stream inlined, bit for bit: one
+``random.Random(seed)`` per sample and two ``random()`` calls per pair of
+Gaussians.  Each instance's value, and the conjugate of each instance a
+key reads conjugated, is built once per sample.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
-import random
 from collections import namedtuple
+from math import cos, log, pi, sin, sqrt
+from random import Random
 
 from .fields import FIELDS, Expression
 from .report import witness
@@ -45,7 +48,8 @@ __all__ = [
 
 DIMENSION = 4
 
-SQRT2 = math.sqrt(2.0)
+SQRT2 = sqrt(2.0)
+TWOPI = 2.0 * pi  # random.gauss's constant
 
 
 class MissingAssignmentError(KeyError):
@@ -87,49 +91,70 @@ def _plan(e: Expression) -> tuple:
 def compile_layout(exprs) -> tuple:
     """Compile one shared draw for the scalar expressions ``exprs``.
 
-    Returns ``(reals, slots)``: per distinct field instance of their plans,
-    in first-access order and with mirror fields resolved, whether it is
-    real; and per expression the positions of its plan's keys in
-    :func:`draw`'s list, which holds instance ``n`` at ``2n`` and its
-    conjugate at ``2n + 1``.
+    Returns ``(at, conjugated, picks, pairs)``.  The distinct field
+    instances of their plans, in first-access order and with mirror fields
+    resolved, take one Gaussian if real and two (real part, then imaginary
+    part) otherwise, in that order, from ``pairs`` Box-Muller pairs.
+    :func:`draw` lists 0.0 (a real instance's imaginary part) and then the
+    Gaussians; ``at`` holds each instance's real and imaginary positions
+    in that list, and ``conjugated`` those of the instances that some key
+    reads conjugated.  A sample's values are one per instance, in order,
+    then one per conjugated instance; ``picks`` holds, per expression, the
+    value of each of its plan's keys by position.
     """
     union: dict = {}
-    slots = []
+    keyed = []
     for e in exprs:
         pick = []
         for fld, indices, derivs, conj in _plan(e)[1]:
             fdef = FIELDS[fld]
             if not fdef.primary:
                 fld, conj = fdef.partner, not conj
-            pick.append(2 * union.setdefault((fld, indices, derivs), len(union)) + conj)
-        slots.append(tuple(pick))
-    return tuple(FIELDS[fld].real for fld, _, _ in union), tuple(slots)
+            pick.append((union.setdefault((fld, indices, derivs), len(union)), conj))
+        keyed.append(pick)
+    at, n = [], 1  # drawn[0] is 0.0
+    for fld, _, _ in union:
+        real = FIELDS[fld].real
+        at.append((n, 0 if real else n + 1))
+        n += 1 if real else 2
+    conj_of: dict = {}
+    picks = tuple(tuple(len(at) + conj_of.setdefault(k, len(conj_of)) if conj else k
+                        for k, conj in pick) for pick in keyed)
+    return tuple(at), tuple(at[k] for k in conj_of), picks, n // 2  # ceil((n - 1) / 2)
 
 
 def draw(layout, seed: int) -> list:
     """Draw each instance of a :func:`compile_layout` layout once, in its
     order, from ``random.Random(seed)``: a real Gaussian for a real field,
-    a complex one otherwise.  Returns one assignment per expression, whose
-    ``values(keys)`` reads that expression's values by position."""
-    reals, slots = layout
-    gauss = random.Random(seed).gauss
-    drawn = []
-    for real in reals:
-        got = complex(gauss(0.0, 1.0), 0.0 if real else gauss(0.0, 1.0))
-        drawn += got, got.conjugate()
-    return [_Drawn(drawn, pick) for pick in slots]
+    a complex one otherwise, each as ``gauss(0.0, 1.0)`` draws it, bit for
+    bit, with its Box-Muller step inlined (``0.0 + z`` turns -0.0 into 0.0
+    as ``mu + z * sigma`` does; an odd count's last sine goes unread).
+    Returns one assignment per expression, whose ``values(keys)`` returns
+    that expression's values in its plan's key order."""
+    at, conjugated, picks, pairs = layout
+    random = Random(seed).random
+    drawn = [0.0]
+    push = drawn.append
+    for _ in range(pairs):
+        x2pi = random() * TWOPI
+        g2rad = sqrt(-2.0 * log(1.0 - random()))
+        push(0.0 + cos(x2pi) * g2rad)
+        push(0.0 + sin(x2pi) * g2rad)
+    values = [complex(drawn[re], drawn[im]) for re, im in at]
+    values += [complex(drawn[re], -drawn[im]) for re, im in conjugated]
+    return [_Drawn([values[k] for k in pick]) for pick in picks]
 
 
 class _Drawn:
-    """One expression's view of a shared draw."""
+    """One expression's values from a shared draw, in its plan's key order."""
 
-    __slots__ = ("drawn", "pick")
+    __slots__ = ("got",)
 
-    def __init__(self, drawn, pick):
-        self.drawn, self.pick = drawn, pick
+    def __init__(self, got):
+        self.got = got
 
     def values(self, keys) -> list:
-        return [self.drawn[i] for i in self.pick]
+        return self.got
 
 
 def eval_expression(e: Expression, assignment, params: dict | None = None) -> complex:

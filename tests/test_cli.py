@@ -198,6 +198,10 @@ PINNED_JSON = [
     (("sweep", "--samples", "50", "--no-exact", "--g", "1.234", "--gp", "0.567",
       "--R", "2.1", "--seed", "5"),
      "65e058b401f72510d2dbe5df997fda00eb90a8357bc302a6706715ffa5010f6d"),
+    # the oracle workload's own sweep shape: 500 samples, 85 draws each
+    (("sweep", "--samples", "500", "--no-exact", "--g", "1.234", "--gp", "0.567",
+      "--R", "2.345", "--seed", "7"),
+     "b62d5b4f12ae1d125ded555c656449a3de6fa3b716263debc6bc218f3581f324"),
 ]
 
 
@@ -452,6 +456,20 @@ def test_float_coupling_labels(capsys, suite, g, gp, label):
     assert code == 0
     labels = {r["mode"] for r in json.loads(out)["reports"] if "(float)" in r["mode"]}
     assert labels == {label}
+
+
+@pytest.mark.parametrize("j, label", [
+    ("0.25", "j=0.25"),
+    ("1e400", "j=1e+400"),
+    ("1e-400", "j=1e-400"),
+], ids=["in-range", "above-range", "below-range"])
+def test_numeric_j_labels(capsys, j, label):
+    """The group check folds j exactly at any value; a label beyond float
+    range shows j to 6 significant digits, as a coupling's label does,
+    instead of failing or showing a nonzero j as 0."""
+    code, out, _ = run_cli(capsys, "verify", "group", "--j", j)
+    assert code == 0
+    assert {r["mode"] for r in json.loads(out)["reports"]} == {label}
 
 
 def test_sweep_part_that_vanished_is_an_engine_fault(monkeypatch, capsys):

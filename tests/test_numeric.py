@@ -1,5 +1,7 @@
 """Numeric evaluation, and the exact equality that the benchmark tracer hooks."""
 
+import random
+
 import pytest
 
 from ewverify import (
@@ -9,6 +11,7 @@ from ewverify import (
     build_L27,
     eval_expression,
     j_decompose,
+    numeric,
     parse,
 )
 from ewverify.numeric import _plan, compile_layout, draw, equals
@@ -106,6 +109,73 @@ def test_shared_draw_matches_lazy_lookups(rng):
             assert drawn.values(keys) == lazy.values(keys)
             assert eval_expression(e, drawn, params) == reference_eval(e, walked, params)
         assert len(layout[0]) == len(lazy._values)
+
+
+def _sweep_parts():
+    cfg = ModelConfig(g=1.234, gp=0.567, R=2.345, exact=False)
+    parts = j_decompose(build_L27(cfg))
+    return [parts[0], parts[2], parts[4]]  # base, fiber, quartic
+
+
+def _bits(values) -> list:
+    return [(z.real.hex(), z.imag.hex()) for z in values]
+
+
+def _assert_draw_is_gauss(exprs, seeds):
+    """Each expression's view of ``draw``, and of its conjugate's view, holds
+    to the last bit what ``Random.gauss`` draws for it in a lazy sample of
+    the same seed.  Returns the layout's Gaussian count."""
+    exprs = exprs + [e.conjugate() for e in exprs]
+    layout = compile_layout(exprs)
+    at, _, _, pairs = layout
+    gaussians = sum(1 if im == 0 else 2 for _, im in at)  # a real one's im is 0.0's
+    assert pairs == (gaussians + 1) // 2
+    for seed in seeds:
+        lazy = FieldSample(seed)
+        for e, drawn in zip(exprs, draw(layout, seed)):
+            keys = _plan(e)[1]
+            assert _bits(drawn.values(keys)) == _bits(lazy.values(keys))
+        assert len(lazy._values) == len(at)
+    return gaussians
+
+
+@pytest.mark.parametrize("texts, gaussians", [
+    (None, 85),  # the sweep's three parts: 45 real and 20 complex instances
+    (("W+[mu] W-[mu] d[nu]rho d[nu]rho", "conj(phi1) phi2 + eps1"), 17),
+    (("W+[mu] W-[mu] + phi1 eps2", "d[mu]W+[nu] d[mu]W-[nu] + rho"), 44),
+    (("B[mu] Z[mu] + d[mu]rho d[mu]eps3", "rho eps1 + 3 omega"), 19),
+    (("B[mu] B[mu]", "A1[mu] A2[mu] + eps1 eps2"), 14),
+    (("3/2", "0"), 0),
+])
+def test_draw_is_gauss_bit_for_bit(rng, texts, gaussians):
+    """Odd and even Gaussian counts, all-real layouts and the empty layout
+    of constant expressions; bits, unlike ``==``, tell -0.0 from 0.0."""
+    exprs = _sweep_parts() if texts is None else [parse(t) for t in texts]
+    seeds = [rng.randrange(2**32) for _ in range(20)]
+    assert _assert_draw_is_gauss(exprs, seeds) == gaussians
+
+
+class _ZeroFirst(random.Random):
+    """A Random whose first two Box-Muller pairs have radius -0.0 (the
+    second ``random()`` of each is 0.0), so their four Gaussians are -0.0
+    until ``Random.gauss`` adds them to 0.0."""
+
+    def __init__(self, seed):
+        self.script = [0.0, 0.0, 0.25, 0.0]
+        super().__init__(seed)
+
+    def random(self):
+        return self.script.pop(0) if self.script else super().random()
+
+
+def test_draw_adds_gauss_zero_to_a_negative_zero(monkeypatch):
+    monkeypatch.setattr(random, "Random", _ZeroFirst)  # what FieldSample draws with
+    monkeypatch.setattr(numeric, "Random", _ZeroFirst)
+    exprs = [parse("rho eps1 + eps2 eps3 + conj(phi1) phi1")]
+    assert _assert_draw_is_gauss(exprs, [3]) == 6
+    # the first four keys are real instances, drawn from those four zeros
+    assert _bits(FieldSample(3).values(_plan(exprs[0])[1]))[:4] == [
+        ("0x0.0p+0", "0x0.0p+0")] * 4
 
 
 def test_equals_exact_path():
