@@ -16,9 +16,13 @@ or exactly twice (summed).  Summed indices are renamed canonically by
 taking the lexicographic minimum over all relabelings, so structural
 equality of normalized expressions is equality up to dummy relabeling.
 
-Every operation collects the raw terms of its result, products through the
-one private ``_product``, and builds them once; only :func:`euler_lagrange`
-also builds each rest it derives, through :func:`derive`.
+Every operation that makes new factors collects the raw terms of its
+result, products through the one private ``_product``, and builds them
+once; only :func:`euler_lagrange` also builds each rest it derives, through
+:func:`derive`.  An operation that keeps each built term's factors (a sum,
+scaling by a factorless term, :func:`contract`, :func:`j_decompose`,
+:func:`reduce_mode`, :func:`instantiate_params`) hands its terms to the
+private ``_merge`` without a canonical form: its factors already are one.
 """
 
 from __future__ import annotations
@@ -233,6 +237,12 @@ def _canonical_factors(factors: tuple[FieldFactor, ...]) -> tuple:
 class Expression:
     """Canonical sum of terms; immutable, structural equality is semantic.
 
+    The operations take built expressions, whose terms are canonical: made
+    by :meth:`build`, the private ``_merge``, or a constructor whose terms
+    are canonical by construction.  Nothing else constructs one directly,
+    but for the unbuilt one-term rest in :func:`euler_lagrange`, which only
+    :func:`derive` reads.
+
     A class, not a tuple like the other value types, because it keeps its
     hash once computed: the sweep's plan lookups hash the same expressions
     for every sample, and a tuple re-hashes all of its terms each time."""
@@ -251,33 +261,16 @@ class Expression:
 
     @classmethod
     def build(cls, raw_terms) -> "Expression":
-        """Normalize a raw term list: canonicalize, merge, prune, sort.
+        """Normalize a raw term list: canonicalize each term's factors, then
+        merge, prune and sort.
 
-        The one place where sums are merged: every operation collects the
-        raw terms of its result, products through ``_product``, and builds
-        once; only :func:`euler_lagrange` also builds, via :func:`derive`.
+        Raw terms are built once: every operation that makes new factors
+        collects the raw terms of its result, products through ``_product``,
+        and builds once; only :func:`euler_lagrange` also builds, via
+        :func:`derive`.  Terms whose factors stay canonical skip the
+        canonical form and go to ``_merge`` alone, where this ends too.
         """
-        merged: dict = {}
-        for t in raw_terms:
-            if t.coeff.is_zero():
-                continue
-            coeff = t.coeff
-            r2 = t.r2
-            if r2 >= 2:  # sqrt(2)^2 = 2 folds into the coefficient
-                coeff = coeff * ComplexRational(2 ** (r2 // 2))
-                r2 %= 2
-            factors, free, fkeys = _canonical_factors(t.factors)
-            k = (t.jdeg, r2, _fold_params(t.params), fkeys)  # the term's sort key
-            prev = merged.get(k)
-            merged[k] = (coeff if prev is None else prev[0] + coeff), factors, free
-        # the keys are distinct, so sorting the items orders the terms by key
-        live = [(k, v) for k, v in sorted(merged.items()) if not v[0].is_zero()]
-        frees = {free for _, (_, _, free) in live}
-        if len(frees) > 1:
-            raise IndexConflictError(
-                f"terms carry different free indices: {sorted(map(sorted, frees))}"
-            )
-        return cls(tuple(Term(c, k[0], k[2], k[1], fs) for k, (c, fs, _) in live))
+        return _merge(raw_terms, _canonical_factors)
 
     # --- queries ----------------------------------------------------------
 
@@ -312,7 +305,10 @@ class Expression:
             return o
         if o.is_zero():
             return self
-        return Expression.build(self.terms + o.terms)
+        # a term keeps its free indices, and terms with different ones never
+        # cancel, so the build's check reduces to one term of each operand
+        _check_free({self.free_indices(), o.free_indices()})
+        return _merge(self.terms + o.terms)
 
     __radd__ = __add__
 
@@ -328,7 +324,11 @@ class Expression:
         ))
 
     def __mul__(self, other) -> "Expression":
-        return Expression.build(_product(self.terms, self._coerce(other).terms))
+        a, b = self.terms, self._coerce(other).terms
+        if len(a) == 1 and not a[0].factors or len(b) == 1 and not b[0].factors:
+            # a factorless operand renames no index: each term keeps its canonical factors
+            return _merge(_times(a, b))
+        return Expression.build(_product(a, b))
 
     __rmul__ = __mul__
 
@@ -360,6 +360,42 @@ class Expression:
 _EMPTY = Expression(())
 
 
+def _check_free(frees) -> None:
+    if len(frees) > 1:
+        raise IndexConflictError(
+            f"terms carry different free indices: {sorted(map(sorted, frees))}"
+        )
+
+
+def _merge(terms, canonical=None) -> Expression:
+    """Fold sqrt(2) pairs and the parameters, add the coefficients of equal
+    keys, drop zeros and sort by key.  ``canonical`` maps raw factors to
+    their canonical form, free indices and sort keys, as the build does;
+    without it each term's factors must already be canonical, as a built
+    term's are, and only their sort keys are taken."""
+    merged: dict = {}
+    for t in terms:
+        coeff = t.coeff
+        if coeff.is_zero():
+            continue
+        r2 = t.r2
+        if r2 >= 2:  # sqrt(2)^2 = 2 folds into the coefficient
+            coeff = coeff * ComplexRational(2 ** (r2 // 2))
+            r2 %= 2
+        if canonical is None:
+            factors, free = t.factors, None
+            fkeys = tuple([f.sort_key() for f in factors])
+        else:
+            factors, free, fkeys = canonical(t.factors)
+        k = (t.jdeg, r2, _fold_params(t.params), fkeys)  # the term's sort key
+        prev = merged.get(k)
+        merged[k] = (coeff if prev is None else prev[0] + coeff), factors, free
+    # the keys are distinct, so sorting the items orders the terms by key
+    live = [(k, v) for k, v in sorted(merged.items()) if not v[0].is_zero()]
+    _check_free({free for _, (_, _, free) in live})
+    return Expression(tuple(Term(c, k[0], k[2], k[1], fs) for k, (c, fs, _) in live))
+
+
 def _refresh_dummies(t: Term, tag: str) -> Term:
     """Rename a term's summed indices to ``_<tag>0``, ``_<tag>1``, ... in
     sorted-name order; a name used three times is kept for the build to
@@ -375,14 +411,14 @@ def _refresh_dummies(t: Term, tag: str) -> Term:
 def _product(left, right) -> list[Term]:
     """The raw terms of the product of two term lists, raw or built, with
     summed indices renamed apart; products chain without a build between."""
-    right = [_refresh_dummies(tb, "R") for tb in right]
-    raw = []
-    for ta in left:
-        ta = _refresh_dummies(ta, "L")
-        for tb in right:
-            raw.append(Term(ta.coeff * tb.coeff, ta.jdeg + tb.jdeg, ta.params + tb.params,
-                            ta.r2 + tb.r2, ta.factors + tb.factors))
-    return raw
+    return _times([_refresh_dummies(ta, "L") for ta in left],
+                  [_refresh_dummies(tb, "R") for tb in right])
+
+
+def _times(left, right) -> list[Term]:
+    """The termwise product of two term lists, each index as it stands."""
+    return [Term(ta.coeff * tb.coeff, ta.jdeg + tb.jdeg, ta.params + tb.params,
+                 ta.r2 + tb.r2, ta.factors + tb.factors) for ta in left for tb in right]
 
 
 # --- constructors ----------------------------------------------------------
@@ -535,8 +571,8 @@ def first_order_variation(e: Expression, rules: dict[str, Expression]) -> Expres
 def contract(e: Expression) -> Expression:
     """X -> j X for every field X of grade 1: each term's j-degree gains
     the grades of its factors."""
-    return Expression.build([Term(t.coeff, t.jdeg + sum(FIELDS[f.field].grade for f in t.factors),
-                                  t.params, t.r2, t.factors) for t in e.terms])
+    return _merge([Term(t.coeff, t.jdeg + sum(FIELDS[f.field].grade for f in t.factors),
+                        t.params, t.r2, t.factors) for t in e.terms])
 
 
 def divide_by_j(e: Expression) -> Expression:
@@ -561,27 +597,23 @@ def j_decompose(e: Expression) -> dict[int, Expression]:
         buckets.setdefault(t.jdeg, []).append(
             Term(t.coeff, 0, t.params, t.r2, t.factors)
         )
-    return {d: Expression.build(ts) for d, ts in sorted(buckets.items())}
+    return {d: _merge(ts) for d, ts in sorted(buckets.items())}
 
 
 def reduce_mode(e: Expression, mode: JMode) -> Expression:
     """Interpret the j-grading: j=1 collapses, j=iota truncates at degree 2,
     and a numeric j folds j^deg into the coefficient exactly."""
-    return _reduced(e.terms, mode)
+    return _merge(_reduced(e.terms, mode))
 
 
-def _reduced(terms, mode: JMode) -> Expression:  # reduce_mode on a raw term list
+def _reduced(terms, mode: JMode) -> list[Term]:  # the unmerged terms of reduce_mode
     if mode.is_one:
-        raw = [Term(t.coeff, 0, t.params, t.r2, t.factors) for t in terms]
-    elif mode.is_nilpotent:
-        raw = [t for t in terms if t.jdeg < 2]
-    else:
-        jv = mode.value
-        raw = [
-            Term(t.coeff * ComplexRational(jv**t.jdeg), 0, t.params, t.r2, t.factors)
-            for t in terms
-        ]
-    return Expression.build(raw)
+        return [Term(t.coeff, 0, t.params, t.r2, t.factors) for t in terms]
+    if mode.is_nilpotent:
+        return [t for t in terms if t.jdeg < 2]
+    jv = mode.value
+    return [Term(t.coeff * ComplexRational(jv**t.jdeg), 0, t.params, t.r2, t.factors)
+            for t in terms]
 
 
 def group_normal_form(e: Expression, mode: JMode) -> Expression:
@@ -608,7 +640,7 @@ def group_normal_form(e: Expression, mode: JMode) -> Expression:
                 factors.remove(conj)
                 piece = _product(piece, relations[b])
         raw.extend(_product(piece, (Term(CR_ONE, factors=tuple(factors)),)))
-    return _reduced(raw, mode)
+    return Expression.build(_reduced(raw, mode))
 
 
 def instantiate_params(e: Expression, values: dict[str, Fraction]) -> Expression:
@@ -623,7 +655,7 @@ def instantiate_params(e: Expression, values: dict[str, Fraction]) -> Expression
             else:
                 remaining.append((name, exp))
         raw.append(Term(coeff, t.jdeg, tuple(remaining), t.r2, t.factors))
-    return Expression.build(raw)
+    return _merge(raw)
 
 
 def _fresh(term_names, base="w") -> str:

@@ -31,6 +31,7 @@ from .contraction import (
 from .fields import (
     Expression,
     Term,
+    _merge,
     conjugate,
     const,
     contract,
@@ -218,7 +219,7 @@ def _fold_s(e: Expression, g: Fraction, gp: Fraction) -> Expression:
         raw.append(Term(t.coeff * ComplexRational(s2 ** (k // 2)), t.jdeg,
                         tuple(p for p in t.params if p[0] != "s") + (("s", k % 2),),
                         t.r2, t.factors))
-    return Expression.build(raw)
+    return _merge(raw)
 
 
 def physical_basis_rules(cfg: ModelConfig) -> dict[str, Expression]:

@@ -126,15 +126,15 @@ def reference_canonical_factors(factors) -> tuple:
     return tuple(best), free
 
 
-# The kernel operations with every product built: each piece is a one-term
-# Expression multiplied with ``*``.  The references that the unbuilt products
+# The kernel operations with every product built: each piece is a built
+# one-term Expression multiplied with ``*``.  The references that the unbuilt products
 # of ``substitute``, ``first_order_variation`` and ``group_normal_form`` match.
 
 def reference_substitute(e: Expression, rules) -> Expression:
     raw = []
     for t in e.terms:
         kept = tuple(f for f in t.factors if f.field not in rules)
-        piece = Expression((Term(t.coeff, t.jdeg, t.params, t.r2, kept),))
+        piece = Expression.build([Term(t.coeff, t.jdeg, t.params, t.r2, kept)])
         for f in t.factors:
             if f.field in rules:
                 piece = piece * _prepare_replacement(rules[f.field], f)
@@ -149,9 +149,9 @@ def reference_first_order_variation(e: Expression, rules) -> Expression:
             rule = rules.get(f.field)
             if rule is None or rule.is_zero():
                 continue
-            rest = Expression((Term(
+            rest = Expression.build([Term(
                 t.coeff, t.jdeg, t.params, t.r2, t.factors[:p] + t.factors[p + 1:],
-            ),))
+            )])
             raw.extend((rest * _prepare_replacement(rule, f)).terms)
     return Expression.build(raw)
 
@@ -160,15 +160,15 @@ def reference_group_normal_form(e: Expression, mode) -> Expression:
     raw = []
     for t in e.terms:
         factors = list(t.factors)
-        piece = Expression((Term(t.coeff, t.jdeg, t.params, t.r2),))
+        piece = Expression.build([Term(t.coeff, t.jdeg, t.params, t.r2)])
         for a, b in (("alpha", "beta"), ("alpha2", "beta2")):
             plain, conj = FieldFactor(a), FieldFactor(a, conj=True)
             for _ in range(min(factors.count(plain), factors.count(conj))):
                 factors.remove(plain)
                 factors.remove(conj)
                 piece = piece * (1 - jpow(2) * field(b) * field(b, conj=True))
-        raw.extend((piece * Expression((Term(CR_ONE, factors=tuple(factors)),))).terms)
-    return reduce_mode(Expression(tuple(raw)), mode)
+        raw.extend((piece * Expression.build([Term(CR_ONE, factors=tuple(factors))])).terms)
+    return reduce_mode(Expression.build(raw), mode)
 
 
 def rational_circle_point(rng: random.Random) -> tuple[Fraction, Fraction]:

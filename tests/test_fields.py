@@ -27,6 +27,7 @@ from ewverify import (
     reduce_mode,
     substitute,
 )
+from ewverify.contraction import DEFAULT_MODES
 from ewverify.fields import (
     DUMMY_NAMES,
     FIELDS,
@@ -36,6 +37,7 @@ from ewverify.fields import (
     _canonical_factors,
     _prepare_replacement,
     _refresh_dummies,
+    contract,
     euler_lagrange,
     first_order_variation,
     group_normal_form,
@@ -501,6 +503,132 @@ def test_kernel_operations_build_once(monkeypatch):
         calls.clear()
         assert op(x, arg) == want
         assert len(calls) == 1, f"{op.__name__} built {len(calls)} times"
+
+
+# --- operations that keep each built term's factors -------------------------
+# A sum, scaling by a factorless term, the regradings and the instantiation
+# merge their terms without a canonical form; each must equal the build of
+# the same raw terms, and leave every term's factors canonical.
+
+def _raw_times(x, y):
+    """The termwise product of two expressions' terms, indices as they stand."""
+    return [Term(a.coeff * b.coeff, a.jdeg + b.jdeg, a.params + b.params, a.r2 + b.r2,
+                 a.factors + b.factors) for a in x.terms for b in y.terms]
+
+
+def _assert_canonical(e):
+    for t in e.terms:
+        assert _canonical_factors(t.factors)[0] == t.factors
+
+
+def _outcome(thunk):
+    """The expression a thunk returns, or the message of its IndexConflictError."""
+    try:
+        return thunk()
+    except IndexConflictError as err:
+        return str(err)
+
+
+SCALARS = (
+    const(Fraction(-3, 2)), const(ComplexRational(1, -2)), imag(), param("g"), param("s", 3),
+    jpow(), jpow(3), inv_sqrt2(), param("R", 2) * jpow(2) * inv_sqrt2(),
+)
+
+
+def test_scaling_merges_as_the_build(rng):
+    for _ in range(150):
+        e = random_expression(rng)
+        _assert_canonical(e)
+        for s in SCALARS:
+            for got, x, y in ((e * s, e, s), (s * e, s, e), (s * (s * e), s, s * e)):
+                assert got == Expression.build(_raw_times(x, y))
+                _assert_canonical(got)
+        for n in (-2, 0, 3):
+            assert e * n == Expression.build(_raw_times(e, const(n)))
+            assert n * e == Expression.build(_raw_times(const(n), e))
+
+
+def test_sums_merge_as_the_build(rng):
+    for _ in range(300):
+        e, f = random_expression(rng), random_expression(rng)
+        pairs = [(e, f), (e, e), (e, -e), (e, jpow() * e), (e, 2), (f, param("gp") * e)]
+        if e.free_indices() == f.free_indices():
+            pairs += [(e, f - e), (e, f + e)]  # e's terms cancel, or add up
+        for x, y in pairs:
+            y = Expression._coerce(y)
+            negated = tuple(Term(-t.coeff, t.jdeg, t.params, t.r2, t.factors) for t in y.terms)
+            got = _outcome(lambda: x + y)
+            assert got == _outcome(lambda: Expression.build(x.terms + y.terms))
+            assert _outcome(lambda: x - y) == _outcome(lambda: Expression.build(x.terms + negated))
+            if isinstance(got, Expression):
+                _assert_canonical(got)
+
+
+def test_a_sum_of_different_free_indices_raises_the_build_error():
+    a, b = field("A1", "mu"), field("B", "nu")
+    for x, y in ((a, b), (b, a), (a, const(2)), (const(2), b)):
+        with pytest.raises(IndexConflictError) as built:
+            Expression.build(x.terms + y.terms)
+        with pytest.raises(IndexConflictError) as added:
+            x + y
+        assert str(added.value) == str(built.value)
+
+
+def test_regradings_merge_as_the_build(rng):
+    for _ in range(300):
+        e = random_expression(rng)
+        e = e + jpow(2) * e * const(Fraction(1, 3))  # terms that differ in j-degree only
+        contracted = contract(e)
+        assert contracted == Expression.build([
+            Term(t.coeff, t.jdeg + sum(FIELDS[f.field].grade for f in t.factors),
+                 t.params, t.r2, t.factors) for t in e.terms])
+        _assert_canonical(contracted)
+        buckets = {}
+        for t in e.terms:
+            buckets.setdefault(t.jdeg, []).append(Term(t.coeff, 0, t.params, t.r2, t.factors))
+        parts = j_decompose(e)
+        assert parts == {d: Expression.build(ts) for d, ts in buckets.items()}
+        for part in parts.values():
+            _assert_canonical(part)
+
+
+@pytest.mark.parametrize("mode", DEFAULT_MODES)
+def test_mode_reduction_merges_as_the_build(rng, mode):
+    for _ in range(200):
+        e, f = random_expression(rng), random_expression(rng)
+        for x in (e, e - jpow(2) * e, e + jpow() * e * const(Fraction(1, 2)),
+                  jpow(3) * e - e, e * f):
+            if mode.is_one:
+                raw = [Term(t.coeff, 0, t.params, t.r2, t.factors) for t in x.terms]
+            elif mode.is_nilpotent:
+                raw = [t for t in x.terms if t.jdeg < 2]
+            else:
+                raw = [Term(t.coeff * ComplexRational(mode.value ** t.jdeg), 0, t.params, t.r2,
+                            t.factors) for t in x.terms]
+            got = reduce_mode(x, mode)
+            assert got == Expression.build(raw)
+            _assert_canonical(got)
+
+
+def test_instantiation_merges_as_the_build(rng):
+    choices = ({"g": Fraction(1)}, {"g": Fraction(2, 3), "R": Fraction(2)},
+               {"gp": Fraction(0)}, {"g": Fraction(-1), "gp": Fraction(5), "R": Fraction(1, 2)})
+    for _ in range(300):
+        e = random_expression(rng)
+        e = e - param("g", 2) * e + param("gp") * param("R") * e  # terms that meet
+        values = rng.choice(choices)
+        raw = []
+        for t in e.terms:
+            coeff, rest = t.coeff, []
+            for name, exp in t.params:
+                if name in values:
+                    coeff = coeff * ComplexRational(values[name] ** exp)
+                else:
+                    rest.append((name, exp))
+            raw.append(Term(coeff, t.jdeg, tuple(rest), t.r2, t.factors))
+        got = instantiate_params(e, values)
+        assert got == Expression.build(raw)
+        _assert_canonical(got)
 
 
 # --- normal form on the group SU(2;j) ----------------------------------------

@@ -171,6 +171,35 @@ def test_only_expression_blocks_attribute_assignment_by_hand():
     assert defining == ["fields.py:Expression"]
 
 
+def _expression_constructors(path):
+    """The functions of a module (``<module>`` for the other statements)
+    that construct an ``Expression`` directly rather than build one."""
+    found = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and "Expression" in (
+                    getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+                found.add(where)
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else where)
+
+    visit(ast.parse(path.read_text()), "<module>")
+    return found
+
+
+def test_only_the_field_layer_constructs_expressions_directly():
+    """The operations take built expressions, whose terms are canonical, and
+    merge terms that stay canonical without a canonical form.  So only the
+    merge and the constructors whose terms are canonical by construction
+    call ``Expression(...)``, and every other module builds."""
+    outside = sorted(p.name for p in PACKAGE.glob("*.py")
+                     if p.name != "fields.py" and _expression_constructors(p))
+    assert not outside, f"modules that construct an Expression directly: {outside}"
+    assert _expression_constructors(PACKAGE / "fields.py") == {
+        "<module>", "_merge", "const", "inv_sqrt2", "__neg__", "divide_by_j",
+        "euler_lagrange"}
+
+
 def test_only_the_references_write_powers_of_j():
     """The builders and matrices are written at j = 1 and contracted by the
     fields' grades; only the references the checks compare against write
