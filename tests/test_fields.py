@@ -551,11 +551,10 @@ def test_scaling_merges_as_the_build(rng):
 def test_sums_merge_as_the_build(rng):
     for _ in range(300):
         e, f = random_expression(rng), random_expression(rng)
-        pairs = [(e, f), (e, e), (e, -e), (e, jpow() * e), (e, 2), (f, param("gp") * e)]
+        pairs = [(e, f), (e, e), (e, -e), (e, jpow() * e), (e, const(2)), (f, param("gp") * e)]
         if e.free_indices() == f.free_indices():
             pairs += [(e, f - e), (e, f + e)]  # e's terms cancel, or add up
         for x, y in pairs:
-            y = Expression._coerce(y)
             negated = tuple(Term(-t.coeff, t.jdeg, t.params, t.r2, t.factors) for t in y.terms)
             got = _outcome(lambda: x + y)
             assert got == _outcome(lambda: Expression.build(x.terms + y.terms))
