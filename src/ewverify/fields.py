@@ -17,8 +17,9 @@ taking the lexicographic minimum over all relabelings, so structural
 equality of normalized expressions is equality up to dummy relabeling.
 
 Every operation that makes new factors collects the raw terms of its
-result, products through the one private ``_product``, and builds them
-once; only :func:`euler_lagrange` also builds each rest it derives, through
+result, products through the private ``_product`` (or ``_times``, on rule
+bodies whose summed indices are renamed apart once), and builds them once;
+only :func:`euler_lagrange` also builds each rest it derives, through
 :func:`derive`.  An operation that keeps each built term's factors (a sum,
 scaling by a factorless term, :func:`contract`, :func:`j_decompose`,
 :func:`reduce_mode`, :func:`instantiate_params`) hands its terms to the
@@ -202,11 +203,14 @@ def _canonical_factors(factors: tuple[FieldFactor, ...]) -> tuple:
     from the term's summed indices to the canonical alphabet, which makes
     structural equality complete for relabeling symmetry.  A term without
     summed indices is only sorted; otherwise every permutation of its
-    summed names is compared as a tuple of sort keys, built once, and only
-    the least one is turned into factors.  The memo saves the per-call cost
-    on the factor tuples that recur, and a raised error is not kept.
+    summed names relabels only the factors a summed name touches, beside
+    the others' sort keys, built once, and only the least tuple of keys is
+    turned into factors (one summed name has one relabeling).  The form does
+    not depend on the factors' order: the build looks it up through
+    ``_canonical_form``, keyed on the sorted multiset.  A raised error is
+    not kept in the memo.
     """
-    factors = tuple(f.canonical_conj() for f in factors)
+    factors = [f.canonical_conj() if f.conj else f for f in factors]
     frees, dummies = [], []
     for n, c in _index_counts(factors).items():
         if c > 2:
@@ -215,23 +219,48 @@ def _canonical_factors(factors: tuple[FieldFactor, ...]) -> tuple:
     free = frozenset(frees)
     if not dummies:
         ordered = sorted(factors, key=FieldFactor.sort_key)
-        return tuple(ordered), free, tuple(f.sort_key() for f in ordered)
+        return tuple(ordered), free, tuple([f.sort_key() for f in ordered])
     if len(dummies) > 7:
         raise IndexConflictError("too many summed indices in one term")
     dummies.sort()
-    pool = [n for n in DUMMY_NAMES if n not in free]
-    pool += [f"x{k}" for k in range(len(dummies)) if f"x{k}" not in free]
+    if free.isdisjoint(DUMMY_NAMES):  # no more than 7 summed names: x0, ... never needed
+        pool = DUMMY_NAMES
+    else:
+        pool = [n for n in DUMMY_NAMES if n not in free]
+        pool += [f"x{k}" for k in range(len(dummies)) if f"x{k}" not in free]
+    summed = frozenset(dummies)
+    fixed, touched = [], []  # the keys of factors no relabeling changes, and the others
+    for f in factors:
+        if summed.isdisjoint(f.indices) and summed.isdisjoint(f.derivs):
+            fixed.append(f.sort_key())
+        else:
+            touched.append(f)
 
     def relabeled(perm):
         m = dict(zip(perm, pool))
-        return tuple(sorted([
+        return tuple(sorted(fixed + [
             (f.field, f.conj, tuple([m.get(i, i) for i in f.indices]),
              tuple(sorted([m.get(i, i) for i in f.derivs])))
-            for f in factors
+            for f in touched
         ]))
 
-    best = min(map(relabeled, itertools.permutations(dummies)))
-    return tuple(_factor(fd, ix, dv, cj) for fd, cj, ix, dv in best), free, best
+    if len(dummies) == 1:
+        best = relabeled(dummies)
+    else:
+        best = min(map(relabeled, itertools.permutations(dummies)))
+    return tuple([_factor(fd, ix, dv, cj) for fd, cj, ix, dv in best]), free, best
+
+
+def _canonical_form(factors: tuple[FieldFactor, ...]) -> tuple:
+    """``_canonical_factors`` memoized on the factor multiset: the form does
+    not depend on the factors' order, so every order of one multiset shares
+    one memo entry.  An index used more than twice is still named as it is
+    first used in the given order."""
+    try:
+        return _canonical_factors(tuple(sorted(factors)))
+    except IndexConflictError:
+        _canonical_factors(factors)  # raises the given order's error
+        raise
 
 
 class Expression:
@@ -265,12 +294,14 @@ class Expression:
         merge, prune and sort.
 
         Raw terms are built once: every operation that makes new factors
-        collects the raw terms of its result, products through ``_product``,
-        and builds once; only :func:`euler_lagrange` also builds, via
-        :func:`derive`.  Terms whose factors stay canonical skip the
-        canonical form and go to ``_merge`` alone, where this ends too.
+        collects the raw terms of its result, products through ``_product``
+        or ``_times``, and builds once; only :func:`euler_lagrange` also
+        builds, via :func:`derive`.  Each term's canonical form is memoized on
+        its factor multiset (``_canonical_form``).  Terms whose factors stay
+        canonical skip the canonical form and go to ``_merge`` alone, where
+        this ends too.
         """
-        return _merge(raw_terms, _canonical_factors)
+        return _merge(raw_terms, _canonical_form)
 
     # --- queries ----------------------------------------------------------
 
@@ -410,7 +441,10 @@ def _refresh_dummies(t: Term, tag: str) -> Term:
 
 def _product(left, right) -> list[Term]:
     """The raw terms of the product of two term lists, raw or built, with
-    summed indices renamed apart; products chain without a build between."""
+    the summed indices of both renamed apart; products chain without a build
+    between.  :func:`substitute` and :func:`first_order_variation` multiply
+    rule bodies renamed apart once (``_renamed_replacement``) through
+    ``_times`` instead."""
     return _times([_refresh_dummies(ta, "L") for ta in left],
                   [_refresh_dummies(tb, "R") for tb in right])
 
@@ -499,8 +533,10 @@ def _leibniz(terms, idx: str) -> list[Term]:
 def _prepare_replacement(rep: Expression, f: FieldFactor) -> Expression:
     """Specialize a rule body to one factor: rename its summed indices apart
     from the factor's index and derivative tags, bind the hole, derive,
-    conjugate.  Memoized on the (body, factor) pair; a raised error is not
-    kept."""
+    conjugate.  The result is built, so its summed names are canonical ones;
+    the products take its terms from ``_renamed_replacement``, which renames
+    them apart once.  Memoized on the (body, factor) pair; a raised error is
+    not kept."""
     arity = FIELDS[f.field].arity
     for t in rep.terms:
         hole_count = t.index_counts().get(HOLE, 0)
@@ -525,6 +561,16 @@ def _prepare_replacement(rep: Expression, f: FieldFactor) -> Expression:
     return conjugate(out) if f.conj else out
 
 
+@functools.lru_cache(maxsize=256)
+def _renamed_replacement(rep: Expression, f: FieldFactor) -> tuple[Term, ...]:
+    """The terms of ``_prepare_replacement(rep, f)`` with their summed indices
+    renamed to ``_R0``, ``_R1``, ...: a right operand whose summed names no
+    built term's names, nor a canonical name, can clash with.  Memoized on
+    the (body, factor) pair, so a body is renamed apart once, not for every
+    term it multiplies."""
+    return tuple([_refresh_dummies(t, "R") for t in _prepare_replacement(rep, f).terms])
+
+
 def substitute(e: Expression, rules: dict[str, Expression]) -> Expression:
     """Simultaneous substitution of fields by expressions.
 
@@ -532,7 +578,9 @@ def substitute(e: Expression, rules: dict[str, Expression]) -> Expression:
     index ``_``; derivative tags distribute over the body via the Leibniz
     rule, and conjugated occurrences receive the conjugated body.  Each
     term's piece starts with its coefficient and every factor without a
-    rule, and only the replacements are multiplied in.
+    rule, and only the replacements are multiplied in.  The bodies carry
+    their summed indices renamed apart, so only a piece that already holds
+    a body renames its own apart before the next.
     """
     for name in rules:
         if name not in FIELDS:
@@ -541,9 +589,13 @@ def substitute(e: Expression, rules: dict[str, Expression]) -> Expression:
     for t in e.terms:
         piece = [Term(t.coeff, t.jdeg, t.params, t.r2,
                       tuple(f for f in t.factors if f.field not in rules))]
+        chained = False
         for f in t.factors:
             if f.field in rules:
-                piece = _product(piece, _prepare_replacement(rules[f.field], f).terms)
+                if chained:  # the piece carries a body's _R names: rename them apart
+                    piece = [_refresh_dummies(pt, "L") for pt in piece]
+                piece = _times(piece, _renamed_replacement(rules[f.field], f))
+                chained = True
         raw.extend(piece)
     return Expression.build(raw)
 
@@ -563,8 +615,9 @@ def first_order_variation(e: Expression, rules: dict[str, Expression]) -> Expres
             rule = rules.get(f.field)
             if rule is None or rule.is_zero():
                 continue
+            # the rest keeps its canonical summed names, which no renamed body uses
             rest = Term(t.coeff, t.jdeg, t.params, t.r2, t.factors[:p] + t.factors[p + 1:])
-            raw.extend(_product((rest,), _prepare_replacement(rule, f).terms))
+            raw.extend(_times((rest,), _renamed_replacement(rule, f)))
     return Expression.build(raw)
 
 

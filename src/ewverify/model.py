@@ -105,9 +105,6 @@ class ModelConfig(namedtuple("ModelConfig", "g gp R seed samples exact")):
         """sqrt(g^2 + gp^2), float-rounded if irrational (never in exact mode)."""
         return Fraction(_sqrt_or_float(self.g**2 + self.gp**2))
 
-    def e_charge(self) -> Fraction:
-        return self.g * self.gp / self.s_value()
-
 
 def _param_label(cfg: ModelConfig) -> str:
     if cfg.exact:
@@ -326,13 +323,15 @@ def verify_matter_radial(cfg: ModelConfig) -> VerificationReport:
 
 # --- mass spectrum -----------------------------------------------------------
 
-class MassSpectrum(namedtuple("MassSpectrum", "m_Z_sq m_W_sq e_charge")):
+class MassSpectrum(namedtuple("MassSpectrum", "m_Z_sq m_W_sq couplings")):
     """Vector boson masses and couplings.
 
-    Stored: the exact rational squares ``m_Z_sq`` and ``m_W_sq`` (so spectra
-    compare with zero tolerance even when the roots are irrational) and
-    ``e_charge``.  Derived: ``m_Z``, ``m_W`` and ``cos_theta_W`` are roots of
-    the squares, exact where rational; the photon mass ``m_A`` is
+    Stored: exact values only, so spectra compare with zero tolerance and
+    without rounding: the rational squares ``m_Z_sq`` and ``m_W_sq`` and the
+    couplings ``(g, gp)``.  Derived: ``m_Z``, ``m_W`` and ``cos_theta_W``
+    are roots of the squares, exact where rational; ``e_charge`` is
+    g gp / s, exact where s = sqrt(g^2 + gp^2) is rational and otherwise the
+    float of the quotient by s's float; the photon mass ``m_A`` is
     identically 0.
     """
 
@@ -340,10 +339,17 @@ class MassSpectrum(namedtuple("MassSpectrum", "m_Z_sq m_W_sq e_charge")):
 
     m_A = Fraction(0)
 
-    def __new__(cls, m_Z_sq, m_W_sq, e_charge):
+    def __new__(cls, m_Z_sq, m_W_sq, couplings):
         if m_W_sq > m_Z_sq:
             raise ValueError("mass ordering violated: m_W > m_Z")
-        return tuple.__new__(cls, (m_Z_sq, m_W_sq, e_charge))
+        return tuple.__new__(cls, (m_Z_sq, m_W_sq, couplings))
+
+    @property
+    def e_charge(self) -> "Fraction | float":
+        g, gp = self.couplings
+        s = _sqrt_or_float(g**2 + gp**2)
+        e = g * gp / Fraction(s)
+        return e if isinstance(s, Fraction) else _float_in_range(e)
 
     @property
     def m_Z(self) -> "Fraction | float":
@@ -414,10 +420,7 @@ def extract_masses(cfg: ModelConfig, mode: JMode) -> MassSpectrum:
     m_w_sq = _pair_coefficient(fiber, "Wp", "Wm")
     if m_a_sq != 0:
         raise ValueError(f"unexpected photon mass term: {m_a_sq}")
-    e_charge = cfg.e_charge()
-    if exact_sqrt(cfg.g**2 + cfg.gp**2) is None:  # s was rounded to a float
-        e_charge = _float_in_range(e_charge)
-    return MassSpectrum(m_z_sq, m_w_sq, e_charge)
+    return MassSpectrum(m_z_sq, m_w_sq, (cfg.g, cfg.gp))
 
 
 # --- gauge invariance --------------------------------------------------------

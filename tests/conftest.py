@@ -11,6 +11,7 @@ MEMOS = (
     fields._canonical_factors,
     fields._fold_params,
     fields._prepare_replacement,
+    fields._renamed_replacement,
     model._build_L27,
     model._su2_delta,
     numeric._plan,

@@ -202,6 +202,14 @@ PINNED_JSON = [
     (("sweep", "--samples", "500", "--no-exact", "--g", "1.234", "--gp", "0.567",
       "--R", "2.345", "--seed", "7"),
      "b62d5b4f12ae1d125ded555c656449a3de6fa3b716263debc6bc218f3581f324"),
+    # the symbolic workload's own shapes: substitution, variation and the
+    # field equations at a Pythagorean point
+    (("verify", "lagrangian", "--g", "5", "--gp", "12"),
+     "a92413a8052a874133e3b05824181ad384e373f4280d330481a1cc63300cd6d5"),
+    (("verify", "gauge", "--g", "5", "--gp", "12"),
+     "e0bb3e330bad96e9cd383f6edc33f34d7001fadaaa774b3feb233462bee54da9"),
+    (("eom", "--g", "5", "--gp", "12", "--R", "3"),
+     "bd9d829c921fdbb6f26171887841a50d435bfa2c9603afe5ecc97be7ceff4d28"),
 ]
 
 
@@ -447,7 +455,11 @@ def test_floats_beyond_range_are_a_usage_error(capsys, argv, message):
     ("lagrangian", "1e400", "1", "g=1e+400, gp=1 (float)"),
     ("gauge", "1e400", "1", "g=1e+400, gp=1 (float)"),
     ("lagrangian", "1e-400", "1", "g=1e-400, gp=1 (float)"),
-], ids=["in-range", "lagrangian-above-range", "gauge-above-range", "below-range"])
+    # mass-invariance compares exact squared masses: s need not be a float
+    ("all", "1e400", "1", "g=1e+400, gp=1 (float)"),
+    ("all", "1e-400", "1e-400", "g=1e-400, gp=1e-400 (float)"),
+], ids=["in-range", "lagrangian-above-range", "gauge-above-range", "below-range",
+        "all-above-range", "all-below-range"])
 def test_float_coupling_labels(capsys, suite, g, gp, label):
     """The checks decide exactly at any coupling; a label beyond float range
     shows the couplings to 6 significant digits, as the range errors do,

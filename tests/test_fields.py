@@ -1,5 +1,6 @@
 """Field algebra: canonical forms, Leibniz calculus, substitution, grading."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -35,6 +36,7 @@ from ewverify.fields import (
     Term,
     UnknownFieldError,
     _canonical_factors,
+    _canonical_form,
     _prepare_replacement,
     _refresh_dummies,
     contract,
@@ -192,6 +194,33 @@ def test_canonical_form_errors_are_unchanged():
     assert len(_canonical_factors(seven_pairs)[0]) == 7
     assert _canonical_factors.cache_info().currsize == 1
 
+
+
+def test_every_order_of_a_factor_tuple_shares_one_canonical_form(rng):
+    """The build's canonical form is the same for every order of a raw factor
+    tuple, and every order takes the one memo entry of its multiset."""
+    checked = 0
+    while checked < 40:
+        factors = _wide_factors(rng, rng.choice((0, 1, 2, 3)), rng.randint(0, 2))
+        if not 2 <= len(factors) <= 5:
+            continue
+        _canonical_factors.cache_clear()
+        expected = _canonical_factors.__wrapped__(factors)
+        forms = [_canonical_form(order) for order in itertools.permutations(factors)]
+        assert all(form is forms[0] for form in forms) and forms[0] == expected
+        assert _canonical_factors.cache_info().currsize == 1
+        checked += 1
+
+
+def test_an_over_used_index_is_named_in_the_given_order():
+    """Two names used three times: the error names the one the given order
+    uses first, whichever order the memo key sorts them in."""
+    for first, second in (("nu", "mu"), ("mu", "nu")):
+        factors = tuple(FieldFactor("B", (n,)) for n in (first, second) * 3)
+        for _ in range(2):  # the memo keeps no error
+            with pytest.raises(IndexConflictError, match=f"more than twice: {first}$"):
+                Expression.build([Term(ComplexRational(1), factors=factors)])
+    assert _canonical_factors.cache_info().currsize == 0
 
 def test_refresh_dummies_renames_summed_pairs_only():
     plain = parse("A1[mu] d[nu]rho").terms[0]
@@ -504,6 +533,29 @@ def test_kernel_operations_build_once(monkeypatch):
         assert op(x, arg) == want
         assert len(calls) == 1, f"{op.__name__} built {len(calls)} times"
 
+
+
+# Bodies whose summed pairs take the same canonical names as the terms they
+# replace into: the prepared bodies carry their summed pairs renamed apart,
+# and a chained piece renames its own apart before the next body.
+CLASHING_RULES = {
+    "A1": field("B", "_") * field("W3", "mu") * field("W3", "mu"),
+    "A2": field("Z", "_") * field("W1", "mu") * field("W1", "nu") * field("W2", "mu")
+    * field("W2", "nu") + jpow() * field("A2", "_"),
+    "rho": field("rho") * field("Z", "mu") * field("Z", "mu"),
+}
+
+
+def test_bodies_renamed_apart_match_the_built_products():
+    e = parse("A1[mu] A2[mu] B[nu] B[nu] rho + d[nu]A1[mu] A2[mu] Z[nu] rho rho "
+              "+ g A1[mu] d[mu]rho W3[nu] W3[nu]")
+    assert {"mu", "nu"} <= {n for t in e.terms for f in t.factors for n in f.names()}
+    for kernel, reference in ((substitute, reference_substitute),
+                              (first_order_variation, reference_first_order_variation)):
+        got = kernel(e, CLASHING_RULES)
+        assert got == reference(e, CLASHING_RULES)
+        assert got == kernel(e, CLASHING_RULES)  # memoized bodies: the same result
+        _assert_canonical(got)
 
 # --- operations that keep each built term's factors -------------------------
 # A sum, scaling by a factorless term, the regradings and the instantiation

@@ -20,7 +20,7 @@ def records():
         factor,
         Term(ComplexRational(2), 1, (("g", 1),), 0, (factor,)),
         ModelConfig(),
-        MassSpectrum(Fraction(25), Fraction(9), Fraction(12, 5)),
+        MassSpectrum(Fraction(25), Fraction(9), (Fraction(3), Fraction(4))),
         VerificationReport("group-axioms", "j=1", True),
         ScalingReport((0.1,), (0.5,), (0.25,), 2.0, 4.0, 1.0, 10, 0),
         EqualsResult(True, "exact-symbolic"),
@@ -64,4 +64,4 @@ def test_model_config_stores_the_couplings_as_fractions():
 
 def test_a_mass_spectrum_still_checks_the_ordering():
     with pytest.raises(ValueError, match="mass ordering violated"):
-        MassSpectrum(Fraction(9), Fraction(25), Fraction(12, 5))
+        MassSpectrum(Fraction(9), Fraction(25), (Fraction(3), Fraction(4)))
