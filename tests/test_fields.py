@@ -195,7 +195,6 @@ def test_canonical_form_errors_are_unchanged():
     assert _canonical_factors.cache_info().currsize == 1
 
 
-
 def test_every_order_of_a_factor_tuple_shares_one_canonical_form(rng):
     """The build's canonical form is the same for every order of a raw factor
     tuple, and every order takes the one memo entry of its multiset."""
@@ -221,6 +220,7 @@ def test_an_over_used_index_is_named_in_the_given_order():
             with pytest.raises(IndexConflictError, match=f"more than twice: {first}$"):
                 Expression.build([Term(ComplexRational(1), factors=factors)])
     assert _canonical_factors.cache_info().currsize == 0
+
 
 def test_refresh_dummies_renames_summed_pairs_only():
     plain = parse("A1[mu] d[nu]rho").terms[0]
@@ -534,7 +534,6 @@ def test_kernel_operations_build_once(monkeypatch):
         assert len(calls) == 1, f"{op.__name__} built {len(calls)} times"
 
 
-
 # Bodies whose summed pairs take the same canonical names as the terms they
 # replace into: the prepared bodies carry their summed pairs renamed apart,
 # and a chained piece renames its own apart before the next body.
@@ -556,6 +555,7 @@ def test_bodies_renamed_apart_match_the_built_products():
         assert got == reference(e, CLASHING_RULES)
         assert got == kernel(e, CLASHING_RULES)  # memoized bodies: the same result
         _assert_canonical(got)
+
 
 # --- operations that keep each built term's factors -------------------------
 # A sum, scaling by a factorless term, the regradings and the instantiation
