@@ -215,13 +215,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    # What the imports built lives until the process exits, so the collector
-    # should not walk it, in this run's full collections or at shutdown; the
-    # operating system frees it.  Exit still flushes and runs atexit handlers.
-    gc.freeze()
+    # A run makes no cyclic garbage but its argument parser, so the collector
+    # stays off while it runs.  What the run and the imports built lives until
+    # the process exits, so the freeze spares the shutdown's final collection
+    # a walk of it; the operating system frees it.  The caller's collector
+    # state is put back.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
+        args = build_parser().parse_args(argv)
         _reject_ignored_flags(args)
         cfg, mode = _config_from_args(args)
         if args.command == "sweep" and cfg.samples < 10:
@@ -236,6 +238,10 @@ def run(argv) -> int:
         traceback.print_exc(file=sys.stderr)
         print(f"ewverify: internal error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        gc.freeze()
+        if enabled:
+            gc.enable()
 
 
 def _command(args) -> str:

@@ -193,7 +193,7 @@ def _fold_params(params) -> tuple[tuple[str, int], ...]:
     return tuple(sorted((n, e) for n, e in acc.items() if e))
 
 
-@functools.lru_cache(maxsize=512)
+@functools.lru_cache(maxsize=1024)  # holds every form of one `verify all` run
 def _canonical_factors(factors: tuple[FieldFactor, ...]) -> tuple:
     """Resolve conjugation flags, sort the factor multiset and relabel summed
     indices canonically; returns the canonical factors, the term's free
@@ -529,14 +529,12 @@ def _leibniz(terms, idx: str) -> list[Term]:
     return raw
 
 
-@functools.lru_cache(maxsize=256)
 def _prepare_replacement(rep: Expression, f: FieldFactor) -> Expression:
     """Specialize a rule body to one factor: rename its summed indices apart
     from the factor's index and derivative tags, bind the hole, derive,
     conjugate.  The result is built, so its summed names are canonical ones;
     the products take its terms from ``_renamed_replacement``, which renames
-    them apart once.  Memoized on the (body, factor) pair; a raised error is
-    not kept."""
+    them apart once and keeps them."""
     arity = FIELDS[f.field].arity
     for t in rep.terms:
         hole_count = t.index_counts().get(HOLE, 0)
@@ -567,7 +565,7 @@ def _renamed_replacement(rep: Expression, f: FieldFactor) -> tuple[Term, ...]:
     renamed to ``_R0``, ``_R1``, ...: a right operand whose summed names no
     built term's names, nor a canonical name, can clash with.  Memoized on
     the (body, factor) pair, so a body is renamed apart once, not for every
-    term it multiplies."""
+    term it multiplies; a raised error is not kept."""
     return tuple([_refresh_dummies(t, "R") for t in _prepare_replacement(rep, f).terms])
 
 

@@ -10,7 +10,6 @@ from ewverify import fields, model, numeric
 MEMOS = (
     fields._canonical_factors,
     fields._fold_params,
-    fields._prepare_replacement,
     fields._renamed_replacement,
     model._build_L27,
     model._su2_delta,

@@ -519,17 +519,65 @@ def test_masses_reads_the_selected_mode(tmp_path, capsys):
             assert out == plain
 
 
-def test_run_freezes_the_imported_heap_and_keeps_the_collector_on(capsys):
-    """The freeze spares the collector the heap alive before the checks; the
-    garbage the checks make must still be collected."""
+def test_run_freezes_the_imported_heap_and_keeps_the_collector_on(capsys, monkeypatch):
+    """The collector is off while the checks run, which make no cyclic
+    garbage; the run ends by freezing the heap it built, so the shutdown's
+    final collection does not walk it, and puts back the caller's collector
+    state, also when a check raises."""
+    from ewverify import cli
+
+    seen = []
+
+    def dispatch(*args):
+        seen.append(gc.isenabled())
+        return dispatched(*args)
+
+    dispatched = cli._dispatch
+    monkeypatch.setattr(cli, "_dispatch", dispatch)
     gc.unfreeze()
     try:
         assert run(["verify", "group"]) == 0
         assert gc.get_freeze_count() > 0
         assert gc.isenabled()
+        assert seen == [False]
+
+        gc.disable()  # a caller that runs with the collector off keeps it off
+        assert run(["verify", "group"]) == 0
+        assert not gc.isenabled()
+        gc.enable()
+
+        def broken(cfg, mode):
+            raise RuntimeError("planted fault")
+
+        monkeypatch.setitem(cli.SUITES, "trace", broken)
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            assert run(["verify", "trace"]) == 1
+            assert gc.isenabled() == enabled
+        assert "internal error: planted fault" in capsys.readouterr().err
+        gc.enable()
+
+        def interrupted(*args):  # an exception run does not catch still restores it
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "_dispatch", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run(["verify", "group"])
+        assert gc.isenabled()
     finally:
+        gc.enable()
         gc.unfreeze()
     capsys.readouterr()
+
+
+def test_the_canonical_form_memo_holds_a_whole_verify_all_run(capsys):
+    """A cold ``verify all`` computes each canonical form once: no form is
+    evicted from the memo and computed again."""
+    from ewverify.fields import _canonical_factors
+
+    assert run_cli(capsys, "verify", "all")[0] == 0
+    info = _canonical_factors.cache_info()
+    assert info.misses == info.currsize < info.maxsize
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"

@@ -37,8 +37,8 @@ from ewverify.fields import (
     UnknownFieldError,
     _canonical_factors,
     _canonical_form,
-    _prepare_replacement,
     _refresh_dummies,
+    _renamed_replacement,
     contract,
     euler_lagrange,
     first_order_variation,
@@ -263,18 +263,18 @@ def test_built_factors_are_valid_factors(rng):
     assert FieldFactor("B", ("mu",), ("al", "nu")).rename({"al": "ze"}).derivs == ("nu", "ze")
 
 
-def test_prepared_replacement_memo_matches_the_unmemoized_form():
+def test_renamed_replacement_memo_matches_the_unmemoized_form():
     body = field("A3", "_") * field("B", "nu") * field("W2", "nu")
     for f in (FieldFactor("A2", ("mu",)), FieldFactor("A2", ("mu",), ("nu", "al")),
               FieldFactor("Wp", ("nu",), ("mu",), conj=True)):
-        prepared = _prepare_replacement(body, f)
-        assert prepared == _prepare_replacement.__wrapped__(body, f)
-        assert _prepare_replacement(body, f) is prepared
-    _prepare_replacement.cache_clear()
+        renamed = _renamed_replacement(body, f)
+        assert renamed == _renamed_replacement.__wrapped__(body, f)
+        assert _renamed_replacement(body, f) is renamed
+    _renamed_replacement.cache_clear()
     for _ in range(2):  # the memo keeps no error
         with pytest.raises(ArityError):
-            _prepare_replacement(field("rho"), FieldFactor("W3", ("mu",)))
-    assert _prepare_replacement.cache_info().currsize == 0
+            _renamed_replacement(field("rho"), FieldFactor("W3", ("mu",)))
+    assert _renamed_replacement.cache_info().currsize == 0
 
 
 def test_products_contract_rather_than_collide():
