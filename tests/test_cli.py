@@ -520,10 +520,9 @@ def test_masses_reads_the_selected_mode(tmp_path, capsys):
 
 
 def test_run_freezes_the_imported_heap_and_keeps_the_collector_on(capsys, monkeypatch):
-    """The collector is off while the checks run, which make no cyclic
-    garbage; the run ends by freezing the heap it built, so the shutdown's
-    final collection does not walk it, and puts back the caller's collector
-    state, also when a check raises."""
+    """The collector is off while the checks run; the run ends by freezing
+    the heap it built, so the shutdown's final collection does not walk it,
+    and puts back the caller's collector state, also when a check raises."""
     from ewverify import cli
 
     seen = []
