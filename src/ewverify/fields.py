@@ -51,7 +51,7 @@ __all__ = [
     "euler_lagrange",
     "field",
     "first_order_variation",
-    "group_normal_form",
+    "group_normal_form_j",
     "imag",
     "instantiate_params",
     "inv_sqrt2",
@@ -431,9 +431,10 @@ def _refresh_dummies(t: Term, tag: str) -> Term:
     """Rename a term's summed indices to ``_<tag>0``, ``_<tag>1``, ... in
     sorted-name order; a name used three times is kept for the build to
     report."""
-    dummies = sorted(n for n, c in t.index_counts().items() if c == 2)
-    if not dummies:
+    counts = t.index_counts()
+    if 2 not in counts.values():  # nothing summed, so no sort and no rename
         return t
+    dummies = sorted(n for n, c in counts.items() if c == 2)
     mapping = {n: f"_{tag}{k}" for k, n in enumerate(dummies)}
     return Term(t.coeff, t.jdeg, t.params, t.r2,
                 tuple(f.rename(mapping) for f in t.factors))
@@ -654,28 +655,28 @@ def j_decompose(e: Expression) -> dict[int, Expression]:
 def reduce_mode(e: Expression, mode: JMode) -> Expression:
     """Interpret the j-grading: j=1 collapses, j=iota truncates at degree 2,
     and a numeric j folds j^deg into the coefficient exactly."""
-    return _merge(_reduced(e.terms, mode))
-
-
-def _reduced(terms, mode: JMode) -> list[Term]:  # the unmerged terms of reduce_mode
     if mode.is_one:
-        return [Term(t.coeff, 0, t.params, t.r2, t.factors) for t in terms]
-    if mode.is_nilpotent:
-        return [t for t in terms if t.jdeg < 2]
-    jv = mode.value
-    return [Term(t.coeff * ComplexRational(jv**t.jdeg), 0, t.params, t.r2, t.factors)
-            for t in terms]
+        terms = [Term(t.coeff, 0, t.params, t.r2, t.factors) for t in e.terms]
+    elif mode.is_nilpotent:
+        terms = [t for t in e.terms if t.jdeg < 2]
+    else:
+        jv = mode.value
+        terms = [Term(t.coeff * ComplexRational(jv**t.jdeg), 0, t.params, t.r2, t.factors)
+                 for t in e.terms]
+    return _merge(terms)
 
 
-def group_normal_form(e: Expression, mode: JMode) -> Expression:
-    """Normal form of ``e`` on SU(2;j), reduced in ``mode``.
+def group_normal_form_j(e: Expression) -> Expression:
+    """Normal form of ``e`` on SU(2;j), with j kept as a variable.
 
     Each product alpha conj(alpha) becomes 1 - j^2 beta conj(beta), and
     likewise for (alpha2, beta2).  A single polynomial is a Groebner basis
     of its own ideal and alpha conj(alpha) leads it; the two relations have
     coprime leading terms.  So the result is zero exactly when ``e``
     vanishes on every pair of group elements (Cox, Little & O'Shea,
-    *Ideals, Varieties, and Algorithms*, ch. 2).
+    *Ideals, Varieties, and Algorithms*, ch. 2).  The leading terms carry
+    no j, and fixing j or truncating at iota is a ring homomorphism, so
+    :func:`reduce_mode` of this one form is the normal form in each mode.
     """
     relations = {  # 1 - j^2 b conj(b), as raw terms
         b: (Term(CR_ONE), Term(-CR_ONE, 2, factors=(FieldFactor(b), FieldFactor(b, conj=True))))
@@ -691,7 +692,7 @@ def group_normal_form(e: Expression, mode: JMode) -> Expression:
                 factors.remove(conj)
                 piece = _product(piece, relations[b])
         raw.extend(_product(piece, (Term(CR_ONE, factors=tuple(factors)),)))
-    return Expression.build(_reduced(raw, mode))
+    return Expression.build(raw)
 
 
 def instantiate_params(e: Expression, values: dict[str, Fraction]) -> Expression:

@@ -4,18 +4,22 @@ and its Lie algebra.
 The group element and the Lie algebra element are each written once at
 j = 1, over the complex symbols alpha and beta and the real symbols eps1,
 eps2, eps3, and contracted: beta, eps1 and eps2 are of grade 1.
-The group axioms are decided in every mode, for every group element, by
-:func:`~ewverify.fields.group_normal_form`; a numeric j is folded in
-exactly, so every entry stays exact.
+The group axioms are decided for every group element by their normal form
+with j kept (:func:`~ewverify.fields.group_normal_form_j`), taken once per
+process and reduced in each mode; a numeric j is folded in exactly, so
+every entry stays exact.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import namedtuple
 from fractions import Fraction
 
 from .contraction import ComplexRational, JMode
-from .fields import Expression, _product, const, contract, field, group_normal_form
+from .fields import (
+    Expression, _product, const, contract, field, group_normal_form_j, reduce_mode,
+)
 from .report import VerificationReport, timed, verdict, witness
 
 _I_HALF = ComplexRational(0, Fraction(1, 2))
@@ -35,11 +39,8 @@ class Mat2(namedtuple("Mat2", "rows")):
         return self.rows[r][c]
 
     def __matmul__(self, other: "Mat2") -> "Mat2":
-        def dot(x, y, z, w):  # x y + z w, built once
-            return Expression.build(_product(x.terms, y.terms) + _product(z.terms, w.terms))
-
         (e, f), (g, h) = other.rows
-        return Mat2([[dot(a, e, b, g), dot(a, f, b, h)] for a, b in self.rows])
+        return Mat2([[_dot((a, e), (b, g)), _dot((a, f), (b, h))] for a, b in self.rows])
 
     def __add__(self, other: "Mat2") -> "Mat2":
         return Mat2([[x + y for x, y in zip(r, s)] for r, s in zip(self.rows, other.rows)])
@@ -52,11 +53,19 @@ class Mat2(namedtuple("Mat2", "rows")):
         (a, b), (c, d) = self.rows
         return a * d - b * c
 
-    def trace(self):
-        return self.rows[0][0] + self.rows[1][1]
+    def trace_product(self, other: "Mat2"):
+        """tr(self @ other): only the diagonal's dot products, in one build."""
+        (a, b), (c, d) = self.rows
+        (e, f), (g, h) = other.rows
+        return _dot((a, e), (b, g), (c, f), (d, h))
 
     def contract(self) -> "Mat2":
         return Mat2([[contract(e) for e in r] for r in self.rows])
+
+
+def _dot(*pairs) -> Expression:
+    """x1 y1 + x2 y2 + ... over the (x, y) pairs, built once."""
+    return Expression.build([t for x, y in pairs for t in _product(x.terms, y.terms)])
 
 
 def _omega(alpha, beta) -> Mat2:
@@ -82,9 +91,10 @@ def symbolic_lie_element() -> Mat2:
 
 # --- group axiom verification --------------------------------------------
 
-def _group_failures(mode: JMode) -> list[str]:
-    """Each axiom as expressions that vanish on the whole group; the first
-    nonzero normal form of an axiom is its witness."""
+@functools.lru_cache(maxsize=1)
+def _axiom_forms() -> dict[str, tuple[Expression, ...]]:
+    """Each axiom as expressions that vanish on the whole group, in their
+    normal form with j kept: built once, the same for every mode."""
     omega = symbolic_element("alpha", "beta")
     unit = omega @ omega.dagger()
     zero = const(0)  # the doublet is the column (phi1, j phi2)
@@ -98,10 +108,16 @@ def _group_failures(mode: JMode) -> list[str]:
                             - (doublet.dagger() @ doublet)[0, 0],),
         "anti-hermiticity": sum((lie + lie.dagger()).rows, ()),
     }
+    return {name: tuple(map(group_normal_form_j, exprs)) for name, exprs in axioms.items()}
+
+
+def _group_failures(mode: JMode) -> list[str]:
+    """The first axiom form that ``mode`` leaves nonzero is that axiom's
+    witness."""
     failures = []
-    for name, exprs in axioms.items():
-        for e in exprs:
-            found = witness(group_normal_form(e, mode), name)
+    for name, forms in _axiom_forms().items():
+        for nf in forms:
+            found = witness(reduce_mode(nf, mode), name)
             if found:
                 failures += found
                 break
@@ -112,8 +128,8 @@ def _group_failures(mode: JMode) -> list[str]:
 def verify_group(mode: JMode) -> VerificationReport:
     """Check unitarity, closure, form invariance and anti-hermiticity.
 
-    Each axiom is decided once for every group element by its normal form
-    in ``mode``; a numeric j is folded in exactly.  Failures are recorded
-    in the report, not raised.
+    Each axiom is decided for every group element by its normal form with
+    j kept, reduced in ``mode``; a numeric j is folded in exactly.
+    Failures are recorded in the report, not raised.
     """
     return verdict("group-axioms", mode.label(), _group_failures(mode)[:3])

@@ -15,7 +15,8 @@ every parameter point.  Each 1/s, s = sqrt(g^2+gp^2), is written as
 s/(g^2+gp^2): s is its value at Pythagorean couplings (g, gp, s all
 rational) and the parameter symbol s otherwise, whose powers fold into
 powers of the rational g^2+gp^2.  The trace identity is decided in every
-mode for every group element by its normal form on the group.
+mode for every group element by its normal form on the group, taken once
+with j kept.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .fields import (
     contract,
     field,
     first_order_variation,
-    group_normal_form,
+    group_normal_form_j,
     imag,
     instantiate_params,
     inv_sqrt2,
@@ -291,8 +292,15 @@ def _build_L27(g: Fraction, gp: Fraction) -> Expression:
 
 def transformed_lagrangian(cfg: ModelConfig) -> Expression:
     """Route via contraction: L in radial variables, contracted (W1, W2 of
-    grade 1), then the physical basis change."""
-    return physical_basis(build_LA(("W1", "W2", "W3", "B")) + build_matter_radial(), cfg)
+    grade 1), then the physical basis change, which is linear: the matter
+    part is the one :func:`verify_matter_radial` reads."""
+    return physical_basis(build_LA(("W1", "W2", "W3", "B")), cfg) + _physical_matter_radial(cfg)
+
+
+@functools.lru_cache(maxsize=4)
+def _physical_matter_radial(cfg: ModelConfig) -> Expression:
+    """physical_basis(build_matter_radial(), cfg), built once per config."""
+    return physical_basis(build_matter_radial(), cfg)
 
 
 def _identity_verdict(check_name: str, cfg: ModelConfig, lhs: Expression,
@@ -316,7 +324,7 @@ def verify_grading(cfg: ModelConfig) -> VerificationReport:
 @timed
 def verify_matter_radial(cfg: ModelConfig) -> VerificationReport:
     """Check the radial matter Lagrangian against its closed physical form."""
-    lhs = physical_basis(build_matter_radial(), cfg)
+    lhs = _physical_matter_radial(cfg)
     return _identity_verdict("matter-radial-identity", cfg, lhs,
                              matter_radial_display(cfg))
 
@@ -366,7 +374,8 @@ class MassSpectrum(namedtuple("MassSpectrum", "m_Z_sq m_W_sq couplings")):
     def as_dict(self) -> dict:
         values = {"m_Z": self.m_Z, "m_W": self.m_W, "e_charge": self.e_charge,
                   "cos_theta_W": self.cos_theta_W}
-        out = {"m_A": float(self.m_A), **{k: _float_in_range(v) for k, v in values.items()}}
+        out = {"m_A": _float_in_range(self.m_A),
+               **{k: _float_in_range(v) for k, v in values.items()}}
         out["exact"] = {"m_Z_sq": str(self.m_Z_sq), "m_W_sq": str(self.m_W_sq),
                         **{k: str(v) for k, v in values.items() if isinstance(v, Fraction)}}
         return out
@@ -390,8 +399,11 @@ def _pair_coefficient(e: Expression, f1: str, f2: str) -> Fraction:
     return total.re
 
 
+@functools.lru_cache(maxsize=4)
 def _at_radius(lagrangian: Expression, R: Fraction):
-    """``lagrangian`` at rho = R, with its base (j^0) and fiber (j^2) parts."""
+    """``lagrangian`` at rho = R, with its base (j^0) and fiber (j^2) parts;
+    built once per (Lagrangian, R) pair, so a planted Lagrangian gets its
+    own."""
     frozen = substitute(lagrangian, {"rho": const(R)})
     parts = j_decompose(frozen)
     return frozen, parts.get(0, Expression.zero()), parts.get(2, Expression.zero())
@@ -489,14 +501,15 @@ def check_su2_invariance(mode: JMode) -> VerificationReport:
 def verify_trace_identity() -> VerificationReport:
     """tr(F^2) is unchanged by conjugation with a group element.
 
-    In each mode the normal form of tr((h^dagger F h)^2) - tr(F^2) decides
-    it for every h and F at once (the sum over index pairs is linear, so
-    one pair suffices); j=0.001 is folded in exactly.
+    The normal form of tr((h^dagger F h)^2) - tr(F^2), taken once with j
+    kept and reduced in each mode, decides it for every h and F at once
+    (the sum over index pairs is linear, so one pair suffices); j=0.001 is
+    folded in exactly.
     """
     h, f = symbolic_element("alpha", "beta"), symbolic_lie_element()
     rotated = h.dagger() @ f @ h
-    diff = (rotated @ rotated).trace() - (f @ f).trace()
+    nf = group_normal_form_j(rotated.trace_product(rotated) - f.trace_product(f))
     failures = [w for mode in DEFAULT_MODES
-                for w in witness(group_normal_form(diff, mode), mode.label())]
+                for w in witness(reduce_mode(nf, mode), mode.label())]
     return verdict("trace-identity", "all", failures)
 

@@ -1,7 +1,8 @@
 """Shared test utilities: random canonical expressions for round-trip and
 normalization property tests, the rename-then-sort reference of the
 canonical form, the build-every-product references of substitution,
-variation and the group normal form, exact points and concrete elements of
+variation and the group normal form, the group normal form in one mode and
+its reduce-first reference, exact points and concrete elements of
 the group SU(2;j), entrywise matrix operations, model configs and a config
 file read alone, the lazy and explicit field assignments, and the
 term-by-term reference of numeric evaluation."""
@@ -18,8 +19,8 @@ from ewverify import ComplexRational, Expression, Mat2, MissingAssignmentError, 
 from ewverify.cli import _config_values, _model_config
 from ewverify.contraction import CR_ONE
 from ewverify.fields import (
-    DUMMY_NAMES, FIELDS, FieldFactor, Term, _prepare_replacement, const, field, jpow,
-    reduce_mode, substitute,
+    DUMMY_NAMES, FIELDS, FieldFactor, Term, _prepare_replacement, _product, const, field,
+    group_normal_form_j, jpow, reduce_mode, substitute,
 )
 from ewverify.matrices import symbolic_element
 from ewverify.numeric import DIMENSION, SQRT2
@@ -153,6 +154,40 @@ def reference_first_order_variation(e: Expression, rules) -> Expression:
                 t.coeff, t.jdeg, t.params, t.r2, t.factors[:p] + t.factors[p + 1:],
             )])
             raw.extend((rest * _prepare_replacement(rule, f)).terms)
+    return Expression.build(raw)
+
+
+def group_normal_form(e: Expression, mode) -> Expression:
+    """Normal form of ``e`` on SU(2;j), reduced in ``mode``: the checks'
+    route, one form with j kept and then the mode."""
+    return reduce_mode(group_normal_form_j(e), mode)
+
+
+def reduce_first_group_normal_form(e: Expression, mode) -> Expression:
+    """The group normal form with each raw product reduced in ``mode``
+    before the one build, the reference that the j-kept form, reduced
+    after its build, must match."""
+    relations = {  # 1 - j^2 b conj(b), as raw terms
+        b: (Term(CR_ONE), Term(-CR_ONE, 2, factors=(FieldFactor(b), FieldFactor(b, conj=True))))
+        for b in ("beta", "beta2")}
+    raw = []
+    for t in e.terms:
+        factors = list(t.factors)
+        piece = [Term(t.coeff, t.jdeg, t.params, t.r2)]
+        for a, b in (("alpha", "beta"), ("alpha2", "beta2")):
+            plain, conj = FieldFactor(a), FieldFactor(a, conj=True)
+            for _ in range(min(factors.count(plain), factors.count(conj))):
+                factors.remove(plain)
+                factors.remove(conj)
+                piece = _product(piece, relations[b])
+        raw.extend(_product(piece, (Term(CR_ONE, factors=tuple(factors)),)))
+    if mode.is_one:
+        raw = [Term(t.coeff, 0, t.params, t.r2, t.factors) for t in raw]
+    elif mode.is_nilpotent:
+        raw = [t for t in raw if t.jdeg < 2]
+    else:
+        raw = [Term(t.coeff * ComplexRational(mode.value**t.jdeg), 0, t.params, t.r2,
+                    t.factors) for t in raw]
     return Expression.build(raw)
 
 

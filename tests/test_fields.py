@@ -42,7 +42,7 @@ from ewverify.fields import (
     contract,
     euler_lagrange,
     first_order_variation,
-    group_normal_form,
+    group_normal_form_j,
     imag,
     inv_sqrt2,
 )
@@ -53,8 +53,10 @@ from helpers import (
     SCALAR_FIELDS,
     VECTOR_FIELDS,
     exact_group_point,
+    group_normal_form,
     random_expression,
     random_term,
+    reduce_first_group_normal_form,
     reference_canonical_factors,
     reference_first_order_variation,
     reference_group_normal_form,
@@ -718,6 +720,17 @@ def test_group_normal_form_agrees_at_group_points(rng, mode):
             point = {"alpha": const(a), "beta": const(b)}
             assert (reduce_mode(substitute(e, point), mode)
                     == reduce_mode(substitute(nf, point), mode))
+
+
+@pytest.mark.parametrize("mode", DEFAULT_MODES)
+def test_group_normal_form_with_j_kept_reduces_to_each_mode(rng, mode):
+    """One normal form with j kept, reduced in a mode, equals the form built
+    from raw products reduced in that mode first: fixing j, or truncating
+    at iota, commutes with the build."""
+    for _ in range(60):
+        e = _random_group_polynomial(rng)
+        assert (reduce_mode(group_normal_form_j(e), mode)
+                == reduce_first_group_normal_form(e, mode))
 
 
 @pytest.mark.parametrize("mode", [J_ONE, J_NILPOTENT])

@@ -17,6 +17,8 @@ from ewverify import (
     reduce_mode,
     verify_group,
 )
+from ewverify import matrices
+from ewverify.contraction import DEFAULT_MODES
 from ewverify.matrices import symbolic_element, symbolic_lie_element
 
 from helpers import (NotUnimodularError, exact_group_point, mat_at, mat_is_zero, mat_reduce,
@@ -198,3 +200,24 @@ def test_verify_group_passes(mode):
     assert report.decision_path == "exact-symbolic"
     assert report.max_abs_error == 0.0
     assert report.witness is None
+
+
+def test_verify_group_builds_the_axioms_once_for_every_mode(monkeypatch):
+    """The axioms and their normal forms with j kept are built once per
+    process: the three default modes make as many matrix products as one."""
+    matmul, calls = Mat2.__matmul__, []
+    monkeypatch.setattr(Mat2, "__matmul__", lambda a, b: calls.append(1) or matmul(a, b))
+    verify_group(J_ONE)
+    one_mode = len(calls)
+    matrices._axiom_forms.cache_clear()
+    calls.clear()
+    for mode in DEFAULT_MODES:
+        assert verify_group(mode).passed
+    assert len(calls) == one_mode > 0
+
+
+def test_trace_product_is_the_trace_of_the_product():
+    h, f = symbolic_element("alpha", "beta"), symbolic_lie_element()
+    for x, y in ((h, f), (f, h), (h.dagger(), h), (f, f)):
+        xy = x @ y
+        assert x.trace_product(y) == xy[0, 0] + xy[1, 1]

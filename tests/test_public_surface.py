@@ -210,6 +210,36 @@ def test_only_the_references_write_powers_of_j():
     assert _jpow_callers(PACKAGE / "matrices.py") == set()
 
 
+# The one range-checked conversion and its root, and the float work of the
+# sweep and of numeric evaluation (ROADMAP items 4 and 13).
+FLOAT_CALLERS = {"_float_in_range", "_float_sqrt", "scaling_sweep", "eval_expression"}
+
+
+def _float_callers(tree):
+    """The innermost function (``<module>`` outside any) around each
+    ``float(...)`` call of a module."""
+    found = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "float":
+                found.add(where)
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_only_the_float_boundary_calls_float():
+    """Every check decides on exact values; a float comes from
+    ``_float_in_range`` (or ``_float_sqrt``), which refuses a value beyond
+    float range, or from the sweep's and the evaluation's own float work.
+    A stray ``float(...)`` elsewhere in ``src/`` fails here, and so does an
+    exemption that no longer calls it."""
+    callers = set().union(*map(_float_callers, _modules().values()))
+    assert callers == FLOAT_CALLERS
+
+
 def test_every_memo_is_cleared_between_tests():
     """``conftest.MEMOS`` lists every memo in the package, so the autouse
     fixture leaves no result cached across tests."""
