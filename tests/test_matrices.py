@@ -14,10 +14,10 @@ from ewverify import (
     const,
     divide_by_j,
     jpow,
+    matrices,
     reduce_mode,
     verify_group,
 )
-from ewverify import matrices
 from ewverify.contraction import DEFAULT_MODES
 from ewverify.matrices import symbolic_element, symbolic_lie_element
 

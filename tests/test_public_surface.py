@@ -172,20 +172,26 @@ def test_only_expression_blocks_attribute_assignment_by_hand():
     assert defining == ["fields.py:Expression"]
 
 
-def _expression_constructors(path):
-    """The functions of a module (``<module>`` for the other statements)
-    that construct an ``Expression`` directly rather than build one."""
+def _callers(path, names):
+    """The innermost function (``<module>`` outside any) around each call of
+    a module to a name, or an attribute, in ``names``."""
     found = set()
 
     def visit(node, where):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and "Expression" in (
-                    getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+            if isinstance(child, ast.Call) and {
+                    getattr(child.func, "id", None), getattr(child.func, "attr", None)} & names:
                 found.add(where)
             visit(child, child.name if isinstance(child, ast.FunctionDef) else where)
 
     visit(ast.parse(path.read_text()), "<module>")
     return found
+
+
+def _expression_constructors(path):
+    """The functions of a module that construct an ``Expression`` directly
+    rather than build one."""
+    return _callers(path, {"Expression"})
 
 
 def test_only_the_field_layer_constructs_expressions_directly():
@@ -215,28 +221,13 @@ def test_only_the_references_write_powers_of_j():
 FLOAT_CALLERS = {"_float_in_range", "_float_sqrt", "scaling_sweep", "eval_expression"}
 
 
-def _float_callers(tree):
-    """The innermost function (``<module>`` outside any) around each
-    ``float(...)`` call of a module."""
-    found = set()
-
-    def visit(node, where):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "float":
-                found.add(where)
-            visit(child, child.name if isinstance(child, ast.FunctionDef) else where)
-
-    visit(tree, "<module>")
-    return found
-
-
 def test_only_the_float_boundary_calls_float():
     """Every check decides on exact values; a float comes from
     ``_float_in_range`` (or ``_float_sqrt``), which refuses a value beyond
     float range, or from the sweep's and the evaluation's own float work.
     A stray ``float(...)`` elsewhere in ``src/`` fails here, and so does an
     exemption that no longer calls it."""
-    callers = set().union(*map(_float_callers, _modules().values()))
+    callers = set().union(*(_callers(p, {"float"}) for p in PACKAGE.glob("*.py")))
     assert callers == FLOAT_CALLERS
 
 
