@@ -1,8 +1,8 @@
 """Verification engine for the contracted-gauge-group electroweak model.
 
 Exact contraction-parameter arithmetic, SU(2;j) matrix checks, a small
-symbolic field algebra with a text grammar, the j-weighted bosonic Lagrangian,
-and the contraction-limit analyses, wired to a CLI harness.
+symbolic field algebra with a pretty-printer, the j-weighted bosonic
+Lagrangian, and the contraction-limit analyses, wired to a CLI harness.
 """
 
 from .contraction import (
@@ -64,7 +64,7 @@ from .numeric import (
     MissingAssignmentError,
     eval_expression,
 )
-from .parser import ParseError, parse, to_text
+from .parser import to_text
 from .report import VerificationReport
 
 __version__ = "0.1.0"

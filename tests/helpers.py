@@ -4,14 +4,17 @@ canonical form, the build-every-product references of substitution,
 variation and the group normal form, the group normal form in one mode and
 its reduce-first reference, exact points and concrete elements of
 the group SU(2;j), entrywise matrix operations, model configs and a config
-file read alone, the lazy and explicit field assignments, and the
-term-by-term reference of numeric evaluation."""
+file read alone, the lazy and explicit field assignments, the
+term-by-term reference of numeric evaluation, and the reader of printed
+expressions (``parse`` and ``ParseError``), which tests write their
+expressions in."""
 
 from __future__ import annotations
 
 import itertools
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -19,8 +22,8 @@ from ewverify import ComplexRational, Expression, Mat2, MissingAssignmentError, 
 from ewverify.cli import _config_values, _model_config
 from ewverify.contraction import CR_ONE
 from ewverify.fields import (
-    DUMMY_NAMES, FIELDS, FieldFactor, Term, _prepare_replacement, _product, const, field,
-    group_normal_form_j, jpow, reduce_mode, substitute,
+    DUMMY_NAMES, FIELDS, PARAM_NAMES, ArityError, FieldFactor, Term, _prepare_replacement,
+    _product, const, field, group_normal_form_j, jpow, reduce_mode, substitute,
 )
 from ewverify.matrices import symbolic_element
 from ewverify.numeric import DIMENSION, SQRT2
@@ -399,3 +402,167 @@ def reference_eval(e: Expression, assignment, params=None) -> complex:
                 ),))[0]
             total += prod
     return total
+
+
+# --- the reader of printed expressions -------------------------------------
+#
+# ``parse`` reads the text that ``ewverify.parser.to_text`` prints, and more:
+#
+#     expr       := ['+'|'-'] term (('+'|'-') term)*
+#     term       := factor factor ...          (juxtaposition is multiplication)
+#     factor     := atom ['^' INT]
+#     atom       := NUMBER | 'i' | 'j' | 'sqrt2' | 'g' | 'gp' | 'R' | 's'
+#                 | derivfield | 'conj' '(' derivfield ')'
+#     derivfield := ('d' '[' INDEX ']')* NAME ['[' INDEX (',' INDEX)* ']']
+#     NUMBER     := INT ['/' INT]
+#
+# Field names are identifiers; a trailing '+' or '-' belongs to the name only
+# when immediately followed by '[' (so ``W+[mu]`` is a field application while
+# ``a - b`` stays a difference).  A power is a positive integer of at most 99.
+# The digits of INT are decimal digits (Unicode category Nd): '١' reads as 1,
+# while a digit that is not decimal, such as '²', is an unexpected character.
+# ``parse(to_text(e)) == e`` for every expression ``e``.
+
+_DISPLAY_TO_NAME = {d.shown: d.name for d in FIELDS.values()}
+_DISPLAY_TO_NAME.update({d.name: d.name for d in FIELDS.values()})
+
+class ParseError(ValueError):
+    """Syntax error with the offending position."""
+
+    def __init__(self, message: str, position: int):
+        super().__init__(f"{message} (at position {position})")
+        self.position = position
+
+
+# One named group per token kind, tried in order, with SPACE skipped and OTHER
+# an error.  A NAME may start with any word character but a decimal digit;
+# the scanner rejects one that is not a letter or '_' (such as '²' or '½').
+_TOKEN = (r"(?P<SPACE>\s+)|(?P<NUMBER>\d+(?:/\d+)?)|(?P<NAME>[^\W\d]\w*(?:[+-](?=\[))?)"
+          r"|(?P<LBRACK>\[)|(?P<RBRACK>\])|(?P<LPAREN>\()|(?P<RPAREN>\))|(?P<COMMA>,)"
+          r"|(?P<PLUS>\+)|(?P<MINUS>-)|(?P<CARET>\^)|(?P<OTHER>.)")
+
+
+class _Parser:
+    def __init__(self, text: str):
+        # (kind, value, position) per token, ending with EOF; ``re`` compiles
+        # the pattern on the first parse and caches it
+        self.tokens = []
+        for m in re.finditer(_TOKEN, text):
+            kind, value, pos = m.lastgroup, m.group(), m.start()
+            if kind == "NUMBER":
+                try:
+                    value = Fraction(value)
+                except ZeroDivisionError:
+                    raise ParseError("zero denominator in rational literal", pos) from None
+                except ValueError:  # more digits than int() converts
+                    raise ParseError("too many digits in rational literal", pos) from None
+            elif kind == "OTHER" or kind == "NAME" and not (value[0].isalpha() or value[0] == "_"):
+                raise ParseError(f"unexpected character {value[0]!r}", pos)
+            if kind != "SPACE":
+                self.tokens.append((kind, value, pos))
+        self.tokens.append(("EOF", None, len(text)))
+        self.k = 0
+
+    def peek(self) -> str:
+        return self.tokens[self.k][0]
+
+    def next(self) -> tuple:
+        self.k += 1
+        return self.tokens[self.k - 1]
+
+    def expect(self, kind: str) -> tuple:
+        tok = self.next()
+        if tok[0] != kind:
+            raise ParseError(f"expected {kind}, found {tok[0]}", tok[2])
+        return tok
+
+    def parse_expression(self) -> Expression:
+        sign = -1 if self.peek() == "MINUS" else 1
+        if self.peek() in ("PLUS", "MINUS"):
+            self.next()
+        terms = [self.parse_term(sign)]
+        while self.peek() in ("PLUS", "MINUS"):
+            terms.append(self.parse_term(-1 if self.next()[0] == "MINUS" else 1))
+        self.expect("EOF")
+        return Expression.build(terms)
+
+    def parse_term(self, sign: int) -> Term:
+        coeff = ComplexRational(sign)
+        jdeg = r2 = 0
+        params: list[tuple[str, int]] = []
+        factors: list[FieldFactor] = []
+        if self.peek() not in ("NUMBER", "NAME"):
+            raise ParseError("expected a term", self.tokens[self.k][2])
+        while self.peek() in ("NUMBER", "NAME"):
+            tok = kind, value, _ = self.next()
+            if kind == "NUMBER":
+                coeff = coeff * ComplexRational(value ** self.parse_power())
+            elif value == "i":
+                coeff = coeff * _ipow(self.parse_power())
+            elif value == "j":
+                jdeg += self.parse_power()
+            elif value == "sqrt2":
+                r2 += self.parse_power()
+            elif value in PARAM_NAMES:
+                params.append((value, self.parse_power()))
+            elif value == "conj" and self.peek() == "LPAREN":
+                self.next()
+                inner = self.next()
+                if inner[0] != "NAME":
+                    raise ParseError("conj(...) must wrap a field", inner[2])
+                factor = self.parse_derivfield(inner, conj=True)
+                self.expect("RPAREN")
+                factors.extend([factor] * self.parse_power())
+            else:
+                factors.extend([self.parse_derivfield(tok)] * self.parse_power())
+        return Term(coeff, jdeg, tuple(params), r2, tuple(factors))
+
+    def parse_power(self) -> int:
+        if self.peek() != "CARET":
+            return 1
+        self.next()
+        _, value, pos = self.expect("NUMBER")
+        if value.denominator != 1 or not 0 < value <= 99:
+            raise ParseError("power must be a positive integer (at most 99)", pos)
+        return int(value)
+
+    def parse_derivfield(self, tok: tuple, conj: bool = False) -> FieldFactor:
+        derivs: list[str] = []
+        while tok[1] == "d" and self.peek() == "LBRACK":
+            self.next()
+            derivs.append(self.parse_index())
+            self.expect("RBRACK")
+            tok = self.next()
+            if tok[0] != "NAME":
+                raise ParseError("expected a field name after d[...]", tok[2])
+        name = _DISPLAY_TO_NAME.get(tok[1])
+        if name is None:
+            raise ParseError(f"unknown field {tok[1]!r}", tok[2])
+        indices: list[str] = []
+        if self.peek() == "LBRACK":
+            while not indices or self.peek() == "COMMA":  # '[' first, then ','
+                self.next()
+                indices.append(self.parse_index())
+            self.expect("RBRACK")
+        try:
+            return FieldFactor(name, tuple(indices), tuple(derivs), conj)
+        except ArityError as exc:
+            raise ArityError(f"{exc} (at position {tok[2]})") from None
+
+    def parse_index(self) -> str:
+        kind, value, pos = self.next()
+        if kind != "NAME":
+            raise ParseError("expected an index name", pos)
+        return value
+
+
+def _ipow(power: int) -> ComplexRational:
+    return [ComplexRational(1), ComplexRational(0, 1),
+            ComplexRational(-1), ComplexRational(0, -1)][power % 4]
+
+
+def parse(text: str) -> Expression:
+    """Parse and normalize an expression; raises :class:`ParseError`,
+    :class:`~ewverify.fields.ArityError`, or
+    :class:`~ewverify.fields.IndexConflictError` on malformed input."""
+    return _Parser(text).parse_expression()

@@ -29,7 +29,6 @@ from ewverify import (
     extract_masses,
     j_decompose,
     jpow,
-    parse,
     reduce_mode,
     scaling_sweep,
     substitute,
@@ -39,10 +38,10 @@ from ewverify import (
     verify_trace_identity,
 )
 from ewverify.matrices import symbolic_lie_element
-from ewverify.parser import ParseError, to_text
+from ewverify.parser import to_text
 
-from helpers import (PYTHAGOREAN_TRIPLES, mat_at, mat_is_zero, mat_reduce, mat_sub,
-                     random_expression, random_pythagorean_config)
+from helpers import (PYTHAGOREAN_TRIPLES, ParseError, mat_at, mat_is_zero, mat_reduce,
+                     mat_sub, parse, random_expression, random_pythagorean_config)
 
 
 def announce(number: int, name: str, ok: bool = True):

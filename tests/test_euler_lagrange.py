@@ -2,8 +2,10 @@
 
 import pytest
 
-from ewverify import ArityError, IndexConflictError, euler_lagrange, parse
+from ewverify import ArityError, IndexConflictError, euler_lagrange
 from ewverify.fields import UnknownFieldError
+
+from helpers import parse
 
 
 def test_free_scalar_wave_operator():

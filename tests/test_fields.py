@@ -24,7 +24,6 @@ from ewverify import (
     j_decompose,
     jpow,
     param,
-    parse,
     reduce_mode,
     substitute,
 )
@@ -54,6 +53,7 @@ from helpers import (
     VECTOR_FIELDS,
     exact_group_point,
     group_normal_form,
+    parse,
     random_expression,
     random_term,
     reduce_first_group_normal_form,

@@ -27,7 +27,6 @@ from ewverify import (
     field,
     instantiate_params,
     j_decompose,
-    parse,
     physical_basis,
     reduce_mode,
     substitute,
@@ -47,7 +46,7 @@ from ewverify.model import (
     su2_variation_rules,
     u1_variation_rules,
 )
-from helpers import PYTHAGOREAN_TRIPLES, DictAssignment, mat_at, random_expression
+from helpers import PYTHAGOREAN_TRIPLES, DictAssignment, mat_at, parse, random_expression
 
 CFG = ModelConfig()
 FLOAT_POINT = ModelConfig(g=Fraction("1.234"), gp=Fraction("0.567"), R=Fraction("2.1"),

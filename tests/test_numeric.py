@@ -12,11 +12,10 @@ from ewverify import (
     eval_expression,
     j_decompose,
     numeric,
-    parse,
 )
 from ewverify.numeric import _plan, compile_layout, draw, equals
 
-from helpers import (FieldSample, assignment_from_components, random_expression,
+from helpers import (FieldSample, assignment_from_components, parse, random_expression,
                      reference_eval)
 
 

@@ -1,15 +1,17 @@
-"""Grammar round-trip and error reporting."""
+"""The printed text of expressions: ``to_text``'s pinned output, its round
+trip through the tests' reader (``helpers.parse``), and the reader's error
+reporting."""
 
 import hashlib
 import random
 
 import pytest
 
-from ewverify import ArityError, Expression, IndexConflictError, ModelConfig, parse
+from ewverify import ArityError, Expression, IndexConflictError, ModelConfig
 from ewverify.model import build_L27, build_LA, build_Lphi, transformed_lagrangian
-from ewverify.parser import ParseError, to_text
+from ewverify.parser import to_text
 
-from helpers import random_expression
+from helpers import ParseError, parse, random_expression
 
 ROUND_TRIP_CASES = [
     "0",

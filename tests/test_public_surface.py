@@ -21,7 +21,6 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "ewverify"
 
 KEPT_FOR_TESTS = {
-    "parse": "the text grammar the README documents",
     "equals": "no check calls it; it decides by the canonical difference alone "
     "and stays because the benchmark tracer hooks numeric.equals and its test "
     "looks up model.equals, so it goes with the next benchmark change",
@@ -217,7 +216,7 @@ def test_only_the_references_write_powers_of_j():
 
 
 # The one range-checked conversion and its root, and the float work of the
-# sweep and of numeric evaluation (ROADMAP items 4 and 13).
+# sweep and of numeric evaluation (ROADMAP item 4).
 FLOAT_CALLERS = {"_float_in_range", "_float_sqrt", "scaling_sweep", "eval_expression"}
 
 
@@ -261,8 +260,10 @@ from tracer import CHECKS, HOOKS, Tracer
 
 tracer = Tracer().install()
 wrappers = set(tracer.wrapped.values())
-# model.build_L27 backs the model.build_L27.calls and .s metrics
-for name in list(HOOKS) + list(CHECKS) + ["model.build_L27", "limits.build_L27"]:
+# model.build_L27 backs the model.build_L27.calls and .s metrics, and
+# parser.to_text the parser.to_text.calls metric
+for name in list(HOOKS) + list(CHECKS) + ["model.build_L27", "limits.build_L27",
+                                          "parser.to_text"]:
     module, *attrs = name.split(".")
     obj = importlib.import_module("ewverify." + module)
     for attr in attrs:
@@ -273,10 +274,10 @@ tracer.uninstall()
 
 
 def test_benchmark_tracer_installs_and_uninstalls():
-    """The tracer wraps Mat2, numeric.equals, build_L27, each check, and the
-    two methods of the retired ContractionScalar stub by name; removing one
-    from src/, or hiding it from the tracer (which wraps plain functions
-    only, not an ``lru_cache``), must fail here."""
+    """The tracer wraps Mat2, numeric.equals, build_L27, to_text, each
+    check, and the two methods of the retired ContractionScalar stub by
+    name; removing one from src/, or hiding it from the tracer (which wraps
+    plain functions only, not an ``lru_cache``), must fail here."""
     result = subprocess.run(
         [sys.executable, "-c", TRACER_SCRIPT, str(ROOT / "perfbench"), str(ROOT / "src")],
         capture_output=True, text=True, cwd=ROOT, timeout=120,
