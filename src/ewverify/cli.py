@@ -10,8 +10,10 @@ Identical (config, seed) inputs produce byte-identical JSON output.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import json
+import shutil
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -149,6 +151,13 @@ SUITES = {
     "all": _all_suite,
 }
 
+COMMANDS = {
+    "verify": "run a named check suite",
+    "masses": "extract the mass spectrum",
+    "sweep": "contraction scaling sweep",
+    "eom": "base/fiber decoupling of field equations",
+}
+
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
@@ -192,25 +201,26 @@ def _add_common(sub) -> None:
     sub.add_argument("--format", choices=("json", "text", "csv"), default="json")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for ``argv``.  Every command is listed with its help, but
+    only a command named by a token of ``argv`` gets its arguments: argparse
+    hands the rest of the line to the one subparser its command token names,
+    so no other subparser parses anything."""
+    # argparse asks for the terminal width once per formatter; ask once
+    formatter = functools.partial(
+        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
         prog="ewverify",
         description="verification suites for the contracted electroweak model",
+        formatter_class=formatter,
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    verify = commands.add_parser("verify", help="run a named check suite")
-    verify.add_argument("suite", choices=sorted(SUITES))
-    _add_common(verify)
-
-    masses = commands.add_parser("masses", help="extract the mass spectrum")
-    _add_common(masses)
-
-    sweep = commands.add_parser("sweep", help="contraction scaling sweep")
-    _add_common(sweep)
-
-    eom = commands.add_parser("eom", help="base/fiber decoupling of field equations")
-    _add_common(eom)
+    for name, help_text in COMMANDS.items():
+        sub = commands.add_parser(name, help=help_text, formatter_class=formatter)
+        if name in argv:
+            if name == "verify":
+                sub.add_argument("suite", choices=sorted(SUITES))
+            _add_common(sub)
     return parser
 
 
@@ -223,7 +233,7 @@ def run(argv) -> int:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
         _reject_ignored_flags(args)
         cfg, mode = _config_from_args(args)
         if args.command == "sweep" and cfg.samples < 10:

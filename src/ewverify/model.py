@@ -264,12 +264,15 @@ def _build_L27(g: Fraction, gp: Fraction) -> Expression:
     def v(idx: str) -> Expression:
         return const(g) * field("Z", idx) + const(gp) * field("Aem", idx)
 
+    v_mu, v_nu = v("mu"), v("nu")
+
     def xv(name: str) -> Expression:
         # [X wedge V]_{mu nu} = X_mu V_nu - X_nu V_mu
-        return field(name, "mu") * v("nu") - field(name, "nu") * v("mu")
+        return field(name, "mu") * v_nu - field(name, "nu") * v_mu
 
-    p = wpt * xv("Wm") - wmt * xv("Wp")
-    s_poly = xv("Wp") * xv("Wm")
+    xwp, xwm = xv("Wp"), xv("Wm")
+    p = wpt * xwm - wmt * xwp
+    s_poly = xwp * xwm
 
     rho = field("rho")
     drho = field("rho", derivs=("mu",))

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from ewverify import cli
 from ewverify.cli import ConfigError, run
 
 from helpers import load_config
@@ -232,6 +233,33 @@ def test_usage_error_exit_code(capsys):
         run(["verify", "bogus-suite"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["verify", "--help"], ["masses", "--help"], ["sweep", "--help"],
+    ["eom", "--help"], [], ["bogus"], ["verify"], ["verify", "all", "--nope"],
+    ["masses", "--format", "xml"], ["--", "verify", "group"],
+])
+def test_cli_text_matches_a_parser_built_for_every_command(monkeypatch, capsys, argv):
+    """The parser gets only the arguments of the command argv names, yet the
+    help, usage errors and output are those of a parser that has them all."""
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def outcome():
+        try:
+            code = run(list(argv))
+        except SystemExit as exc:  # --help and usage errors
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    own = outcome()
+    full = cli.build_parser(list(cli.COMMANDS))
+    for command in cli.COMMANDS:  # the reference parser has every command's arguments
+        args = full.parse_args([command, "all"] if command == "verify" else [command])
+        assert set(vars(args)) >= {"command", "config", "out", "format", *cli.FLAGS.values()}
+    monkeypatch.setattr(cli, "build_parser", lambda _: full)
+    assert outcome() == own
 
 
 def test_config_error_exit_code(capsys):
