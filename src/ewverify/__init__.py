@@ -21,7 +21,6 @@ from .fields import (
     UnknownFieldError,
     conjugate,
     const,
-    derive,
     divide_by_j,
     euler_lagrange,
     field,

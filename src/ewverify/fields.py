@@ -17,13 +17,13 @@ taking the lexicographic minimum over all relabelings, so structural
 equality of normalized expressions is equality up to dummy relabeling.
 
 Every operation that makes new factors collects the raw terms of its
-result, products through the private ``_product`` (or ``_times``, on rule
-bodies whose summed indices are renamed apart once), and builds them once;
-only :func:`euler_lagrange` also builds each rest it derives, through
-:func:`derive`.  An operation that keeps each built term's factors (a sum,
-scaling by a factorless term, :func:`contract`, :func:`j_decompose`,
-:func:`reduce_mode`, :func:`instantiate_params`) hands its terms to the
-private ``_merge`` without a canonical form: its factors already are one.
+result, products through the private ``_product`` (or ``_times``, where no
+summed name can clash: rule bodies renamed apart once, index-free group
+relations), and builds them once.  An operation that keeps each built
+term's factors (a sum, scaling by a factorless term, :func:`contract`,
+:func:`j_decompose`, :func:`reduce_mode`, :func:`instantiate_params`) hands
+its terms to the private ``_merge`` without a canonical form: its factors
+already are one.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ __all__ = [
     "conjugate",
     "const",
     "contract",
-    "derive",
     "divide_by_j",
     "euler_lagrange",
     "field",
@@ -268,9 +267,7 @@ class Expression:
 
     The operations take built expressions, whose terms are canonical: made
     by :meth:`build`, the private ``_merge``, or a constructor whose terms
-    are canonical by construction.  Nothing else constructs one directly,
-    but for the unbuilt one-term rest in :func:`euler_lagrange`, which only
-    :func:`derive` reads.
+    are canonical by construction.  Nothing else constructs one directly.
 
     A class, not a tuple like the other value types, because it keeps its
     hash once computed: the sweep's plan lookups hash the same expressions
@@ -295,11 +292,10 @@ class Expression:
 
         Raw terms are built once: every operation that makes new factors
         collects the raw terms of its result, products through ``_product``
-        or ``_times``, and builds once; only :func:`euler_lagrange` also
-        builds, via :func:`derive`.  Each term's canonical form is memoized on
-        its factor multiset (``_canonical_form``).  Terms whose factors stay
-        canonical skip the canonical form and go to ``_merge`` alone, where
-        this ends too.
+        or ``_times``, and builds once.  Each term's canonical form is
+        memoized on its factor multiset (``_canonical_form``).  Terms whose
+        factors stay canonical skip the canonical form and go to ``_merge``
+        alone, where this ends too.
         """
         return _merge(raw_terms, _canonical_form)
 
@@ -444,8 +440,9 @@ def _product(left, right) -> list[Term]:
     """The raw terms of the product of two term lists, raw or built, with
     the summed indices of both renamed apart; products chain without a build
     between.  :func:`substitute` and :func:`first_order_variation` multiply
-    rule bodies renamed apart once (``_renamed_replacement``) through
-    ``_times`` instead."""
+    rule bodies renamed apart once (``_renamed_replacement``), and
+    :func:`group_normal_form_j` its index-free relations, through ``_times``
+    instead."""
     return _times([_refresh_dummies(ta, "L") for ta in left],
                   [_refresh_dummies(tb, "R") for tb in right])
 
@@ -502,20 +499,17 @@ def conjugate(e: Expression) -> Expression:
     Real fields are fixed; mutually conjugate pairs swap; j and the
     parameters are real.
     """
-    return Expression.build([
-        Term(t.coeff.conjugate(), t.jdeg, t.params, t.r2,
-             tuple(FieldFactor(f.field, f.indices, f.derivs, not f.conj) for f in t.factors))
-        for t in e.terms
-    ])
+    return Expression.build(_conjugated(e.terms))
 
 
-def derive(e: Expression, idx: str) -> Expression:
-    """Formal derivative d[idx] via the Leibniz rule.
-
-    Derivative tags form a multiset, so repeated derivatives commute by
-    construction.  ``idx`` must not already be summed in any term.
-    """
-    return Expression.build(_leibniz(e.terms, idx))
+def _conjugated(terms) -> list[Term]:
+    """The raw terms of the conjugate, each flipped factor resolved against
+    its field declaration, so that it keys the canonical-form memo as the
+    build's own resolution would."""
+    return [Term(t.coeff.conjugate(), t.jdeg, t.params, t.r2,
+                 tuple(_factor(f.field, f.indices, f.derivs, not f.conj).canonical_conj()
+                       for f in t.factors))
+            for t in terms]
 
 
 def _leibniz(terms, idx: str) -> list[Term]:
@@ -530,44 +524,31 @@ def _leibniz(terms, idx: str) -> list[Term]:
     return raw
 
 
-def _prepare_replacement(rep: Expression, f: FieldFactor) -> Expression:
-    """Specialize a rule body to one factor: rename its summed indices apart
-    from the factor's index and derivative tags, bind the hole, derive,
-    conjugate.  The result is built, so its summed names are canonical ones;
-    the products take its terms from ``_renamed_replacement``, which renames
-    them apart once and keeps them."""
+@functools.lru_cache(maxsize=256)
+def _renamed_replacement(rep: Expression, f: FieldFactor) -> tuple[Term, ...]:
+    """A rule body specialized to one factor, as raw terms: the body's
+    summed indices renamed to ``_R0``, ``_R1``, ... first, so that no
+    derivative tag of the factor, nor a canonical name of a term it
+    multiplies, can clash with them; then the hole bound, each tag derived
+    and, for a conjugated factor, the terms conjugated.  Memoized on the
+    (body, factor) pair, so a body is specialized once, not for every term
+    it multiplies; a raised error is not kept."""
     arity = FIELDS[f.field].arity
+    bind = {HOLE: f.indices[0]} if arity else {}
+    raw = []
     for t in rep.terms:
-        hole_count = t.index_counts().get(HOLE, 0)
-        if hole_count != arity:
+        if t.index_counts().get(HOLE, 0) != arity:
             raise ArityError(
                 f"replacement for {f.field} must use the hole index "
                 f"'{HOLE}' exactly {arity} time(s) per term"
             )
-    out = rep
-    if arity or f.derivs:
-        bind = {HOLE: f.indices[0]} if arity else {}
-        raw = []
-        for t in rep.terms:
-            # building before the last derivative could hand a summed pair
-            # the name of a tag, so the terms stay unbuilt until then
-            t = _refresh_dummies(t, "S")
-            raw.append(Term(t.coeff, t.jdeg, t.params, t.r2,
-                            tuple(fc.rename(bind) for fc in t.factors)))
-        for dv in f.derivs:
-            raw = _leibniz(raw, dv)
-        out = Expression.build(raw)
-    return conjugate(out) if f.conj else out
-
-
-@functools.lru_cache(maxsize=256)
-def _renamed_replacement(rep: Expression, f: FieldFactor) -> tuple[Term, ...]:
-    """The terms of ``_prepare_replacement(rep, f)`` with their summed indices
-    renamed to ``_R0``, ``_R1``, ...: a right operand whose summed names no
-    built term's names, nor a canonical name, can clash with.  Memoized on
-    the (body, factor) pair, so a body is renamed apart once, not for every
-    term it multiplies; a raised error is not kept."""
-    return tuple([_refresh_dummies(t, "R") for t in _prepare_replacement(rep, f).terms])
+        t = _refresh_dummies(t, "R")
+        if bind:
+            t = t._replace(factors=tuple(fc.rename(bind) for fc in t.factors))
+        raw.append(t)
+    for dv in f.derivs:
+        raw = _leibniz(raw, dv)
+    return tuple(_conjugated(raw) if f.conj else raw)
 
 
 def substitute(e: Expression, rules: dict[str, Expression]) -> Expression:
@@ -690,8 +671,9 @@ def group_normal_form_j(e: Expression) -> Expression:
             for _ in range(min(factors.count(plain), factors.count(conj))):
                 factors.remove(plain)
                 factors.remove(conj)
-                piece = _product(piece, relations[b])
-        raw.extend(_product(piece, (Term(CR_ONE, factors=tuple(factors)),)))
+                piece = _times(piece, relations[b])
+        # the relation pieces carry no index, so no summed name can clash
+        raw.extend(_times(piece, (Term(CR_ONE, factors=tuple(factors)),)))
     return Expression.build(raw)
 
 
@@ -757,10 +739,7 @@ def euler_lagrange(lagrangian: Expression, fld: str, idx: str | None = None) -> 
                     if fdef.arity:
                         mapping[f.indices[0]] = idx
                     rest = tuple(r.rename(mapping) for r in rest)
-                # Derive the rest unbuilt: canonical dummy names could
-                # collide with the derivative index.
-                rest_expr = Expression((Term(-t.coeff, t.jdeg, t.params, t.r2, rest),))
-                raw.extend(derive(rest_expr, by).terms)
+                raw.extend(_leibniz((Term(-t.coeff, t.jdeg, t.params, t.r2, rest),), by))
             else:
                 raise ValueError(
                     "second derivatives of the varied field are not supported"

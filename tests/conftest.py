@@ -1,23 +1,21 @@
+import importlib
+import pkgutil
 import random
 
 import pytest
 
-from ewverify import fields, matrices, model, numeric
+import ewverify
 
-# Every process-wide memo of deterministic work.  A test that patches a
-# function they call must not see, or leave behind, a result built without
-# (or with) its patch.
-MEMOS = (
-    fields._canonical_factors,
-    fields._fold_params,
-    fields._renamed_replacement,
-    matrices._axiom_forms,
-    model._at_radius,
-    model._build_L27,
-    model._physical_matter_radial,
-    model._su2_delta,
-    numeric._plan,
-)
+# Every process-wide memo of deterministic work, found in the package's
+# modules.  A test that patches a function they call must not see, or leave
+# behind, a result built without (or with) its patch.
+MEMOS = tuple({
+    obj
+    for info in pkgutil.iter_modules(ewverify.__path__)
+    if info.name != "__main__"  # importing it runs the CLI
+    for obj in vars(importlib.import_module(f"ewverify.{info.name}")).values()
+    if hasattr(obj, "cache_clear")
+})
 
 
 @pytest.fixture(autouse=True)

@@ -1,13 +1,13 @@
 """Shared test utilities: random canonical expressions for round-trip and
-normalization property tests, the rename-then-sort reference of the
-canonical form, the build-every-product references of substitution,
-variation and the group normal form, the group normal form in one mode and
-its reduce-first reference, exact points and concrete elements of
-the group SU(2;j), entrywise matrix operations, model configs and a config
-file read alone, the lazy and explicit field assignments, the
-term-by-term reference of numeric evaluation, and the reader of printed
-expressions (``parse`` and ``ParseError``), which tests write their
-expressions in."""
+normalization property tests, the formal derivative (``derive``), the
+rename-then-sort reference of the canonical form, the build-every-product
+references of substitution, variation and the group normal form, the group
+normal form in one mode and its reduce-first reference, exact points and
+concrete elements of the group SU(2;j), entrywise matrix operations, model
+configs and a config file read alone, the lazy and explicit field
+assignments, the term-by-term reference of numeric evaluation, and the
+reader of printed expressions (``parse`` and ``ParseError``), which tests
+write their expressions in."""
 
 from __future__ import annotations
 
@@ -22,8 +22,8 @@ from ewverify import ComplexRational, Expression, Mat2, MissingAssignmentError, 
 from ewverify.cli import _config_values, _model_config
 from ewverify.contraction import CR_ONE
 from ewverify.fields import (
-    DUMMY_NAMES, FIELDS, PARAM_NAMES, ArityError, FieldFactor, Term, _prepare_replacement,
-    _product, const, field, group_normal_form_j, jpow, reduce_mode, substitute,
+    DUMMY_NAMES, FIELDS, PARAM_NAMES, ArityError, FieldFactor, Term, _leibniz, _product,
+    _renamed_replacement, const, field, group_normal_form_j, jpow, reduce_mode, substitute,
 )
 from ewverify.matrices import symbolic_element
 from ewverify.numeric import DIMENSION, SQRT2
@@ -130,9 +130,15 @@ def reference_canonical_factors(factors) -> tuple:
     return tuple(best), free
 
 
+def derive(e: Expression, idx: str) -> Expression:
+    """The formal derivative d[idx] of ``e``, by the Leibniz rule."""
+    return Expression.build(_leibniz(e.terms, idx))
+
+
 # The kernel operations with every product built: each piece is a built
-# one-term Expression multiplied with ``*``.  The references that the unbuilt products
-# of ``substitute``, ``first_order_variation`` and ``group_normal_form`` match.
+# one-term Expression multiplied with ``*`` by a built rule body.  The
+# references that the unbuilt products of ``substitute``,
+# ``first_order_variation`` and ``group_normal_form`` match.
 
 def reference_substitute(e: Expression, rules) -> Expression:
     raw = []
@@ -141,7 +147,7 @@ def reference_substitute(e: Expression, rules) -> Expression:
         piece = Expression.build([Term(t.coeff, t.jdeg, t.params, t.r2, kept)])
         for f in t.factors:
             if f.field in rules:
-                piece = piece * _prepare_replacement(rules[f.field], f)
+                piece = piece * Expression.build(_renamed_replacement(rules[f.field], f))
         raw.extend(piece.terms)
     return Expression.build(raw)
 
@@ -156,7 +162,7 @@ def reference_first_order_variation(e: Expression, rules) -> Expression:
             rest = Expression.build([Term(
                 t.coeff, t.jdeg, t.params, t.r2, t.factors[:p] + t.factors[p + 1:],
             )])
-            raw.extend((rest * _prepare_replacement(rule, f)).terms)
+            raw.extend((rest * Expression.build(_renamed_replacement(rule, f))).terms)
     return Expression.build(raw)
 
 

@@ -17,7 +17,6 @@ from ewverify import (
     JMode,
     conjugate,
     const,
-    derive,
     divide_by_j,
     field,
     instantiate_params,
@@ -51,6 +50,7 @@ from ewverify.model import ModelConfig, build_L27
 from helpers import (
     SCALAR_FIELDS,
     VECTOR_FIELDS,
+    derive,
     exact_group_point,
     group_normal_form,
     parse,
@@ -537,26 +537,39 @@ def test_kernel_operations_build_once(monkeypatch):
 
 
 # Bodies whose summed pairs take the same canonical names as the terms they
-# replace into: the prepared bodies carry their summed pairs renamed apart,
-# and a chained piece renames its own apart before the next body.
+# replace into: the specialized bodies carry their summed pairs renamed
+# apart, and a chained piece renames its own apart before the next body.
+# The complex field's body holds real fields, a field of a conjugate pair
+# and a complex one, so a conjugated occurrence flips each kind of flag.
 CLASHING_RULES = {
     "A1": field("B", "_") * field("W3", "mu") * field("W3", "mu"),
     "A2": field("Z", "_") * field("W1", "mu") * field("W1", "nu") * field("W2", "mu")
     * field("W2", "nu") + jpow() * field("A2", "_"),
     "rho": field("rho") * field("Z", "mu") * field("Z", "mu"),
+    "phi1": imag() * field("eps3") * field("phi1") * field("W1", "mu") * field("W1", "mu")
+    + field("phi2", conj=True) * field("Wp", "mu") * field("A3", "mu"),
 }
 
 
 def test_bodies_renamed_apart_match_the_built_products():
     e = parse("A1[mu] A2[mu] B[nu] B[nu] rho + d[nu]A1[mu] A2[mu] Z[nu] rho rho "
-              "+ g A1[mu] d[mu]rho W3[nu] W3[nu]")
+              "+ g A1[mu] d[mu]rho W3[nu] W3[nu] + conj(d[nu]phi1) phi1 A1[mu] Z[nu] B[mu]")
     assert {"mu", "nu"} <= {n for t in e.terms for f in t.factors for n in f.names()}
+    assert any(FieldFactor("phi1", (), ("nu",), conj=True) in t.factors for t in e.terms)
     for kernel, reference in ((substitute, reference_substitute),
                               (first_order_variation, reference_first_order_variation)):
         got = kernel(e, CLASHING_RULES)
         assert got == reference(e, CLASHING_RULES)
         assert got == kernel(e, CLASHING_RULES)  # memoized bodies: the same result
         _assert_canonical(got)
+    # each flipped flag of a conjugated body is resolved, as the canonical
+    # form's memo key expects
+    bodies = [_renamed_replacement(CLASHING_RULES[f.field], f)
+              for t in e.terms for f in t.factors if f.field in CLASHING_RULES]
+    assert any(f.conj for body in bodies for t in body for f in t.factors)
+    for body in bodies:
+        for t in body:
+            assert all(f == f.canonical_conj() for f in t.factors)
 
 
 # --- operations that keep each built term's factors -------------------------

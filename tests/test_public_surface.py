@@ -202,8 +202,7 @@ def test_only_the_field_layer_constructs_expressions_directly():
                      if p.name != "fields.py" and _expression_constructors(p))
     assert not outside, f"modules that construct an Expression directly: {outside}"
     assert _expression_constructors(PACKAGE / "fields.py") == {
-        "<module>", "_merge", "const", "inv_sqrt2", "__neg__", "divide_by_j",
-        "euler_lagrange"}
+        "<module>", "_merge", "const", "inv_sqrt2", "__neg__", "divide_by_j"}
 
 
 def test_only_the_references_write_powers_of_j():
@@ -230,26 +229,30 @@ def test_only_the_float_boundary_calls_float():
     assert callers == FLOAT_CALLERS
 
 
-def test_every_memo_is_cleared_between_tests():
-    """``conftest.MEMOS`` lists every memo in the package, so the autouse
-    fixture leaves no result cached across tests."""
-    import importlib
-    import pkgutil
+def _lru_cached(path):
+    """``module.function`` for every function of a module, at any depth,
+    decorated with ``functools.lru_cache``, called or bare."""
+    def is_lru_cache(decorator):
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        return "lru_cache" in (getattr(target, "attr", None), getattr(target, "id", None))
 
-    import ewverify
+    return {
+        f"ewverify.{path.stem}.{node.name}"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and any(map(is_lru_cache, node.decorator_list))
+    }
+
+
+def test_every_memo_is_cleared_between_tests():
+    """The autouse fixture clears ``conftest.MEMOS``, the memos it finds in
+    the package's modules at run time.  They are exactly the functions that
+    ``src/`` decorates with ``functools.lru_cache``: a memo the walk misses,
+    such as one on a method or a nested function, fails here."""
     from conftest import MEMOS
 
-    modules = [
-        importlib.import_module(f"ewverify.{info.name}")
-        for info in pkgutil.iter_modules(ewverify.__path__)
-        if info.name != "__main__"  # importing it runs the CLI
-    ]
-    found = {obj for m in modules for obj in vars(m).values() if hasattr(obj, "cache_clear")}
-
-    def names(memos):
-        return sorted(f"{memo.__module__}.{memo.__name__}" for memo in memos)
-
-    assert names(found) == names(MEMOS)
+    decorated = set().union(*map(_lru_cached, PACKAGE.glob("*.py")))
+    assert "ewverify.fields._renamed_replacement" in decorated
+    assert sorted(f"{memo.__module__}.{memo.__name__}" for memo in MEMOS) == sorted(decorated)
 
 
 TRACER_SCRIPT = """
