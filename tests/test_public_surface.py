@@ -230,8 +230,8 @@ def test_only_the_float_boundary_calls_float():
 
 
 def _lru_cached(path):
-    """``module.function`` for every function of a module, at any depth,
-    decorated with ``functools.lru_cache``, called or bare."""
+    """``ewverify.<module>.<function>`` for every function of a module, at any
+    depth, decorated with ``functools.lru_cache``, called or bare."""
     def is_lru_cache(decorator):
         target = decorator.func if isinstance(decorator, ast.Call) else decorator
         return "lru_cache" in (getattr(target, "attr", None), getattr(target, "id", None))
