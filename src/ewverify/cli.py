@@ -5,18 +5,21 @@ plain text, or CSV (scaling sweep only).  Exit status: 0 when every check
 passes, 1 when any check fails or the engine faults, 2 on usage or
 configuration errors.
 Identical (config, seed) inputs produce byte-identical JSON output.
+A plain command line (the command, the suite, then whole flags, each with
+a value that does not start with "-") is read directly; any other line,
+``--flag=value``, an abbreviation and ``-h`` among them, goes through
+argparse, which is imported only then.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import gc
 import json
-import shutil
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 from .contraction import DEFAULT_MODES, J_NILPOTENT, J_ONE, JMode
 from .limits import decoupling_check, mass_invariance_check, scaling_sweep
@@ -187,25 +190,79 @@ def _emit_reports(reports, args) -> int:
     return 0 if passed == len(reports) else 1
 
 
+# The flags every command takes, each with the keywords argparse registers
+# it by; the action "switch" is argparse's BooleanOptionalAction, which adds
+# the --no- form.  _add_common registers these and _plain_args reads them.
+OPTIONS = {
+    "--j": {"help": "contraction mode: 1, iota, or a float"},
+    "--g": {"help": "SU(2) coupling (rational like 3 or 3/2)"},
+    "--gp": {"help": "U(1) coupling"},
+    "--R": {"help": "sphere radius"},
+    "--seed": {"type": int},
+    "--samples": {"type": int,
+                  "help": "random field draws of sweep (default 100, at least 10)"},
+    "--exact": {"action": "switch", "default": None},
+    "--config": {"help": "JSON config file path"},
+    "--out": {"help": "write output to this path"},
+    "--format": {"choices": ("json", "text", "csv"), "default": "json"},
+}
+
+
 def _add_common(sub) -> None:
-    sub.add_argument("--j", help="contraction mode: 1, iota, or a float")
-    sub.add_argument("--g", help="SU(2) coupling (rational like 3 or 3/2)")
-    sub.add_argument("--gp", help="U(1) coupling")
-    sub.add_argument("--R", help="sphere radius")
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--samples", type=int,
-                     help="random field draws of sweep (default 100, at least 10)")
-    sub.add_argument("--exact", action=argparse.BooleanOptionalAction, default=None)
-    sub.add_argument("--config", help="JSON config file path")
-    sub.add_argument("--out", help="write output to this path")
-    sub.add_argument("--format", choices=("json", "text", "csv"), default="json")
+    import argparse
+
+    for flag, spec in OPTIONS.items():
+        if spec.get("action") == "switch":
+            spec = dict(spec, action=argparse.BooleanOptionalAction)
+        sub.add_argument(flag, **spec)
 
 
-def build_parser(argv) -> argparse.ArgumentParser:
+def _plain_args(argv) -> SimpleNamespace | None:
+    """The arguments argparse would read from a plain command line, read
+    without it; None for any other line.  A plain line is the command, the
+    suite next for ``verify``, then only whole flags of ``OPTIONS``, each
+    value flag followed by a value that does not start with "-"; a repeated
+    flag keeps its last value.  Help, abbreviations, ``--flag=value``,
+    ``--``, a value starting with "-", and a bad int or choice are left to
+    argparse, so its help, usage lines and errors stay its own."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    args = {"command": argv[0]}
+    tokens = iter(argv[1:])
+    if argv[0] == "verify":
+        args["suite"] = next(tokens, None)
+        if args["suite"] not in SUITES:
+            return None
+    args.update((flag[2:], spec.get("default")) for flag, spec in OPTIONS.items())
+    for token in tokens:
+        flag = "--" + token[5:] if token.startswith("--no-") else token
+        spec = OPTIONS.get(flag)
+        if spec is None:
+            return None
+        if spec.get("action") == "switch":
+            args[flag[2:]] = flag == token
+            continue
+        value = next(tokens, "-")
+        if flag != token or value.startswith("-"):
+            return None
+        try:
+            value = spec.get("type", str)(value)
+        except ValueError:
+            return None
+        if value not in spec.get("choices", (value,)):
+            return None
+        args[flag[2:]] = value
+    return SimpleNamespace(**args)
+
+
+def build_parser(argv):
     """The parser for ``argv``.  Every command is listed with its help, but
     only a command named by a token of ``argv`` gets its arguments: argparse
     hands the rest of the line to the one subparser its command token names,
     so no other subparser parses anything."""
+    import argparse
+    import shutil
+
     # argparse asks for the terminal width once per formatter; ask once
     formatter = functools.partial(
         argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
@@ -233,7 +290,7 @@ def run(argv) -> int:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        args = build_parser(argv).parse_args(argv)
+        args = _plain_args(argv) or build_parser(argv).parse_args(argv)
         _reject_ignored_flags(args)
         cfg, mode = _config_from_args(args)
         if args.command == "sweep" and cfg.samples < 10:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import random
-import statistics
 from collections import namedtuple
 
 from .contraction import J_NILPOTENT, J_ONE
@@ -47,6 +46,8 @@ class ScalingReport(namedtuple("ScalingReport", "j_values ratios_f ratios_h slop
 
 
 def _fit(xs, ys):
+    import statistics  # only the sweep fits, so no other command imports it
+
     fit = statistics.linear_regression(xs, ys)
     r2 = statistics.correlation(xs, ys) ** 2
     return fit.slope, r2

@@ -1,7 +1,11 @@
 """CLI surface: exit codes, report formats, config handling, determinism."""
 
+import argparse
+import contextlib
 import gc
 import hashlib
+import io
+import itertools
 import json
 import os
 import re
@@ -10,6 +14,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ewverify import cli
 from ewverify.cli import ConfigError, run
@@ -260,6 +266,62 @@ def test_cli_text_matches_a_parser_built_for_every_command(monkeypatch, capsys, 
         assert set(vars(args)) >= {"command", "config", "out", "format", *cli.FLAGS.values()}
     monkeypatch.setattr(cli, "build_parser", lambda _: full)
     assert outcome() == own
+
+
+# near misses of the flags, and values of every kind a flag may get
+NEAR_MISSES = ("--sam", "--gp=3", "-g", "-h", "--", "--G", "--no-g", "--no-")
+VALUES = ("3", "5/2", "-1", "", "1.5e3", "\u0663", " 5", "iota", "xml", "text", "all")
+FLAG_TOKENS = (*cli.OPTIONS, "--no-exact")
+TOKENS = st.sampled_from(
+    FLAG_TOKENS + NEAR_MISSES + VALUES + tuple(cli.COMMANDS) + tuple(cli.SUITES))
+# a flag or a near miss with a value, a switch alone, or any one token
+CHUNKS = st.one_of(
+    st.tuples(st.sampled_from(FLAG_TOKENS + NEAR_MISSES), st.sampled_from(VALUES)),
+    st.sampled_from([("--exact",), ("--no-exact",)]),
+    st.tuples(TOKENS),
+)
+ARGVS = st.one_of(
+    st.lists(TOKENS, max_size=6),
+    st.builds(
+        lambda head, chunks: [*head, *itertools.chain(*chunks)],
+        st.one_of(st.tuples(st.sampled_from(list(cli.COMMANDS))),
+                  st.tuples(st.just("verify"), st.sampled_from(sorted(cli.SUITES)))),
+        st.lists(CHUNKS, max_size=4),
+    ),
+)
+
+
+def parsed_by_argparse(argv):
+    """The arguments argparse reads from argv, or None where it exits."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            return vars(cli.build_parser(argv).parse_args(argv))
+    except SystemExit:  # help and usage errors
+        return None
+
+
+@settings(max_examples=1000, deadline=None)
+@given(argv=ARGVS)
+def test_the_plain_reader_reads_what_argparse_reads(argv):
+    """The plain reader either leaves a line to argparse or reads the very
+    arguments argparse reads; it never reads a line argparse rejects."""
+    plain = cli._plain_args(argv)
+    assert plain is None or vars(plain) == parsed_by_argparse(argv)
+
+
+def test_the_plain_reader_knows_the_flags_the_parser_registers():
+    """A flag added to the parser but not to the reader, or the other way
+    round, fails here."""
+    parser = cli.build_parser(["masses"])
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    registered = set(commands.choices["masses"]._option_string_actions) - {"-h", "--help"}
+    candidates = registered | set(cli.OPTIONS) | {"--no-" + f[2:] for f in cli.OPTIONS}
+    known = {
+        flag for flag in candidates
+        if any(cli._plain_args(["masses", flag, *value]) for value in ((), ("3",), ("json",)))
+    }
+    assert known == registered
 
 
 def test_config_error_exit_code(capsys):
@@ -635,3 +697,47 @@ def test_cli_process_exits_2_with_the_usage_message():
     result = ewverify_process("verify", "group", "--seed", "3")
     assert (result.returncode, result.stdout) == (2, b"")
     assert result.stderr == b"ewverify: --seed is not used by verify group\n"
+
+
+# each command line the benchmark workloads send, at a point of theirs
+WORKLOAD_POINT = ("--g", "5", "--gp", "12", "--R", "3", "--seed", "7")
+WORKLOAD_LINES = [
+    ("verify", "all", "--seed", "5"),
+    ("verify", "lagrangian", *WORKLOAD_POINT),
+    ("verify", "gauge", *WORKLOAD_POINT),
+    ("eom", *WORKLOAD_POINT),
+    ("masses", *WORKLOAD_POINT),
+    ("sweep", "--samples", "10", *WORKLOAD_POINT),
+]
+
+# prints the modules loaded at start-up, then those a CLI run added to them
+IMPORTS_SCRIPT = """
+import sys
+startup = set(sys.modules)
+sys.path.insert(0, sys.argv[1])
+from ewverify import cli
+code = cli.run(sys.argv[2:])
+added = set(sys.modules) - startup
+import json
+sys.stderr.write(json.dumps([sorted(startup), sorted(added)]))
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("exact", [(), ("--no-exact",)], ids=["exact", "no-exact"])
+@pytest.mark.parametrize(
+    "argv", WORKLOAD_LINES, ids=lambda argv: " ".join(a for a in argv[:2] if a[0] != "-"))
+def test_a_plain_cli_process_imports_no_argparse(argv, exact):
+    """A plain command line is read without argparse, so the process never
+    imports it or the gettext its messages need; only sweep fits a line, so
+    only sweep imports statistics.  What the interpreter loaded at start-up
+    is the baseline, whatever the environment's site imports."""
+    result = subprocess.run(
+        [sys.executable, "-c", IMPORTS_SCRIPT, str(SRC), *argv, *exact],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    startup, added = map(set, json.loads(result.stderr))
+    assert not added & {"argparse", "gettext"}
+    if "statistics" not in startup:
+        assert ("statistics" in added) == (argv[0] == "sweep")
