@@ -16,14 +16,20 @@ or exactly twice (summed).  Summed indices are renamed canonically by
 taking the lexicographic minimum over all relabelings, so structural
 equality of normalized expressions is equality up to dummy relabeling.
 
-Every operation that makes new factors collects the raw terms of its
-result, products through the private ``_product`` (or ``_times``, where no
-summed name can clash: rule bodies renamed apart once, index-free group
-relations), and builds them once.  An operation that keeps each built
-term's factors (a sum, scaling by a factorless term, :func:`contract`,
-:func:`j_decompose`, :func:`reduce_mode`, :func:`instantiate_params`) hands
-its terms to the private ``_merge`` without a canonical form: its factors
-already are one.
+The operators (``+``, ``-``, ``*``) and :func:`field`, :func:`param`,
+:func:`jpow`, :func:`conjugate` and :func:`contract` return a *pending*
+expression: it holds the raw terms of its result, products through the
+private ``_product`` (or ``_times`` beside a factorless operand), sums as
+their operands' raw terms side by side, and builds them once, the first
+time anything reads its terms.  A chain of operators therefore builds once,
+at its end.  Each raises its errors at the call, so a deferred build never
+raises.  :func:`substitute`, :func:`first_order_variation`,
+:func:`euler_lagrange` and :func:`group_normal_form_j` collect their raw
+terms the same way (``_times`` where no summed name can clash: rule bodies
+renamed apart once, index-free group relations) and build at once.  An
+operation that keeps each built term's factors (:func:`j_decompose`,
+:func:`reduce_mode`, :func:`instantiate_params`) hands its terms to the
+private ``_merge`` without a canonical form: its factors already are one.
 """
 
 from __future__ import annotations
@@ -180,6 +186,20 @@ def _index_counts(factors) -> dict[str, int]:
     return counts
 
 
+def _free_and_summed(factors) -> tuple[list[str], list[str]]:
+    """The free and the summed index names of a term's factors, in first-use
+    order.  Raises for a name used more than twice, and for more than 7
+    summed names, which the canonical form does not relabel."""
+    frees, dummies = [], []
+    for n, c in _index_counts(factors).items():
+        if c > 2:
+            raise IndexConflictError(f"index used more than twice: {n}")
+        (frees if c == 1 else dummies).append(n)
+    if len(dummies) > 7:
+        raise IndexConflictError("too many summed indices in one term")
+    return frees, dummies
+
+
 @functools.lru_cache(maxsize=128)
 def _fold_params(params) -> tuple[tuple[str, int], ...]:
     acc: dict[str, int] = {}
@@ -210,17 +230,11 @@ def _canonical_factors(factors: tuple[FieldFactor, ...]) -> tuple:
     not kept in the memo.
     """
     factors = [f.canonical_conj() if f.conj else f for f in factors]
-    frees, dummies = [], []
-    for n, c in _index_counts(factors).items():
-        if c > 2:
-            raise IndexConflictError(f"index used more than twice: {n}")
-        (frees if c == 1 else dummies).append(n)
+    frees, dummies = _free_and_summed(factors)
     free = frozenset(frees)
     if not dummies:
         ordered = sorted(factors, key=FieldFactor.sort_key)
         return tuple(ordered), free, tuple([f.sort_key() for f in ordered])
-    if len(dummies) > 7:
-        raise IndexConflictError("too many summed indices in one term")
     dummies.sort()
     if free.isdisjoint(DUMMY_NAMES):  # no more than 7 summed names: x0, ... never needed
         pool = DUMMY_NAMES
@@ -265,15 +279,20 @@ def _canonical_form(factors: tuple[FieldFactor, ...]) -> tuple:
 class Expression:
     """Canonical sum of terms; immutable, structural equality is semantic.
 
-    The operations take built expressions, whose terms are canonical: made
-    by :meth:`build`, the private ``_merge``, or a constructor whose terms
-    are canonical by construction.  Nothing else constructs one directly.
+    An expression is built, its terms canonical: made by :meth:`build`, the
+    private ``_merge``, or a constructor whose terms are canonical by
+    construction.  Nothing else constructs one directly.  Or it is pending
+    (the private ``_Pending``): an operator's result, which holds raw terms
+    and builds them through :meth:`build` on the first read of ``terms``,
+    by equality, hashing, a memo key, a check or printing, and is built
+    from then on.  The operators and :func:`conjugate` and :func:`contract`
+    take either, and read a pending operand's raw terms without a build.
 
     A class, not a tuple like the other value types, because it keeps its
     hash once computed: the sweep's plan lookups hash the same expressions
     for every sample, and a tuple re-hashes all of its terms each time."""
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms", "_raw", "_hash")
 
     def __init__(self, terms: tuple[Term, ...] = ()):
         object.__setattr__(self, "terms", terms)
@@ -290,9 +309,9 @@ class Expression:
         """Normalize a raw term list: canonicalize each term's factors, then
         merge, prune and sort.
 
-        Raw terms are built once: every operation that makes new factors
-        collects the raw terms of its result, products through ``_product``
-        or ``_times``, and builds once.  Each term's canonical form is
+        Raw terms are built once: a pending expression calls this on the
+        first read of its terms, and :func:`substitute` and the other
+        kernels once on their result.  Each term's canonical form is
         memoized on its factor multiset (``_canonical_form``).  Terms whose
         factors stay canonical skip the canonical form and go to ``_merge``
         alone, where this ends too.
@@ -328,14 +347,21 @@ class Expression:
 
     def __add__(self, other) -> "Expression":
         o = self._coerce(other)
-        if self.is_zero():
+        a, b = _raw_terms(self), _raw_terms(o)
+        if not a:
             return o
-        if o.is_zero():
+        if not b:
             return self
-        # a term keeps its free indices, and terms with different ones never
-        # cancel, so the build's check reduces to one term of each operand
-        _check_free({self.free_indices(), o.free_indices()})
-        return _merge(self.terms + o.terms)
+        # every raw term of an operand carries the operand's free indices, and
+        # terms with different ones never cancel: only an operand that builds
+        # to zero keeps the build's check from raising
+        if a[0].free_indices() != b[0].free_indices():
+            if not self:
+                return o
+            if not o:
+                return self
+            _check_free({self.free_indices(), o.free_indices()})
+        return _Pending([*a, *b])
 
     __radd__ = __add__
 
@@ -346,16 +372,20 @@ class Expression:
         return self._coerce(other) - self
 
     def __neg__(self) -> "Expression":
-        return Expression(tuple(
-            Term(-t.coeff, t.jdeg, t.params, t.r2, t.factors) for t in self.terms
-        ))
+        negated = tuple(Term(-t.coeff, t.jdeg, t.params, t.r2, t.factors)
+                        for t in _raw_terms(self))
+        # negation keeps a built expression's order and canonical factors
+        return _Pending(negated) if type(self) is _Pending else Expression(negated)
 
     def __mul__(self, other) -> "Expression":
-        a, b = self.terms, self._coerce(other).terms
+        o = self._coerce(other)
+        a, b = _raw_terms(self), _raw_terms(o)
         if len(a) == 1 and not a[0].factors or len(b) == 1 and not b[0].factors:
-            # a factorless operand renames no index: each term keeps its canonical factors
-            return _merge(_times(a, b))
-        return Expression.build(_product(a, b))
+            return _Pending(_times(a, b))  # a factorless operand renames no index
+        if _builds_cleanly(a, b):
+            return _Pending(_product(a, b))
+        # the build may raise: build here, where its error belongs, from the built operands
+        return Expression.build(_product(self.terms, o.terms))
 
     __rmul__ = __mul__
 
@@ -382,6 +412,46 @@ class Expression:
 
     def __repr__(self) -> str:
         return f"<Expression {self.__str__()!r}>"
+
+
+class _Pending(Expression):
+    """An expression not built yet: the raw terms of an operator's result.
+    The first read of ``terms`` builds them through :meth:`Expression.build`
+    (the class attribute, so that a wrapper on it sees each deferred build)
+    and turns the object into a plain, built Expression, whose later reads
+    are a slot's."""
+
+    __slots__ = ()
+
+    def __init__(self, raw):
+        object.__setattr__(self, "_raw", raw)
+
+    @property
+    def terms(self) -> tuple[Term, ...]:
+        terms = Expression.build(self._raw).terms
+        object.__setattr__(self, "__class__", Expression)
+        object.__setattr__(self, "terms", terms)
+        object.__delattr__(self, "_raw")
+        return terms
+
+
+def _raw_terms(e: Expression):
+    """A pending expression's raw terms, without a build; a built one's terms."""
+    return e._raw if type(e) is _Pending else e.terms
+
+
+def _builds_cleanly(left, right) -> bool:
+    """Whether the build of the product of two raw term lists cannot raise:
+    its terms hold at most 7 summed names (the most index slots a term of
+    each list fills add up to 15 or less), and no free index, which every
+    term of a list shares, is named as ``_product`` renames summed ones."""
+    width = 0
+    for terms in (left, right):
+        if terms and any(n.startswith(("_L", "_R")) for n in terms[0].free_indices()):
+            return False
+        width += max([sum([len(f.indices) + len(f.derivs) for f in t.factors])
+                      for t in terms], default=0)
+    return width <= 15
 
 
 _EMPTY = Expression(())
@@ -456,9 +526,9 @@ def _times(left, right) -> list[Term]:
 # --- constructors ----------------------------------------------------------
 
 def field(name, *indices, derivs=(), conj=False) -> Expression:
-    return Expression.build(
-        [Term(CR_ONE, factors=(FieldFactor(name, tuple(indices), tuple(derivs), conj),))]
-    )
+    factor = FieldFactor(name, tuple(indices), tuple(derivs), conj)
+    _free_and_summed((factor,))  # the build's index errors, raised here
+    return _Pending([Term(CR_ONE, factors=(factor,))])
 
 
 def const(value) -> Expression:
@@ -473,7 +543,7 @@ def imag() -> Expression:
 
 
 def param(name, power: int = 1) -> Expression:
-    return Expression.build([Term(CR_ONE, params=((name, power),))])
+    return _Pending([Term(CR_ONE, params=_fold_params(((name, power),)))])
 
 
 def jpow(power: int = 1) -> Expression:
@@ -483,7 +553,7 @@ def jpow(power: int = 1) -> Expression:
         raise ValueError(f"j-degree must be an integer, not {power!r}")
     if degree < 0:
         raise ValueError("j-degree must be non-negative")
-    return Expression.build([Term(CR_ONE, jdeg=degree)])
+    return _Pending([Term(CR_ONE, jdeg=degree)])
 
 
 def inv_sqrt2() -> Expression:
@@ -499,7 +569,7 @@ def conjugate(e: Expression) -> Expression:
     Real fields are fixed; mutually conjugate pairs swap; j and the
     parameters are real.
     """
-    return Expression.build(_conjugated(e.terms))
+    return _Pending(_conjugated(_raw_terms(e)))
 
 
 def _conjugated(terms) -> list[Term]:
@@ -604,8 +674,8 @@ def first_order_variation(e: Expression, rules: dict[str, Expression]) -> Expres
 def contract(e: Expression) -> Expression:
     """X -> j X for every field X of grade 1: each term's j-degree gains
     the grades of its factors."""
-    return _merge([Term(t.coeff, t.jdeg + sum(FIELDS[f.field].grade for f in t.factors),
-                        t.params, t.r2, t.factors) for t in e.terms])
+    return _Pending([Term(t.coeff, t.jdeg + sum(FIELDS[f.field].grade for f in t.factors),
+                          t.params, t.r2, t.factors) for t in _raw_terms(e)])
 
 
 def divide_by_j(e: Expression) -> Expression:

@@ -217,6 +217,12 @@ PINNED_JSON = [
      "e0bb3e330bad96e9cd383f6edc33f34d7001fadaaa774b3feb233462bee54da9"),
     (("eom", "--g", "5", "--gp", "12", "--R", "3"),
      "bd9d829c921fdbb6f26171887841a50d435bfa2c9603afe5ecc97be7ceff4d28"),
+    # the float-coupling shapes of the gauge checks and of the spectrum, with
+    # s irrational
+    (("verify", "gauge", "--no-exact", "--g", "1.3", "--gp", "0.7"),
+     "94ec69b09459f58bb3fc529aa2792cc0f54e7cd369b0ba294b6e8e23c9ab1b97"),
+    (("masses", "--no-exact", "--g", "1.234", "--gp", "0.567", "--R", "2.1"),
+     "63a2f779de92afb513c17fa2fb79f4597136c3a58a6a87f40d88f2bb98793d13"),
 ]
 
 
@@ -665,6 +671,18 @@ def test_the_canonical_form_memo_holds_a_whole_verify_all_run(capsys):
     from ewverify.fields import _canonical_factors
 
     assert run_cli(capsys, "verify", "all")[0] == 0
+    info = _canonical_factors.cache_info()
+    assert info.misses == info.currsize < info.maxsize
+
+
+@pytest.mark.parametrize("argv", [("verify", "lagrangian"), ("verify", "gauge"),
+                                  ("eom",), ("masses",)])
+def test_the_canonical_form_memo_holds_each_symbolic_command(capsys, argv):
+    """So does each command of the symbolic workload, cold, at a
+    Pythagorean point."""
+    from ewverify.fields import _canonical_factors
+
+    assert run_cli(capsys, *argv, "--g", "5", "--gp", "12", "--R", "3")[0] == 0
     info = _canonical_factors.cache_info()
     assert info.misses == info.currsize < info.maxsize
 

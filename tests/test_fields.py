@@ -33,6 +33,7 @@ from ewverify.fields import (
     FieldFactor,
     Term,
     UnknownFieldError,
+    _Pending,
     _canonical_factors,
     _canonical_form,
     _refresh_dummies,
@@ -115,6 +116,27 @@ def test_index_rule_enforced():
         FieldFactor("B", ())
     with pytest.raises(UnknownFieldError):
         field("nosuch", "mu")
+    # the constructors and products raise at the call, not at a deferred build
+    with pytest.raises(IndexConflictError, match="more than twice: mu$"):
+        field("B", "mu", derivs=("mu", "mu"))
+    with pytest.raises(ValueError, match="unknown parameter symbol 'x'"):
+        param("x")
+    with pytest.raises(ValueError, match="parameter exponents must be non-negative"):
+        param("g", -1)
+    names = tuple(f"q{k}" for k in range(8))
+    with pytest.raises(IndexConflictError, match="too many summed indices in one term"):
+        field("rho", derivs=names * 2)
+    eight = field("rho", derivs=names)
+    with pytest.raises(IndexConflictError, match="too many summed indices in one term"):
+        eight * eight
+    assert ((eight - eight) * eight).is_zero()  # built operands, as the build has them
+    seven = field("rho", derivs=names[1:])
+    assert len((seven * field("rho", derivs=names)).terms) == 1  # widths 7 + 8
+    # a free index named as the product renames summed ones apart
+    pair = field("A1", "mu") * field("A1", "mu")
+    for clash in (lambda: pair * field("B", "_L0"), lambda: field("B", "_R0") * pair):
+        with pytest.raises(IndexConflictError, match="more than twice: _[LR]0$"):
+            clash()
 
 
 def test_canonical_memo_matches_the_unmemoized_form(rng):
@@ -536,6 +558,22 @@ def test_kernel_operations_build_once(monkeypatch):
         assert len(calls) == 1, f"{op.__name__} built {len(calls)} times"
 
 
+def test_a_pending_expression_builds_once_on_its_first_read(monkeypatch):
+    """An operator chain builds nothing until its terms are read; the first
+    read calls ``Expression.build``, looked up on the class, where the
+    benchmark tracer counts ``fields.build.calls`` and ``.terms_in``, on the
+    chain's raw terms, and later reads call nothing."""
+    build, calls = Expression.build.__func__, []
+    monkeypatch.setattr(Expression, "build",
+                        classmethod(lambda cls, raw: calls.append(len(raw)) or build(cls, raw)))
+    chain = (field("A1", "mu") + field("B", "mu")) * field("A1", "mu") * param("g") + 2 * jpow()
+    assert calls == [] and type(chain) is _Pending
+    terms = chain.terms
+    assert calls == [3] and type(chain) is Expression
+    assert chain.terms is terms and chain == chain and hash(chain) and str(chain)
+    assert calls == [3]
+
+
 # Bodies whose summed pairs take the same canonical names as the terms they
 # replace into: the specialized bodies carry their summed pairs renamed
 # apart, and a chained piece renames its own apart before the next body.
@@ -602,6 +640,14 @@ SCALARS = (
 )
 
 
+def _pending_operands(e):
+    """Makers of fresh pending expressions: an unread product, a field, a
+    conjugate and a contraction, none built until its terms are read."""
+    return (lambda: e * field("rho") * field("B", "nu") * field("B", "nu"),
+            lambda: field("W1", "mu", derivs=("nu",)), lambda: conjugate(e),
+            lambda: contract(e))
+
+
 def test_scaling_merges_as_the_build(rng):
     for _ in range(150):
         e = random_expression(rng)
@@ -613,6 +659,30 @@ def test_scaling_merges_as_the_build(rng):
         for n in (-2, 0, 3):
             assert e * n == Expression.build(_raw_times(e, const(n)))
             assert n * e == Expression.build(_raw_times(const(n), e))
+        for make in _pending_operands(e):
+            s = rng.choice(SCALARS)
+            x, y = make(), make()
+            assert type(x) is type(y) is _Pending
+            got, got_left = x * s, s * (-y)  # taken while their operands are unread
+            assert got == Expression.build(_raw_times(x, s))
+            assert got_left == Expression.build(_raw_times(s, -y))
+            _assert_canonical(got)
+            _assert_canonical(got_left)
+
+
+def _sum_outcomes(make_x, make_y):
+    """x + y and x - y of fresh operands from ``make_x`` and ``make_y``, each
+    read before its operands, and the builds of the operands' terms."""
+    x, y = make_x(), make_y()
+    got = _outcome(lambda: x + y)
+    assert got == _outcome(lambda: Expression.build(x.terms + y.terms))
+    x, y = make_x(), make_y()
+    difference = _outcome(lambda: x - y)
+    negated = tuple(Term(-t.coeff, t.jdeg, t.params, t.r2, t.factors) for t in y.terms)
+    assert difference == _outcome(lambda: Expression.build(x.terms + negated))
+    for result in (got, difference):
+        if isinstance(result, Expression):
+            _assert_canonical(result)
 
 
 def test_sums_merge_as_the_build(rng):
@@ -622,22 +692,27 @@ def test_sums_merge_as_the_build(rng):
         if e.free_indices() == f.free_indices():
             pairs += [(e, f - e), (e, f + e)]  # e's terms cancel, or add up
         for x, y in pairs:
-            negated = tuple(Term(-t.coeff, t.jdeg, t.params, t.r2, t.factors) for t in y.terms)
-            got = _outcome(lambda: x + y)
-            assert got == _outcome(lambda: Expression.build(x.terms + y.terms))
-            assert _outcome(lambda: x - y) == _outcome(lambda: Expression.build(x.terms + negated))
-            if isinstance(got, Expression):
-                _assert_canonical(got)
+            _sum_outcomes(lambda: x, lambda: y)
+        # pending operands, against each other, built ones and themselves
+        makers = _pending_operands(e) + _pending_operands(f)
+        for make_x in makers:
+            _sum_outcomes(make_x, rng.choice(makers + (make_x, lambda: e, lambda: f)))
 
 
 def test_a_sum_of_different_free_indices_raises_the_build_error():
     a, b = field("A1", "mu"), field("B", "nu")
-    for x, y in ((a, b), (b, a), (a, const(2)), (const(2), b)):
-        with pytest.raises(IndexConflictError) as built:
-            Expression.build(x.terms + y.terms)
+    for x, y in ((a, b), (b, a), (a, const(2)), (const(2), b),
+                 (contract(a), jpow() * b), (a * field("rho"), conjugate(b))):
         with pytest.raises(IndexConflictError) as added:
             x + y
+        with pytest.raises(IndexConflictError) as built:
+            Expression.build(x.terms + y.terms)
         assert str(added.value) == str(built.value)
+    # an operand that builds to zero, whatever its raw terms' free indices,
+    # is dropped as the build drops it
+    for zero in (field("B", "nu") - field("B", "nu"), field("B", "nu") * 0):
+        assert zero + field("A1", "mu") == field("A1", "mu")
+        assert field("A1", "mu") - zero == field("A1", "mu")
 
 
 def test_regradings_merge_as_the_build(rng):

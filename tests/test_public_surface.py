@@ -194,10 +194,12 @@ def _expression_constructors(path):
 
 
 def test_only_the_field_layer_constructs_expressions_directly():
-    """The operations take built expressions, whose terms are canonical, and
-    merge terms that stay canonical without a canonical form.  So only the
-    merge and the constructors whose terms are canonical by construction
-    call ``Expression(...)``, and every other module builds."""
+    """A built expression's terms are canonical: the operators return
+    pending expressions, which build on their first read, and the
+    operations that keep each built term's factors merge them without a
+    canonical form.  So only the merge and the constructors whose terms are
+    canonical by construction call ``Expression(...)``, and every other
+    module builds."""
     outside = sorted(p.name for p in PACKAGE.glob("*.py")
                      if p.name != "fields.py" and _expression_constructors(p))
     assert not outside, f"modules that construct an Expression directly: {outside}"
