@@ -12,9 +12,14 @@ adding a term's grades to its j-degree, so the model is written at j = 1;
 term carries j.
 
 Index discipline: within one term an index name occurs exactly once (free)
-or exactly twice (summed).  Summed indices are renamed canonically by
-taking the lexicographic minimum over all relabelings, so structural
-equality of normalized expressions is equality up to dummy relabeling.
+or exactly twice (summed), and a term holds at most 7 summed names.  Summed
+indices are renamed canonically by taking the lexicographic minimum over
+all relabelings, so structural equality of normalized expressions is
+equality up to dummy relabeling.  Index names that start with ``_``, other
+than the hole ``_`` of substitution rules, are the kernel's: it renames
+summed indices apart to them.  The validated :class:`FieldFactor`, which
+:func:`field` builds, and the equation index of :func:`euler_lagrange`
+refuse them, so no free index can meet a renamed one.
 
 The operators (``+``, ``-``, ``*``) and :func:`field`, :func:`param`,
 :func:`jpow`, :func:`conjugate` and :func:`contract` return a *pending*
@@ -133,6 +138,7 @@ class FieldFactor(namedtuple("FieldFactor", "field indices derivs conj")):
             raise UnknownFieldError(field)
         if len(indices) != fdef.arity:
             raise ArityError(f"{field} takes {fdef.arity} index(es), got {len(indices)}")
+        _check_unreserved((*indices, *derivs))
         return tuple.__new__(cls, (field, tuple(indices), tuple(sorted(derivs)), conj))
 
     def rename(self, mapping: dict[str, str]) -> "FieldFactor":
@@ -163,8 +169,17 @@ class FieldFactor(namedtuple("FieldFactor", "field indices derivs conj")):
 
 def _factor(field, indices, derivs, conj) -> FieldFactor:
     """A factor built without validation, for a field and arity already
-    checked; ``derivs`` must be sorted."""
+    checked; ``derivs`` must be sorted.  The kernel's renamed factors, which
+    carry reserved names, are built here."""
     return tuple.__new__(FieldFactor, (field, indices, derivs, conj))
+
+
+def _check_unreserved(names) -> None:
+    """Refuse an index name the kernel keeps for renamed indices: one that
+    starts with ``_`` and is not the hole."""
+    for n in names:
+        if n != HOLE and n.startswith("_"):
+            raise IndexConflictError(f"index names starting with '_' are reserved: {n}")
 
 
 class Term(namedtuple("Term", "coeff jdeg params r2 factors", defaults=(0, (), 0, ()))):
@@ -442,16 +457,11 @@ def _raw_terms(e: Expression):
 
 def _builds_cleanly(left, right) -> bool:
     """Whether the build of the product of two raw term lists cannot raise:
-    its terms hold at most 7 summed names (the most index slots a term of
-    each list fills add up to 15 or less), and no free index, which every
-    term of a list shares, is named as ``_product`` renames summed ones."""
-    width = 0
-    for terms in (left, right):
-        if terms and any(n.startswith(("_L", "_R")) for n in terms[0].free_indices()):
-            return False
-        width += max([sum([len(f.indices) + len(f.derivs) for f in t.factors])
-                      for t in terms], default=0)
-    return width <= 15
+    its terms hold at most 7 summed names, because the most index slots a
+    term of each list fills add up to 15 or less.  No free index can meet a
+    name ``_product`` renames summed ones to: those names are reserved."""
+    return sum(max([sum([len(f.indices) + len(f.derivs) for f in t.factors])
+                    for t in terms], default=0) for terms in (left, right)) <= 15
 
 
 _EMPTY = Expression(())
@@ -588,7 +598,7 @@ def _leibniz(terms, idx: str) -> list[Term]:
         if t.index_counts().get(idx, 0) >= 2:
             raise IndexConflictError(f"index {idx} is already summed in {t}")
         for p, f in enumerate(t.factors):
-            new_factor = FieldFactor(f.field, f.indices, f.derivs + (idx,), f.conj)
+            new_factor = _factor(f.field, f.indices, tuple(sorted(f.derivs + (idx,))), f.conj)
             raw.append(Term(t.coeff, t.jdeg, t.params, t.r2,
                             t.factors[:p] + (new_factor,) + t.factors[p + 1:]))
     return raw
@@ -762,34 +772,28 @@ def instantiate_params(e: Expression, values: dict[str, Fraction]) -> Expression
     return _merge(raw)
 
 
-def _fresh(term_names, base="w") -> str:
-    k = 0
-    while f"{base}{k}" in term_names:
-        k += 1
-    return f"{base}{k}"
-
-
 def euler_lagrange(lagrangian: Expression, fld: str, idx: str | None = None) -> Expression:
     """Variational derivative dL/dX[idx] - d[nu](dL/d(d[nu]X[idx])).
 
-    ``lagrangian`` must be a scalar.  Conjugated occurrences are treated as
-    independent; vary with respect to the conjugate field to get the other
-    equation.  Only first-order derivative factors of the varied field are
-    supported.
+    ``lagrangian`` must be a scalar, and ``idx`` not a reserved name.
+    Conjugated occurrences are treated as independent; vary with respect to
+    the conjugate field to get the other equation.  Only first-order
+    derivative factors of the varied field are supported.  A term that
+    already uses ``idx`` has its summed indices renamed to the reserved
+    ``_e0``, ``_e1``, ... first, so that none of them meets ``idx``.
     """
     fdef = FIELDS.get(fld)
     if fdef is None:
         raise UnknownFieldError(fld)
+    _check_unreserved((idx,) if idx else ())
     if lagrangian.free_indices():
         raise IndexConflictError("Euler-Lagrange input must be a scalar expression")
     if fdef.arity == 1 and idx is None:
         raise ArityError(f"{fld} is a vector field; an equation index is required")
     raw = []
     for t in lagrangian.terms:
-        names = set(t.index_counts())
-        if idx is not None and idx in names:
+        if idx is not None and idx in t.index_counts():
             t = _refresh_dummies(t, "e")
-            names = set(t.index_counts())
         for p, f in enumerate(t.factors):
             if f.field != fld or f.conj:
                 continue
@@ -802,14 +806,10 @@ def euler_lagrange(lagrangian: Expression, fld: str, idx: str | None = None) -> 
                 b = f.derivs[0]
                 if fdef.arity and f.indices[0] == b:
                     # divergence factor d[a]X[a]: contributes -d[idx](rest)
-                    by = idx
-                else:
-                    by = _fresh(names | ({idx} if idx else set()))
-                    mapping = {b: by}
-                    if fdef.arity:
-                        mapping[f.indices[0]] = idx
-                    rest = tuple(r.rename(mapping) for r in rest)
-                raw.extend(_leibniz((Term(-t.coeff, t.jdeg, t.params, t.r2, rest),), by))
+                    b = idx
+                elif fdef.arity:  # -d[b](rest), b summed in the term and never idx
+                    rest = tuple(r.rename({f.indices[0]: idx}) for r in rest)
+                raw.extend(_leibniz((Term(-t.coeff, t.jdeg, t.params, t.r2, rest),), b))
             else:
                 raise ValueError(
                     "second derivatives of the varied field are not supported"

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .contraction import ComplexRational, JMode
 from .fields import (
-    Expression, _product, const, contract, field, group_normal_form_j, reduce_mode,
+    Expression, const, contract, field, group_normal_form_j, reduce_mode,
 )
 from .report import VerificationReport, timed, verdict, witness
 
@@ -26,7 +26,9 @@ _I_HALF = ComplexRational(0, Fraction(1, 2))
 
 
 class Mat2(namedtuple("Mat2", "rows")):
-    """Immutable 2x2 matrix of Expression entries; ``m[r, c]`` reads one."""
+    """Immutable 2x2 matrix of Expression entries; ``m[r, c]`` reads one.
+    Entries multiply and add through the Expression operators, so each entry
+    of a product is a pending expression, built on its first read."""
 
     __slots__ = ()
 
@@ -40,7 +42,7 @@ class Mat2(namedtuple("Mat2", "rows")):
 
     def __matmul__(self, other: "Mat2") -> "Mat2":
         (e, f), (g, h) = other.rows
-        return Mat2([[_dot((a, e), (b, g)), _dot((a, f), (b, h))] for a, b in self.rows])
+        return Mat2([[a * e + b * g, a * f + b * h] for a, b in self.rows])
 
     def __add__(self, other: "Mat2") -> "Mat2":
         return Mat2([[x + y for x, y in zip(r, s)] for r, s in zip(self.rows, other.rows)])
@@ -54,18 +56,13 @@ class Mat2(namedtuple("Mat2", "rows")):
         return a * d - b * c
 
     def trace_product(self, other: "Mat2"):
-        """tr(self @ other): only the diagonal's dot products, in one build."""
+        """tr(self @ other): only the diagonal's products, summed pending."""
         (a, b), (c, d) = self.rows
         (e, f), (g, h) = other.rows
-        return _dot((a, e), (b, g), (c, f), (d, h))
+        return a * e + b * g + c * f + d * h
 
     def contract(self) -> "Mat2":
         return Mat2([[contract(e) for e in r] for r in self.rows])
-
-
-def _dot(*pairs) -> Expression:
-    """x1 y1 + x2 y2 + ... over the (x, y) pairs, built once."""
-    return Expression.build([t for x, y in pairs for t in _product(x.terms, y.terms)])
 
 
 def _omega(alpha, beta) -> Mat2:

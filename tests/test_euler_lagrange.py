@@ -74,3 +74,37 @@ def test_divergence_factor_with_summed_rest():
     lagrangian = parse("d[al]B[al] A3[be] W1[be]")
     expected = parse("-d[mu]A3[nu] W1[nu] - A3[nu] d[mu]W1[nu]")
     assert euler_lagrange(lagrangian, "B", "mu") == expected
+
+
+# Lagrangians written with the plain names w0 and w1, varied at a canonical
+# equation index, at w0, or at none, with their equations' text: the names a
+# term uses, and those the derivative moved off the varied field may take,
+# do not change the equation.
+W_NAMED_EQUATIONS = [
+    ("d[w0]A1[w1] d[w0]A1[w1]", "A1", "nu", "-2 d[mu]d[mu]A1[nu]"),
+    ("d[w0]A1[w1] d[w0]A1[w1]", "A1", "w0", "-2 d[mu]d[mu]A1[w0]"),
+    ("d[w0]A1[w1] d[w1]A1[w0]", "A1", "nu", "-2 d[mu]d[nu]A1[mu]"),
+    ("d[w0]A1[w1] d[w1]A1[w0]", "A1", "w0", "-2 d[mu]d[w0]A1[mu]"),
+    ("rho d[w0]A1[w0] A2[w1] A2[w1]", "A1", "nu",
+     "-A2[mu]^2 d[nu]rho - 2 A2[mu] d[nu]A2[mu] rho"),
+    ("rho d[w0]A1[w0] A2[w1] A2[w1]", "A1", "w0",
+     "-A2[mu]^2 d[w0]rho - 2 A2[mu] d[w0]A2[mu] rho"),
+    ("A1[w0] d[w1]A2[w0] A3[w1]", "A2", "nu", "-A1[nu] d[mu]A3[mu] - d[mu]A1[nu] A3[mu]"),
+    ("A1[w0] d[w1]A2[w0] A3[w1]", "A2", "w0", "-A1[w0] d[mu]A3[mu] - d[mu]A1[w0] A3[mu]"),
+    ("d[w0]A1[w1] A2[w0] A3[w1] - 1/2 d[w1]A1[w1] d[w0]rho d[w0]rho", "A1", "nu",
+     "-A2[mu] d[mu]A3[nu] - d[mu]A2[mu] A3[nu] + d[mu]rho d[mu]d[nu]rho"),
+    ("d[w0]A1[w1] A2[w0] A3[w1] - 1/2 d[w1]A1[w1] d[w0]rho d[w0]rho", "A1", "w0",
+     "-A2[mu] d[mu]A3[w0] - d[mu]A2[mu] A3[w0] + d[mu]rho d[mu]d[w0]rho"),
+    ("d[w0]rho d[w0]rho A1[w1] A1[w1]", "rho", None,
+     "-2 A1[mu]^2 d[nu]d[nu]rho - 4 A1[mu] d[nu]A1[mu] d[nu]rho"),
+    ("d[w1]phi1 conj(d[w1]phi1) A2[w0] A3[w0]", "phi1", None,
+     "-A2[mu] A3[mu] conj(d[nu]d[nu]phi1) - A2[mu] d[nu]A3[mu] conj(d[nu]phi1)"
+     " - d[nu]A2[mu] A3[mu] conj(d[nu]phi1)"),
+    ("rho d[w0]rho d[w1]A1[w1] A2[w0]", "rho", None,
+     "-d[mu]A1[mu] d[nu]A2[nu] rho - d[mu]d[nu]A1[mu] A2[nu] rho"),
+]
+
+
+@pytest.mark.parametrize("lagrangian, fld, idx, text", W_NAMED_EQUATIONS)
+def test_equations_of_w_named_lagrangians(lagrangian, fld, idx, text):
+    assert str(euler_lagrange(parse(lagrangian), fld, idx)) == text

@@ -1,10 +1,13 @@
 """Field algebra: canonical forms, Leibniz calculus, substitution, grading."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ewverify import (
     ArityError,
@@ -36,6 +39,7 @@ from ewverify.fields import (
     _Pending,
     _canonical_factors,
     _canonical_form,
+    _factor,
     _refresh_dummies,
     _renamed_replacement,
     contract,
@@ -132,11 +136,14 @@ def test_index_rule_enforced():
     assert ((eight - eight) * eight).is_zero()  # built operands, as the build has them
     seven = field("rho", derivs=names[1:])
     assert len((seven * field("rho", derivs=names)).terms) == 1  # widths 7 + 8
-    # a free index named as the product renames summed ones apart
+    # names starting with '_', other than the hole, are the kernel's renamed ones
     pair = field("A1", "mu") * field("A1", "mu")
-    for clash in (lambda: pair * field("B", "_L0"), lambda: field("B", "_R0") * pair):
-        with pytest.raises(IndexConflictError, match="more than twice: _[LR]0$"):
-            clash()
+    for reserved in (lambda: field("B", "_L0"), lambda: field("rho", derivs=("_R0",)),
+                     lambda: FieldFactor("W1", ("mu",), ("_L1",)),
+                     lambda: euler_lagrange(pair, "A1", "_e0")):
+        with pytest.raises(IndexConflictError, match="reserved: _[LRe][01]$"):
+            reserved()
+    assert (pair * field("B", "_")).free_indices() == {"_"}
 
 
 def test_canonical_memo_matches_the_unmemoized_form(rng):
@@ -254,8 +261,8 @@ def test_refresh_dummies_renames_summed_pairs_only():
         FieldFactor("W1", ("zz",), ("aa",)),
     ))
     assert _refresh_dummies(raw, "R").factors == (
-        FieldFactor("B", ("_R1",)), FieldFactor("rho", derivs=("_R0", "mu")),
-        FieldFactor("W1", ("_R1",), ("_R0",)),
+        _factor("B", ("_R1",), (), False), _factor("rho", (), ("_R0", "mu"), False),
+        _factor("W1", ("_R1",), ("_R0",), False),
     )
     # a name used three times is kept, so the build still names it
     triple = Term(ComplexRational(1), factors=(
@@ -314,6 +321,42 @@ def test_products_refresh_dummies():
     sq = a * a
     assert sq == parse("B[mu] B[mu] B[nu] B[nu]")
     assert len(sq.terms) == 1
+
+
+# Mostly canonical and plain user names, and a few of the kernel's reserved ones.
+PRODUCT_NAMES = DUMMY_NAMES[:6] + ("w0", "w1", "q") + ("_L0", "_R0", "_e0")
+
+
+@st.composite
+def three_monomials(draw):
+    """The factors of three field monomials, as ``field`` arguments, whose
+    flat product uses each index name at most twice (at most 6 summed)."""
+    names = draw(st.lists(st.sampled_from(PRODUCT_NAMES), max_size=6, unique=True))
+    slots = draw(st.permutations([n for n in names for _ in range(draw(st.integers(1, 2)))]))
+    monomials = [[], [], []]
+    while slots or draw(st.integers(0, 3)) == 3:
+        fld = draw(st.sampled_from(VECTOR_FIELDS if slots else SCALAR_FIELDS))
+        arity = FIELDS[fld].arity
+        take = arity + draw(st.integers(0, min(2, len(slots) - arity)))
+        indices, derivs = slots[:arity], slots[arity:take]
+        del slots[:take]
+        monomials[draw(st.integers(0, 2))].append((fld, indices, derivs, draw(st.booleans())))
+    return monomials
+
+
+@settings(max_examples=300, deadline=None)
+@given(three_monomials())
+def test_products_are_associative(monomials):
+    """``field`` refuses the names the kernel renames summed indices to, so
+    no free index meets a renamed one and the grouping of a product of
+    three monomials does not change it."""
+    try:
+        factors = [[field(f, *ix, derivs=dv, conj=cj) for f, ix, dv, cj in m] for m in monomials]
+    except IndexConflictError as exc:
+        assert "reserved" in str(exc)
+        return
+    a, b, c = (math.prod(fs, start=const(1)) for fs in factors)
+    assert (a * b) * c == a * (b * c)
 
 
 def test_grading_adds_under_multiplication():

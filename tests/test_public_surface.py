@@ -207,6 +207,15 @@ def test_only_the_field_layer_constructs_expressions_directly():
         "<module>", "_merge", "const", "inv_sqrt2", "__neg__", "divide_by_j"}
 
 
+def test_only_the_field_layer_builds_or_multiplies_raw_terms():
+    """Every other module multiplies and adds expressions through the
+    operators, whose results build once, on their first read: none calls
+    ``build`` or the kernel's raw-term products ``_product`` and ``_times``."""
+    outside = sorted(p.name for p in PACKAGE.glob("*.py")
+                     if p.name != "fields.py" and _callers(p, {"build", "_product", "_times"}))
+    assert not outside, f"modules that build or multiply raw terms: {outside}"
+
+
 def test_only_the_references_write_powers_of_j():
     """The builders and matrices are written at j = 1 and contracted by the
     fields' grades; only the references the checks compare against write
