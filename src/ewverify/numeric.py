@@ -10,13 +10,12 @@ plain pairing with no metric signs.  Conjugate field instances always
 receive the conjugate value of their partners.  The sweep's parts are
 scalars, so an expression with a free index is rejected.
 
-Each expression is compiled once into a plan: per term a base coefficient,
-per index combination a tuple of slots, and the slots' field instances in
-first-access order, derivative tags sorted (derivatives commute).  An
-evaluation fetches every instance in one batched ``values(keys)`` lookup,
-then runs the products (unrolled, left to right, for 2 to 4 factors) and
-the sum in term-by-term float order, so the result rounds exactly as a
-walk over every combination would.
+Each expression is compiled once into a straight-line kernel: generated
+code that fetches every field instance in one batched ``values(keys)``
+lookup, in first-access order with derivative tags sorted (derivatives
+commute), folds each term's parameters into its coefficient, and adds
+every index combination's product in term-by-term float order, so the
+result rounds exactly as a walk over every combination would.
 
 The sweep evaluates three parts on one sample: :func:`compile_layout`
 lists their instances once, in first-access order, part after part, and
@@ -33,6 +32,7 @@ import functools
 import itertools
 from collections import namedtuple
 from math import cos, log, pi, sin, sqrt
+from operator import itemgetter
 from random import Random
 
 from .fields import FIELDS, Expression
@@ -60,32 +60,45 @@ class MissingAssignmentError(KeyError):
 def _plan(e: Expression) -> tuple:
     """Compile ``e``, which must have no free index.
 
-    Returns ``(terms, keys)``: per term its base ``complex(coeff) *
-    sqrt(2)**r2``, its parameter monomial and, per summed-index
-    combination, a tuple of slots into ``keys``; ``keys`` holds each
-    distinct ``(field, indices, derivs, conj)`` once, in first-access order,
-    with ``derivs`` sorted.
+    Returns ``(kernel, keys, names)``: ``keys`` holds each distinct
+    ``(field, indices, derivs, conj)`` once, in first-access order, with
+    ``derivs`` sorted, and ``names`` each parameter once, in first-use
+    order.  ``kernel(assignment, *param_values)`` is generated straight-line
+    code.  It unpacks ``assignment.values(keys)`` into locals, takes each
+    term's base ``complex(coeff) * sqrt(2)**r2`` times its parameters'
+    powers, in the term's order, and adds every summed-index combination's
+    product (the base, then the factors, left to right) to ``0j`` in term
+    order, at most 32 products per statement.  Its source holds only
+    generated names and integer literals; the bases are bound values.
     """
     slots: dict = {}
-    terms = []
-    for t in e.terms:
+    names: dict = {}
+    bound = {"z": 0j}
+    lines, products = [], []
+    for k, t in enumerate(e.terms):
         counts = t.index_counts()
         free = [n for n, c in counts.items() if c == 1]
         if free:
             raise MissingAssignmentError(f"free index {free[0]} has no value")
+        bound[f"c{k}"] = complex(t.coeff) * (SQRT2**t.r2)
+        lines.append("".join([f"b{k} = c{k}", *(
+            f" * p{names.setdefault(n, len(names))} ** {x:d}" for n, x in t.params)]))
         dummies = sorted(counts)
-        combos = []
         for combo in itertools.product(range(DIMENSION), repeat=len(dummies)):
             concrete = dict(zip(dummies, combo))
-            combos.append(tuple(
-                slots.setdefault((f.field,
-                                  tuple(concrete[i] for i in f.indices),
-                                  tuple(sorted(concrete[i] for i in f.derivs)),
-                                  f.conj), len(slots))
-                for f in t.factors
-            ))
-        terms.append((complex(t.coeff) * (SQRT2**t.r2), t.params, tuple(combos)))
-    return tuple(terms), tuple(slots)
+            product = [f"b{k}"]
+            for f in t.factors:
+                key = (f.field, tuple(concrete[i] for i in f.indices),
+                       tuple(sorted(concrete[i] for i in f.derivs)), f.conj)
+                product.append(f"v{slots.setdefault(key, len(slots))}")
+            products.append(" * ".join(product))
+    keys = bound["keys"] = tuple(slots)
+    args = "".join(f", p{i}" for i in range(len(names)))
+    unpack = "".join(f"v{i}, " for i in range(len(keys)))
+    sums = [f"t = t + {' + '.join(products[i:i + 32])}" for i in range(0, len(products), 32)]
+    exec("\n    ".join([f"def kernel(assignment{args}):", f"({unpack}) = assignment.values(keys)",
+                        "t = z", *lines, *sums, "return t"]), bound)
+    return bound.pop("kernel"), keys, tuple(names)  # no cycle through its globals
 
 
 def compile_layout(exprs) -> tuple:
@@ -99,8 +112,9 @@ def compile_layout(exprs) -> tuple:
     Gaussians; ``at`` holds each instance's real and imaginary positions
     in that list, and ``conjugated`` those of the instances that some key
     reads conjugated.  A sample's values are one per instance, in order,
-    then one per conjugated instance; ``picks`` holds, per expression, the
-    value of each of its plan's keys by position.
+    then one per conjugated instance; ``picks`` holds, per expression, an
+    ``operator.itemgetter`` that gathers its plan's keys' values from them,
+    as a sequence even for one key or none.
     """
     union: dict = {}
     keyed = []
@@ -118,9 +132,13 @@ def compile_layout(exprs) -> tuple:
         at.append((n, 0 if real else n + 1))
         n += 1 if real else 2
     conj_of: dict = {}
-    picks = tuple(tuple(len(at) + conj_of.setdefault(k, len(conj_of)) if conj else k
-                        for k, conj in pick) for pick in keyed)
-    return tuple(at), tuple(at[k] for k in conj_of), picks, n // 2  # ceil((n - 1) / 2)
+    picks = []
+    for pick in keyed:
+        pick = [len(at) + conj_of.setdefault(k, len(conj_of)) if conj else k for k, conj in pick]
+        if len(pick) < 2:  # itemgetter of one position returns a bare value, of none fails
+            pick = [slice(pick[0], pick[0] + 1) if pick else slice(0)]
+        picks.append(itemgetter(*pick))
+    return tuple(at), tuple(at[k] for k in conj_of), tuple(picks), n // 2  # ceil((n - 1) / 2)
 
 
 def draw(layout, seed: int) -> list:
@@ -142,7 +160,7 @@ def draw(layout, seed: int) -> list:
         push(0.0 + sin(x2pi) * g2rad)
     values = [complex(drawn[re], drawn[im]) for re, im in at]
     values += [complex(drawn[re], -drawn[im]) for re, im in conjugated]
-    return [_Drawn([values[k] for k in pick]) for pick in picks]
+    return [_Drawn(pick(values)) for pick in picks]
 
 
 class _Drawn:
@@ -153,7 +171,7 @@ class _Drawn:
     def __init__(self, got):
         self.got = got
 
-    def values(self, keys) -> list:
+    def values(self, keys):
         return self.got
 
 
@@ -167,40 +185,20 @@ def eval_expression(e: Expression, assignment, params: dict | None = None) -> co
     :class:`MissingAssignmentError`.  Callers that need one j-grade
     evaluate the parts of :func:`~ewverify.fields.j_decompose`.
 
-    The expression is compiled once into a plan, kept in a bounded memo.
-    Each call fetches every distinct field instance in one
+    The expression is compiled once into a kernel, kept in a bounded memo.
+    Each call passes the float of each parameter it names and runs the
+    kernel, which fetches every distinct field instance in one
     ``assignment.values(keys)`` lookup, in first-access order, so a lazy
-    per-instance assignment draws as a term-by-term walk would.  The
-    products (unrolled for 2, 3 and 4 factors, left to right) and the sum
-    then run in the walk's float order, so the result is bit-identical to
-    it.
+    per-instance assignment draws as a term-by-term walk would; its
+    products and sum run in the walk's float order, so the result is
+    bit-identical to it.
     """
     params = params or {}
-    terms, keys = _plan(e)
-    values = assignment.values(keys)
-    total = 0j
-    for base, monomial, combos in terms:
-        for name, exp in monomial:
-            if name not in params:
-                raise MissingAssignmentError(f"no value for parameter {name}")
-            base *= float(params[name]) ** exp
-        arity = len(combos[0])
-        if arity == 2:
-            for a, b in combos:
-                total += base * values[a] * values[b]
-        elif arity == 3:
-            for a, b, c in combos:
-                total += base * values[a] * values[b] * values[c]
-        elif arity == 4:
-            for a, b, c, d in combos:
-                total += base * values[a] * values[b] * values[c] * values[d]
-        else:
-            for slots in combos:
-                prod = base
-                for s in slots:
-                    prod *= values[s]
-                total += prod
-    return total
+    kernel, _, names = _plan(e)
+    for name in names:
+        if name not in params:
+            raise MissingAssignmentError(f"no value for parameter {name}")
+    return kernel(assignment, *[float(params[name]) for name in names])
 
 
 # ``equals``, its result and the ``model.equals`` re-import stay only because

@@ -1,6 +1,7 @@
 """Numeric evaluation, and the exact equality that the benchmark tracer hooks."""
 
 import random
+import re
 
 import pytest
 
@@ -13,7 +14,8 @@ from ewverify import (
     j_decompose,
     numeric,
 )
-from ewverify.numeric import _plan, compile_layout, draw, equals
+from ewverify.limits import scaling_sweep
+from ewverify.numeric import DIMENSION, _plan, compile_layout, draw, equals
 
 from helpers import (FieldSample, assignment_from_components, parse, random_expression,
                      reference_eval)
@@ -85,7 +87,7 @@ def test_batched_values_draw_as_single_lookups():
     assert list(batched._values.items()) == list(single._values.items())
     # _plan stores the sorted form: d[mu]d[nu] at (3, 1) is the (1, 3)
     # instance, so the 16 combinations name 10 distinct instances
-    _, keys = _plan(parse("d[mu]d[nu]eps2 B[mu] B[nu]"))
+    keys = _plan(parse("d[mu]d[nu]eps2 B[mu] B[nu]"))[1]
     derivs = [d for f, _, d, _ in keys if f == "eps2"]
     assert len(derivs) == 10 and all(d == tuple(sorted(d)) for d in derivs)
 
@@ -105,7 +107,7 @@ def test_shared_draw_matches_lazy_lookups(rng):
         lazy, walked = FieldSample(seed), FieldSample(seed)
         for e, drawn in zip(group, draw(layout, seed)):
             keys = _plan(e)[1]
-            assert drawn.values(keys) == lazy.values(keys)
+            assert list(drawn.values(keys)) == lazy.values(keys)
             assert eval_expression(e, drawn, params) == reference_eval(e, walked, params)
         assert len(layout[0]) == len(lazy._values)
 
@@ -237,7 +239,7 @@ def _assert_matches_reference(exprs, seed, params=None):
     for _ in range(2):
         sample = FieldSample(seed)
         got = [eval_expression(e, sample, params) for e in exprs]
-        assert got == want
+        assert got == want and _bits(got) == _bits(want)  # == takes -0.0 for 0.0
         assert list(sample._values.items()) == list(ref_sample._values.items())
 
 
@@ -274,9 +276,10 @@ def test_eval_matches_reference_on_the_lagrangian_parts():
         _assert_matches_reference(exprs, seed, params)
 
 
-def test_eval_matches_reference_beyond_the_unrolled_arities(rng):
+def test_eval_matches_reference_on_long_products(rng):
     """Products of two random expressions carry terms of up to 8 factors,
-    and a constant term has none: both leave the unrolled 2-4 factor paths."""
+    and a constant term has none; a term of three summed pairs has 64
+    products, more than one generated statement adds."""
     params = {"g": 1.3, "gp": 0.7, "R": 2.1}
     product = lambda r: random_expression(r) * random_expression(r)  # noqa: E731
     for e in _scalar_expressions(rng, 30, product, params):
@@ -284,3 +287,39 @@ def test_eval_matches_reference_beyond_the_unrolled_arities(rng):
     e = parse("3/2 + g rho + rho eps1 d[mu]eps2 d[nu]eps3 B[mu] Z[nu]")
     assert sorted(len(t.factors) for t in e.terms) == [0, 1, 6]
     _assert_matches_reference([e], 5, params)
+    e = parse("g rho rho + g^2 B[mu] B[mu] Z[nu] Z[nu] d[al]rho d[al]eps1")
+    assert sorted(DIMENSION ** len(t.index_counts()) for t in e.terms) == [1, 64]
+    for seed in range(3):
+        _assert_matches_reference([e], seed, params)
+
+
+# A kernel's source: the generated names (and the one ``assignment.values``
+# call), integer literals and ``* + = , ( ) :``
+KERNEL_SOURCE = re.compile(r"(?:\b(?:def|kernel|assignment\.values|assignment|keys|return"
+                           r"|[bcpv]\d+|t|z)\b|\b\d+\b|\*\*|[*+=,():]|\s)*")
+
+
+def test_kernels_splice_no_text_and_compile_once_per_part(monkeypatch, rng):
+    """No coefficient, parameter name, field name or other text of an
+    expression enters the source that ``exec`` runs; and a 500-sample
+    sweep compiles three kernels, one per part, not one per sample."""
+    sources = []
+
+    def spy(source, namespace):
+        sources.append(source)
+        exec(source, namespace)
+
+    monkeypatch.setattr(numeric, "exec", spy, raising=False)
+    params = {"g": 1.3, "gp": 0.7, "R": 2.1, "s": 1.4}
+    exprs = _scalar_expressions(rng, 40, random_expression, params) + _sweep_parts() + [
+        parse("3/2 i g^2 R + 7/3 s rho eps1 + 0"), Expression.zero()]
+    for e in exprs:
+        eval_expression(e, FieldSample(1), params)
+    assert sources and all(KERNEL_SOURCE.fullmatch(src) for src in sources)
+    for spliced in ("(1.5+0j)", "1e5", "-1", "rho", "g", "'s'"):  # the pattern's own check
+        assert not KERNEL_SOURCE.fullmatch(sources[-2].replace("c0", spliced))
+    _plan.cache_clear()
+    sources.clear()
+    scaling_sweep((0.1, 0.01), 500, ModelConfig(g=1.234, gp=0.567, R=2.345, exact=False), 7)
+    assert _plan.cache_info().misses == len(sources) == 3
+    assert all(KERNEL_SOURCE.fullmatch(src) for src in sources)
