@@ -311,13 +311,13 @@ def test_kernels_splice_no_text_and_compile_once_per_part(monkeypatch, rng):
 
     monkeypatch.setattr(numeric, "exec", spy, raising=False)
     params = {"g": 1.3, "gp": 0.7, "R": 2.1, "s": 1.4}
-    exprs = _scalar_expressions(rng, 40, random_expression, params) + _sweep_parts() + [
-        parse("3/2 i g^2 R + 7/3 s rho eps1 + 0"), Expression.zero()]
+    exprs = [parse("3/2 i g^2 R + 7/3 s rho eps1"), Expression.zero(), *_sweep_parts(),
+             *_scalar_expressions(rng, 40, random_expression, params)]
     for e in exprs:
         eval_expression(e, FieldSample(1), params)
-    assert sources and all(KERNEL_SOURCE.fullmatch(src) for src in sources)
+    assert len(sources) > 40 and all(KERNEL_SOURCE.fullmatch(src) for src in sources)
     for spliced in ("(1.5+0j)", "1e5", "-1", "rho", "g", "'s'"):  # the pattern's own check
-        assert not KERNEL_SOURCE.fullmatch(sources[-2].replace("c0", spliced))
+        assert not KERNEL_SOURCE.fullmatch(sources[0].replace("c0", spliced))
     _plan.cache_clear()
     sources.clear()
     scaling_sweep((0.1, 0.01), 500, ModelConfig(g=1.234, gp=0.567, R=2.345, exact=False), 7)
