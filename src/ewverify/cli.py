@@ -70,7 +70,9 @@ def _setting(key: str, value):
             raise ConfigError(f"invalid value for 'jmode': {exc}") from None
     # only exact is a bool, and no other value is one: JSON true is not the number 1
     if isinstance(value, bool) == (key == "exact"):
-        if key == "exact" or (key in ("seed", "samples") and isinstance(value, int)):
+        # a negative seed is refused: random.Random seeds from abs(seed)
+        if key == "exact" or (key in ("seed", "samples") and isinstance(value, int)
+                              and (key == "samples" or value >= 0)):
             return value
         if key in ("g", "gp", "R"):
             try:

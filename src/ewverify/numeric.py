@@ -15,7 +15,8 @@ code that fetches every field instance in one batched ``values(keys)``
 lookup, in first-access order with derivative tags sorted (derivatives
 commute), folds each term's parameters into its coefficient, and adds
 every index combination's product in term-by-term float order, so the
-result rounds exactly as a walk over every combination would.
+result rounds exactly as a walk over every combination would.  A product
+prefix that several of a term's combinations share is multiplied once.
 
 The sweep evaluates three parts on one sample: :func:`compile_layout`
 lists their instances once, in first-access order, part after part, and
@@ -23,7 +24,7 @@ lists their instances once, in first-access order, part after part, and
 ``Random.gauss``'s Box-Muller stream inlined, bit for bit: one
 ``random.Random(seed)`` per sample and two ``random()`` calls per pair of
 Gaussians.  Each instance's value, and the conjugate of each instance a
-key reads conjugated, is built once per sample.
+key reads conjugated, is built once per sample, by gathers in C.
 """
 
 from __future__ import annotations
@@ -68,13 +69,19 @@ def _plan(e: Expression) -> tuple:
     term's base ``complex(coeff) * sqrt(2)**r2`` times its parameters'
     powers, in the term's order, and adds every summed-index combination's
     product (the base, then the factors, left to right) to ``0j`` in term
-    order, at most 32 products per statement.  Its source holds only
-    generated names and integer literals; the bases are bound values.
+    order, at most 32 products per statement.  Each term's products are
+    walked into a trie keyed on (prefix node, slot): a prefix that two or
+    more of them share is multiplied once into a local ``u<n>``, and each
+    product continues from its longest such prefix.  Every product is still
+    the same left-to-right chain of the same multiplications, so every bit
+    stays that of the unshared walk.  A prefix is never shared across
+    terms, whose bases differ.  Its source holds only generated names and
+    integer literals; the bases are bound values.
     """
     slots: dict = {}
     names: dict = {}
     bound = {"z": 0j}
-    lines, products = [], []
+    lines, products, shared = [], [], 0
     for k, t in enumerate(e.terms):
         counts = t.index_counts()
         free = [n for n, c in counts.items() if c == 1]
@@ -83,15 +90,25 @@ def _plan(e: Expression) -> tuple:
         bound[f"c{k}"] = complex(t.coeff) * (SQRT2**t.r2)
         lines.append("".join([f"b{k} = c{k}", *(
             f" * p{names.setdefault(n, len(names))} ** {x:d}" for n, x in t.params)]))
+        trie: dict = {}  # (prefix node, slot) -> node, within this term; node 0 is b<k>
         dummies = sorted(counts)
+        uses, ends = [0] * (1 + len(t.factors) * DIMENSION ** len(dummies)), []  # by node
         for combo in itertools.product(range(DIMENSION), repeat=len(dummies)):
             concrete = dict(zip(dummies, combo))
-            product = [f"b{k}"]
+            node = 0
             for f in t.factors:
                 key = (f.field, tuple(concrete[i] for i in f.indices),
                        tuple(sorted(concrete[i] for i in f.derivs)), f.conj)
-                product.append(f"v{slots.setdefault(key, len(slots))}")
-            products.append(" * ".join(product))
+                node = trie.setdefault((node, slots.setdefault(key, len(slots))), len(trie) + 1)
+                uses[node] += 1
+            ends.append(node)
+        text = [f"b{k}"]  # by node: its product, continued from its longest named prefix
+        for node, (prefix, slot) in enumerate(trie, 1):
+            text.append(f"{text[prefix]} * v{slot}")
+            if uses[node] > 1:  # a shared prefix is multiplied once, into a local
+                lines.append(f"u{shared} = {text[node]}")
+                text[node], shared = f"u{shared}", shared + 1
+        products += [text[node] for node in ends]
     keys = bound["keys"] = tuple(slots)
     args = "".join(f", p{i}" for i in range(len(names)))
     unpack = "".join(f"v{i}, " for i in range(len(keys)))
@@ -104,17 +121,19 @@ def _plan(e: Expression) -> tuple:
 def compile_layout(exprs) -> tuple:
     """Compile one shared draw for the scalar expressions ``exprs``.
 
-    Returns ``(at, conjugated, picks, pairs)``.  The distinct field
-    instances of their plans, in first-access order and with mirror fields
-    resolved, take one Gaussian if real and two (real part, then imaginary
-    part) otherwise, in that order, from ``pairs`` Box-Muller pairs.
+    Returns ``(at, gathers, picks, pairs)``.  The distinct field instances
+    of their plans, in first-access order and with mirror fields resolved,
+    take one Gaussian if real and two (real part, then imaginary part)
+    otherwise, in that order, from ``pairs`` Box-Muller pairs.
     :func:`draw` lists 0.0 (a real instance's imaginary part) and then the
     Gaussians; ``at`` holds each instance's real and imaginary positions
-    in that list, and ``conjugated`` those of the instances that some key
-    reads conjugated.  A sample's values are one per instance, in order,
-    then one per conjugated instance; ``picks`` holds, per expression, an
-    ``operator.itemgetter`` that gathers its plan's keys' values from them,
-    as a sequence even for one key or none.
+    in that list.  A sample's values are one per instance, in order, then
+    the conjugate of each instance that some key reads conjugated.
+    ``gathers`` are the ``operator.itemgetter`` s that build them: of the
+    instances' real positions, of their imaginary positions, and of the
+    conjugated instances among the values; ``picks`` holds, per
+    expression, one that gathers its plan's keys' values.  Each gather
+    returns a sequence, even of one position or none.
     """
     union: dict = {}
     keyed = []
@@ -132,13 +151,17 @@ def compile_layout(exprs) -> tuple:
         at.append((n, 0 if real else n + 1))
         n += 1 if real else 2
     conj_of: dict = {}
-    picks = []
-    for pick in keyed:
-        pick = [len(at) + conj_of.setdefault(k, len(conj_of)) if conj else k for k, conj in pick]
-        if len(pick) < 2:  # itemgetter of one position returns a bare value, of none fails
-            pick = [slice(pick[0], pick[0] + 1) if pick else slice(0)]
-        picks.append(itemgetter(*pick))
-    return tuple(at), tuple(at[k] for k in conj_of), tuple(picks), n // 2  # ceil((n - 1) / 2)
+    picks = tuple(_gather([len(at) + conj_of.setdefault(k, len(conj_of)) if conj else k
+                           for k, conj in pick]) for pick in keyed)
+    gathers = _gather([re for re, _ in at]), _gather([im for _, im in at]), _gather([*conj_of])
+    return tuple(at), gathers, picks, n // 2  # ceil((n - 1) / 2)
+
+
+def _gather(positions: list) -> itemgetter:
+    """An ``operator.itemgetter`` of ``positions`` that returns a sequence."""
+    if len(positions) < 2:  # itemgetter of one position returns a bare value, of none fails
+        positions = [slice(positions[0], positions[0] + 1) if positions else slice(0)]
+    return itemgetter(*positions)
 
 
 def draw(layout, seed: int) -> list:
@@ -147,9 +170,12 @@ def draw(layout, seed: int) -> list:
     a complex one otherwise, each as ``gauss(0.0, 1.0)`` draws it, bit for
     bit, with its Box-Muller step inlined (``0.0 + z`` turns -0.0 into 0.0
     as ``mu + z * sigma`` does; an odd count's last sine goes unread).
-    Returns one assignment per expression, whose ``values(keys)`` returns
-    that expression's values in its plan's key order."""
-    at, conjugated, picks, pairs = layout
+    The values are built by the layout's gathers, in C: ``complex`` over
+    the real and imaginary parts, then ``complex.conjugate`` over the
+    conjugated instances.  Returns one assignment per expression, whose
+    ``values(keys)`` returns that expression's values in its plan's key
+    order."""
+    _, (reals, imags, conjugated), picks, pairs = layout
     random = Random(seed).random
     drawn = [0.0]
     push = drawn.append
@@ -158,8 +184,8 @@ def draw(layout, seed: int) -> list:
         g2rad = sqrt(-2.0 * log(1.0 - random()))
         push(0.0 + cos(x2pi) * g2rad)
         push(0.0 + sin(x2pi) * g2rad)
-    values = [complex(drawn[re], drawn[im]) for re, im in at]
-    values += [complex(drawn[re], -drawn[im]) for re, im in conjugated]
+    values = [*map(complex, reals(drawn), imags(drawn))]
+    values += map(complex.conjugate, conjugated(values))
     return [_Drawn(pick(values)) for pick in picks]
 
 

@@ -471,6 +471,21 @@ def test_flag_and_config_value_give_one_message(tmp_path, capsys, flag, key, val
         assert f"invalid value for {key!r}: {BAD_VALUE_REASONS[value]}" in err
 
 
+def test_negative_seed_is_a_usage_error(tmp_path, capsys):
+    """``random.Random`` seeds from ``abs(seed)``, so -7 would draw what 7
+    draws; the flag and the config file refuse it alike, and 0 is a seed."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"seed": -7}))
+    for argv in (("--seed", "-7"), ("--config", str(path))):
+        code, out, err = run_cli(capsys, "sweep", "--samples", "10", *argv)
+        assert code == 2
+        assert out == ""
+        assert "invalid value for 'seed': -7" in err
+    code, out, _ = run_cli(capsys, "sweep", "--samples", "10", "--seed", "0")
+    assert code == 0
+    assert json.loads(out)["samples"] == 10
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,5 +1,6 @@
 """Numeric evaluation, and the exact equality that the benchmark tracer hooks."""
 
+import itertools
 import random
 import re
 
@@ -107,8 +108,9 @@ def test_shared_draw_matches_lazy_lookups(rng):
         lazy, walked = FieldSample(seed), FieldSample(seed)
         for e, drawn in zip(group, draw(layout, seed)):
             keys = _plan(e)[1]
-            assert list(drawn.values(keys)) == lazy.values(keys)
-            assert eval_expression(e, drawn, params) == reference_eval(e, walked, params)
+            assert _bits(drawn.values(keys)) == _bits(lazy.values(keys))
+            assert _bits([eval_expression(e, drawn, params)]) == _bits(
+                [reference_eval(e, walked, params)])
         assert len(layout[0]) == len(lazy._values)
 
 
@@ -296,13 +298,12 @@ def test_eval_matches_reference_on_long_products(rng):
 # A kernel's source: the generated names (and the one ``assignment.values``
 # call), integer literals and ``* + = , ( ) :``
 KERNEL_SOURCE = re.compile(r"(?:\b(?:def|kernel|assignment\.values|assignment|keys|return"
-                           r"|[bcpv]\d+|t|z)\b|\b\d+\b|\*\*|[*+=,():]|\s)*")
+                           r"|[bcpuv]\d+|t|z)\b|\b\d+\b|\*\*|[*+=,():]|\s)*")
 
 
-def test_kernels_splice_no_text_and_compile_once_per_part(monkeypatch, rng):
-    """No coefficient, parameter name, field name or other text of an
-    expression enters the source that ``exec`` runs; and a 500-sample
-    sweep compiles three kernels, one per part, not one per sample."""
+def _kernel_sources(monkeypatch) -> list:
+    """The list that each source ``numeric`` runs through ``exec`` is
+    appended to, from now until the test ends."""
     sources = []
 
     def spy(source, namespace):
@@ -310,6 +311,14 @@ def test_kernels_splice_no_text_and_compile_once_per_part(monkeypatch, rng):
         exec(source, namespace)
 
     monkeypatch.setattr(numeric, "exec", spy, raising=False)
+    return sources
+
+
+def test_kernels_splice_no_text_and_compile_once_per_part(monkeypatch, rng):
+    """No coefficient, parameter name, field name or other text of an
+    expression enters the source that ``exec`` runs; and a 500-sample
+    sweep compiles three kernels, one per part, not one per sample."""
+    sources = _kernel_sources(monkeypatch)
     params = {"g": 1.3, "gp": 0.7, "R": 2.1, "s": 1.4}
     exprs = [parse("3/2 i g^2 R + 7/3 s rho eps1"), Expression.zero(), *_sweep_parts(),
              *_scalar_expressions(rng, 40, random_expression, params)]
@@ -323,3 +332,40 @@ def test_kernels_splice_no_text_and_compile_once_per_part(monkeypatch, rng):
     scaling_sweep((0.1, 0.01), 500, ModelConfig(g=1.234, gp=0.567, R=2.345, exact=False), 7)
     assert _plan.cache_info().misses == len(sources) == 3
     assert all(KERNEL_SOURCE.fullmatch(src) for src in sources)
+
+
+def _distinct_prefixes(e: Expression) -> int:
+    """The distinct (term, product prefix) pairs of ``e``: per term, each
+    nonempty prefix of an index combination's factor instances, with
+    derivative tags sorted, counted once."""
+    count = 0
+    for t in e.terms:
+        dummies = sorted(t.index_counts())
+        seen = set()
+        for combo in itertools.product(range(DIMENSION), repeat=len(dummies)):
+            at = dict(zip(dummies, combo))
+            keys = tuple((f.field, tuple(at[i] for i in f.indices),
+                          tuple(sorted(at[i] for i in f.derivs)), f.conj) for f in t.factors)
+            seen.update(keys[:n] for n in range(1, len(keys) + 1))
+        count += len(seen)
+    return count
+
+
+def test_sweep_kernels_multiply_each_shared_prefix_once(monkeypatch):
+    """A product prefix that several of a term's index combinations share is
+    multiplied once: the sweep's three kernels perform one multiplication
+    per distinct (term, prefix) pair, 1132 per sample where the unshared
+    products take 1384.  The parameter folds ``b<k> = c<k> * p0 ** 1`` are
+    not counted."""
+    sources = _kernel_sources(monkeypatch)
+    _plan.cache_clear()
+    parts = _sweep_parts()
+    for e in parts:
+        _plan(e)
+    multiplications = [sum(len(re.findall(r"(?<!\*)\*(?!\*)", line))
+                           for line in src.splitlines() if not re.match(r"\s*b\d+ =", line))
+                       for src in sources]
+    assert multiplications == [_distinct_prefixes(e) for e in parts] == [152, 888, 92]
+    unshared = [sum(len(t.factors) * DIMENSION ** len(t.index_counts()) for t in e.terms)
+                for e in parts]
+    assert unshared == [152, 1104, 128]
