@@ -92,7 +92,8 @@ def _plan(e: Expression) -> tuple:
             f" * p{names.setdefault(n, len(names))} ** {x:d}" for n, x in t.params)]))
         trie: dict = {}  # (prefix node, slot) -> node, within this term; node 0 is b<k>
         dummies = sorted(counts)
-        uses, ends = [0] * (1 + len(t.factors) * DIMENSION ** len(dummies)), []  # by node
+        # the products through each node: at most one node per factor and combination
+        uses, ends = [0] * (1 + len(t.factors) * DIMENSION ** len(dummies)), []
         for combo in itertools.product(range(DIMENSION), repeat=len(dummies)):
             concrete = dict(zip(dummies, combo))
             node = 0
@@ -129,9 +130,9 @@ def compile_layout(exprs) -> tuple:
     Gaussians; ``at`` holds each instance's real and imaginary positions
     in that list.  A sample's values are one per instance, in order, then
     the conjugate of each instance that some key reads conjugated.
-    ``gathers`` are the ``operator.itemgetter`` s that build them: of the
-    instances' real positions, of their imaginary positions, and of the
-    conjugated instances among the values; ``picks`` holds, per
+    ``gathers`` holds the three ``operator.itemgetter`` gathers that build
+    them: of the instances' real positions, of their imaginary positions,
+    and of the conjugated instances among the values; ``picks`` holds, per
     expression, one that gathers its plan's keys' values.  Each gather
     returns a sequence, even of one position or none.
     """
